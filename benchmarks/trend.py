@@ -10,10 +10,12 @@ single noisy neighbour on a shared runner can no longer manufacture or
 mask a regression — and prints each metric's movement, flagging changes
 past a threshold (default 20%) in the metric's *bad* direction:
 
-* metrics whose key mentions time (``seconds``, ``_s``, ``per_probe``)
+* metrics whose key mentions time (``seconds``, ``per_probe``) or ends
+  in a time or memory unit (``setup_s``, ``self_s``, ``peak_rss_mb``)
   regress by going **up**;
-* metrics whose key mentions rate (``speedup``, ``throughput``,
-  ``per_sec``, ``per_second``) regress by going **down**;
+* metrics whose key mentions rate or yield (``speedup``,
+  ``throughput``, ``per_sec``, ``bytes_per_s``, ``hit_ratio``,
+  ``_yield``) regress by going **down**;
 * other numeric metrics are reported when they move but never flagged —
   sizes and counts have no universal polarity.
 
@@ -51,12 +53,19 @@ from typing import Dict, Iterator, List, Tuple
 LOWER_IS_BETTER = (
     "seconds", "per_probe", "elapsed", "wall", "p50", "p99", "ns_per_op"
 )
+# bytes_per_s / hit_ratio / proven_ratio / _yield cover the e15 ledger's
+# parse rate, cache hit share, analyzer proof share and probe/selection
+# yields (throughput_rps is caught by "throughput").
 HIGHER_IS_BETTER = (
-    "speedup", "throughput", "per_sec", "per_second", "coverage"
+    "speedup", "throughput", "per_sec", "per_second", "coverage",
+    "bytes_per_s", "hit_ratio", "proven_ratio", "_yield",
 )
 # Token-matched, not substring-matched: "rate" as a substring would
 # capture phase names like "chase.enumerate".
 HIGHER_IS_BETTER_TOKENS = ("rate",)
+# Unit suffixes of e15 leaf names, matched on the name's last token:
+# ``setup_s``, ``<layer>.self_s``, ``latency_p90_s`` and ``peak_rss_mb``.
+LOWER_IS_BETTER_UNITS = ("s", "mb")
 
 
 def flatten(payload: object, prefix: str = "") -> Iterator[Tuple[str, float]]:
@@ -74,6 +83,10 @@ def flatten(payload: object, prefix: str = "") -> Iterator[Tuple[str, float]]:
 def direction(path: str) -> int:
     """-1: lower is better, +1: higher is better, 0: no polarity."""
     lowered = path.lower()
+    # e15 stores each metric as ``{"value": ..., "unit": ...}``: the
+    # metric's own name is the segment before ``.value``.
+    if lowered.endswith(".value"):
+        lowered = lowered[: -len(".value")]
     if any(marker in lowered for marker in HIGHER_IS_BETTER):
         return 1
     if any(marker in lowered for marker in LOWER_IS_BETTER):
@@ -81,6 +94,8 @@ def direction(path: str) -> int:
     tokens = re.split(r"[^a-z0-9]+", lowered)
     if any(marker in tokens for marker in HIGHER_IS_BETTER_TOKENS):
         return 1
+    if tokens[-1] in LOWER_IS_BETTER_UNITS:
+        return -1
     return 0
 
 

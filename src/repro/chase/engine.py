@@ -508,16 +508,21 @@ class StandardChase:
         stats.elapsed_seconds = time.perf_counter() - start
         if rec.enabled:
             self._harvest_metrics(rec, stats, working, plan_mark, kernel_mark)
-        target = self._extract_target(working)
+        # The target stays encoded in ``working`` until someone reads it:
+        # a failed greedy ded selection is dropped without ever decoding.
         return ChaseResult(
             status=status,
-            target=target,
+            target=None,
             working=working if self.config.keep_working else None,
             stats=stats,
             failure_reason=reason,
             sharding=sharder.describe(),
             guards="dropped" if self._unguarded else "enforced",
             trace=rec.to_payload() if owned_rec else None,
+        ).defer_target(
+            working,
+            self.source_relations,
+            rec if rec.enabled and not owned_rec else None,
         )
 
     def _plan_counters(self) -> Tuple[int, int, int]:
@@ -569,16 +574,10 @@ class StandardChase:
             rec.count("kernel.encoded_appends", kernel_stats.encoded_appends)
             rec.count("kernel.probe_rows", kernel_stats.probe_rows)
             rec.count("kernel.probe_survivors", kernel_stats.probe_survivors)
+            rec.count("kernel.decoded_rows", kernel_stats.decoded_rows)
             rec.gauge("instance.intern_size", len(working.pool))
 
     # -- internals ----------------------------------------------------------------
-
-    def _extract_target(self, working: Instance) -> Instance:
-        target = Instance()
-        for fact in working:
-            if fact.relation not in self.source_relations:
-                target.add(fact)
-        return target
 
     def _chase_rounds(
         self,

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.relational.instance import Instance
+from repro.relational.kernel import ColumnarInstance
 
 __all__ = ["ChaseStatus", "ChaseStats", "ChaseResult"]
 
@@ -71,9 +72,19 @@ class ChaseStats:
 class ChaseResult:
     """The outcome of a chase run.
 
-    ``target`` is the produced physical target instance (source and
-    auxiliary requirement relations stripped); ``working`` is the full
-    working instance for diagnosis.  ``failure_reason`` explains
+    ``target`` is the produced target instance: every relation of the
+    working instance except the source relations.  The rewriter's
+    auxiliary ``_grom_req_*`` relations are still in it —
+    :func:`repro.pipeline.strip_auxiliary` removes them.  The engine
+    hands the target over undecoded: ``target`` decodes from the run's
+    columnar store on first read, caches the result and drops the store,
+    so a result nobody reads (a failed greedy ded selection) never
+    decodes.  Until then :meth:`encoded_target` copies relations out of
+    the store still encoded.  A result pickled across a process boundary
+    ships the decoded target, never the store.
+
+    ``working`` is the full working instance for diagnosis
+    (``ChaseConfig.keep_working``).  ``failure_reason`` explains
     FAILURE/NONTERMINATION outcomes.  For greedy ded runs,
     ``branch_selection`` records which disjunct of each ded the winning
     standard scenario used and ``scenarios_tried`` how many scenarios
@@ -118,6 +129,59 @@ class ChaseResult:
     def ok(self) -> bool:
         return self.status is ChaseStatus.SUCCESS
 
+    def defer_target(
+        self, store, source_relations: Iterable[str], recorder=None
+    ) -> "ChaseResult":
+        """Make ``target`` decode lazily out of ``store`` (the engine's
+        working instance), leaving out ``source_relations``.  The decode
+        is counted as ``kernel.decoded_rows`` on ``recorder``, if given."""
+        self._target = None
+        self._pending = (store, frozenset(source_relations), recorder)
+        return self
+
+    def encoded_target(
+        self, keep: Callable[[str], bool] = lambda relation: True
+    ) -> Optional[ColumnarInstance]:
+        """The target relations passing ``keep``, copied encoded out of
+        the run's columnar store; ``None`` once ``target`` is decoded or
+        when the run did not use the columnar kernel."""
+        pending = self._pending
+        if pending is None or not isinstance(pending[0], ColumnarInstance):
+            return None
+        store, source_relations, _recorder = pending
+        return store.restricted_to(
+            relation
+            for relation in store.relations()
+            if relation not in source_relations and keep(relation)
+        )
+
+    def _decode_target(self) -> Instance:
+        store, source_relations, recorder = self._pending
+        relations = [r for r in store.relations() if r not in source_relations]
+        if isinstance(store, ColumnarInstance):
+            before = store.kernel_stats.decoded_rows
+            target = store.to_instance(relations=relations)
+            if recorder is not None:
+                recorder.count(
+                    "kernel.decoded_rows",
+                    store.kernel_stats.decoded_rows - before,
+                )
+        else:
+            target = Instance()
+            for relation in relations:
+                target.add_all(store.facts(relation))
+        self._target = target
+        self._pending = None
+        return target
+
+    def __getstate__(self):
+        # Crossing a process boundary: ship decoded rows, never the store
+        # (its codes are only meaningful against this process's pool).
+        state = dict(self.__dict__)
+        state["_target"] = self.target
+        state["_pending"] = None
+        return state
+
     def __str__(self) -> str:
         if self.ok:
             return (
@@ -126,3 +190,23 @@ class ChaseResult:
                 f"{self.stats.nulls_created} nulls"
             )
         return f"chase: {self.status} ({self.failure_reason})"
+
+
+def _get_target(self: ChaseResult) -> Instance:
+    if self._pending is not None:
+        return self._decode_target()
+    return self._target
+
+
+def _set_target(self: ChaseResult, value: Instance) -> None:
+    self._target = value
+    self._pending = None
+
+
+# Installed after the dataclass decorator ran, so ``target`` stays an
+# ordinary constructor field whose assignment goes through the setter.
+ChaseResult.target = property(  # type: ignore[assignment]
+    _get_target,
+    _set_target,
+    doc="The produced target instance, decoded on first read.",
+)

@@ -20,6 +20,15 @@ shared :class:`~repro.datalog.evaluate.SemanticDatabase`) and reuses it
 across every candidate — verifying k rewritings of one scenario costs
 one source materialization, not k.
 
+Both sides are checked on the columnar kernel.  The target side is the
+working store of a :class:`~repro.datalog.evaluate.SemanticDatabase`
+over the target views, fed the candidate's rows encoded (a plain
+:class:`~repro.relational.instance.Instance` is encoded once, at the
+edge).  Each check compiles its premise plan and one plan per
+conclusion disjunct once, drains premise rows block-wise and probes the
+conclusion seeded straight from the premise row; rows decode only to
+report a violation.
+
 Per-dependency checks are independent read-only scans, so a verifier
 may fan them across a thread pool (``parallelism``); the pool draws
 from the same worker budget as the chase's match sharding (see
@@ -34,16 +43,17 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.core.compose import source_database
 from repro.core.scenario import MappingScenario
-from repro.datalog.evaluate import materialize
+from repro.datalog.evaluate import SemanticDatabase
 from repro.logic.atoms import Conjunction
 from repro.logic.dependencies import Dependency
 from repro.logic.terms import Term, Variable
 from repro.relational.instance import Instance
-from repro.relational.query import evaluate_iter, exists
+from repro.relational.kernel import ColumnarInstance, global_pool
+from repro.relational.query import compile_query
 
 __all__ = [
     "Violation",
@@ -51,7 +61,11 @@ __all__ = [
     "ScenarioVerifier",
     "verify_solution",
     "semantic_target",
+    "target_side",
 ]
+
+#: A candidate target: a set-based instance, or an encoded store.
+Target = Union[Instance, ColumnarInstance]
 
 
 @dataclass(frozen=True)
@@ -91,100 +105,107 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _encoded(instance: Target) -> ColumnarInstance:
+    """``instance`` as a store on the global pool, encoding at most once."""
+    if isinstance(instance, ColumnarInstance) and instance.pool is global_pool():
+        return instance
+    store = ColumnarInstance()
+    if isinstance(instance, ColumnarInstance):
+        store.ingest(instance)
+    else:
+        store.add_all(instance)
+    return store
+
+
+def target_side(scenario: MappingScenario, target_instance: Target) -> ColumnarInstance:
+    """``J_T ∪ Υ_T(J_T)`` as the encoded store the checks run on.
+
+    The target views materialize in place over the candidate's rows (a
+    columnar candidate moves encoded; under the reference evaluator the
+    database works decoded and its result is encoded once here)."""
+    database = SemanticDatabase(scenario.target_views)
+    if isinstance(target_instance, ColumnarInstance):
+        database.ingest(target_instance)
+    else:
+        database.add_facts(target_instance)
+    return _encoded(database.refresh().instance)
+
+
 def semantic_target(
-    scenario: MappingScenario, target_instance: Instance
+    scenario: MappingScenario, target_instance: Target
 ) -> Instance:
     """``J_T ∪ Υ_T(J_T)``: the semantic view of a produced target."""
-    combined = Instance()
-    for fact in target_instance:
-        combined.add(fact)
-    if scenario.target_views is not None:
-        for fact in materialize(scenario.target_views, target_instance):
-            combined.add(fact)
-    return combined
+    return target_side(scenario, target_instance).to_instance()
 
 
-def _check_tgd(
-    dependency: Dependency,
-    source_side: Instance,
-    target_side: Instance,
-    violations: List[Violation],
-    max_violations: int,
-) -> int:
-    matched = 0
-    frontier = dependency.frontier()
-    for binding in evaluate_iter(dependency.premise, source_side):
-        matched += 1
-        satisfied = False
-        for disjunct in dependency.disjuncts:
-            seed = {v: t for v, t in binding.items() if v in frontier}
-            body = Conjunction(
-                atoms=disjunct.atoms, comparisons=disjunct.comparisons
-            )
-            equalities_ok = all(
-                _resolve(e.left, binding) == _resolve(e.right, binding)
-                for e in disjunct.equalities
-            )
-            if equalities_ok and exists(body, target_side, seed=seed):
-                satisfied = True
-                break
-        if not satisfied and len(violations) < max_violations:
-            violations.append(
-                Violation(
-                    dependency.describe(),
-                    tuple(sorted(binding.items())),
-                    "no conclusion disjunct satisfied",
-                )
-            )
-    return matched
+def _code_getter(term: Term, slot_of, pool):
+    """A disjunct equality operand read off an encoded premise row.
 
-
-def _resolve(term, binding):
+    A variable the premise does not bind stands for itself, so it only
+    equals the same unbound variable — the decoded check's semantics."""
     if isinstance(term, Variable):
-        return binding.get(term, term)
-    return term
+        slot = slot_of.get(term)
+        if slot is None:
+            return lambda _row, _term=term: _term
+        return lambda row, _slot=slot: row[_slot]
+    code = pool.encode(term)
+    return lambda _row, _code=code: _code
 
 
-def _check_constraint(
+def _check(
     dependency: Dependency,
-    target_side: Instance,
+    premise_side: ColumnarInstance,
+    conclusion_side: ColumnarInstance,
+    seeded: Optional[frozenset],
+    reasons: Tuple[str, str],
     violations: List[Violation],
     max_violations: int,
 ) -> int:
+    """Check one dependency; returns its premise-match count.
+
+    Premise rows come from ``premise_side`` and each conclusion disjunct
+    is probed on ``conclusion_side``, seeded with the premise variables
+    in ``seeded`` (all of them when None).  ``reasons`` are the
+    violation texts for a denial and for an unsatisfied conclusion.
+    """
+    pool = premise_side.pool
+    premise = compile_query(dependency.premise, (), premise_side).encoded(pool)
+    varlist = premise.varlist
+    bound = frozenset(varlist) if seeded is None else seeded & frozenset(varlist)
+    slot_of = premise.slot_of
+    disjuncts = []
+    for disjunct in dependency.disjuncts:
+        body = Conjunction(atoms=disjunct.atoms, comparisons=disjunct.comparisons)
+        plan = compile_query(body, bound, conclusion_side).encoded(pool)
+        equalities = tuple(
+            (_code_getter(e.left, slot_of, pool), _code_getter(e.right, slot_of, pool))
+            for e in disjunct.equalities
+        )
+        disjuncts.append((equalities, plan, plan.fill_for(varlist)))
+    reason = reasons[1] if disjuncts else reasons[0]
+    describe = dependency.describe()
+    decode = premise_side.decode_term
     matched = 0
-    for binding in evaluate_iter(dependency.premise, target_side):
-        matched += 1
-        if not dependency.disjuncts:
-            if len(violations) < max_violations:
-                violations.append(
-                    Violation(
-                        dependency.describe(),
-                        tuple(sorted(binding.items())),
-                        "denial premise matched",
-                    )
-                )
-            continue
-        satisfied = False
-        for disjunct in dependency.disjuncts:
-            equalities_ok = all(
-                _resolve(e.left, binding) == _resolve(e.right, binding)
-                for e in disjunct.equalities
-            )
-            body = Conjunction(
-                atoms=disjunct.atoms, comparisons=disjunct.comparisons
-            )
-            if equalities_ok and exists(body, target_side, seed=binding):
-                satisfied = True
-                break
-        if not satisfied and len(violations) < max_violations:
-            violations.append(
-                Violation(
-                    dependency.describe(),
-                    tuple(sorted(binding.items())),
-                    "constraint conclusion not satisfied",
-                )
-            )
+    for block in premise.blocks(premise_side):
+        matched += len(block)
+        for row in block:
+            for equalities, plan, fill in disjuncts:
+                if all(left(row) == right(row) for left, right in equalities) and (
+                    plan.exists_filled(conclusion_side, fill, row)
+                ):
+                    break
+            else:
+                if len(violations) < max_violations:
+                    binding = tuple(zip(varlist, map(decode, row)))
+                    violations.append(Violation(describe, binding, reason))
     return matched
+
+
+_MAPPING_REASONS = ("no conclusion disjunct satisfied",) * 2
+_CONSTRAINT_REASONS = (
+    "denial premise matched",
+    "constraint conclusion not satisfied",
+)
 
 
 class ScenarioVerifier:
@@ -201,16 +222,17 @@ class ScenarioVerifier:
         self,
         scenario: MappingScenario,
         source_instance: Instance,
-        source_side: Optional[Instance] = None,
+        source_side: Optional[Target] = None,
         parallelism: Optional[str] = None,
     ) -> None:
         self.scenario = scenario
         self.source_instance = source_instance
         self._source_side = source_side
+        self._source_store: Optional[ColumnarInstance] = None
         self.parallelism = parallelism
 
     @property
-    def source_side(self) -> Instance:
+    def source_side(self) -> Target:
         """``I_S ∪ Υ_S(I_S)``, materialized lazily and kept."""
         if self._source_side is None:
             self._source_side = source_database(
@@ -218,16 +240,26 @@ class ScenarioVerifier:
             ).instance
         return self._source_side
 
+    def _encoded_source(self) -> ColumnarInstance:
+        """The source side as an encoded store (encoded once, kept)."""
+        if self._source_store is None:
+            self._source_store = _encoded(self.source_side)
+        return self._source_store
+
     def verify(
         self,
-        target_instance: Instance,
+        target_instance: Target,
         max_violations: int = 100,
         _workers: Optional[int] = None,
     ) -> VerificationReport:
-        """Check one candidate target against the semantic scenario."""
+        """Check one candidate target against the semantic scenario.
+
+        ``target_instance`` is a set-based :class:`Instance` or a
+        :class:`ColumnarInstance`; the latter is read without decoding.
+        """
         report = VerificationReport(ok=True)
-        source_side = self.source_side
-        target_side = semantic_target(self.scenario, target_instance)
+        source = self._encoded_source()
+        target = target_side(self.scenario, target_instance)
 
         checks: List[Tuple[str, Dependency]] = [
             ("mapping", m) for m in self.scenario.mappings
@@ -238,12 +270,11 @@ class ScenarioVerifier:
         )
         if workers > 1:
             outcomes = self._run_parallel(
-                checks, source_side, target_side, max_violations, workers
+                checks, source, target, max_violations, workers
             )
         else:
             outcomes = [
-                self._run_check(kind, dependency, source_side, target_side,
-                                max_violations)
+                self._run_check(kind, dependency, source, target, max_violations)
                 for kind, dependency in checks
             ]
 
@@ -264,7 +295,7 @@ class ScenarioVerifier:
 
     def verify_candidates(
         self,
-        target_instances: Sequence[Instance],
+        target_instances: Sequence[Target],
         max_violations: int = 100,
     ) -> List[VerificationReport]:
         """Check many candidate targets, fanning *whole candidates*.
@@ -284,7 +315,7 @@ class ScenarioVerifier:
                 self.verify(target, max_violations=max_violations)
                 for target in targets
             ]
-        self.source_side  # materialize once, outside the pool
+        self._encoded_source()  # materialize once, outside the pool
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="verify-candidate"
         ) as pool:
@@ -322,26 +353,30 @@ class ScenarioVerifier:
     def _run_check(
         kind: str,
         dependency: Dependency,
-        source_side: Instance,
-        target_side: Instance,
+        source: ColumnarInstance,
+        target: ColumnarInstance,
         max_violations: int,
     ) -> Tuple[int, List[Violation]]:
         violations: List[Violation] = []
         if kind == "mapping":
-            matched = _check_tgd(
-                dependency, source_side, target_side, violations, max_violations
+            # Mapping premises read the source side; the conclusion is
+            # seeded with the frontier (premise variables it mentions).
+            matched = _check(
+                dependency, source, target, dependency.frontier(),
+                _MAPPING_REASONS, violations, max_violations,
             )
         else:
-            matched = _check_constraint(
-                dependency, target_side, violations, max_violations
+            matched = _check(
+                dependency, target, target, None,
+                _CONSTRAINT_REASONS, violations, max_violations,
             )
         return matched, violations
 
     def _run_parallel(
         self,
         checks: List[Tuple[str, Dependency]],
-        source_side: Instance,
-        target_side: Instance,
+        source: ColumnarInstance,
+        target: ColumnarInstance,
         max_violations: int,
         workers: int,
     ) -> List[Tuple[int, List[Violation]]]:
@@ -350,8 +385,8 @@ class ScenarioVerifier:
         ) as pool:
             futures = [
                 pool.submit(
-                    self._run_check, kind, dependency, source_side,
-                    target_side, max_violations,
+                    self._run_check, kind, dependency, source, target,
+                    max_violations,
                 )
                 for kind, dependency in checks
             ]
@@ -361,21 +396,23 @@ class ScenarioVerifier:
 def verify_solution(
     scenario: MappingScenario,
     source_instance: Instance,
-    target_instance: Instance,
+    target_instance: Target,
     max_violations: int = 100,
-    source_side: Optional[Instance] = None,
+    source_side: Optional[Target] = None,
     parallelism: Optional[str] = None,
 ) -> VerificationReport:
     """Check that ``target_instance`` solves the original semantic scenario.
 
     ``target_instance`` should contain physical target facts (auxiliary
     ``_grom_req_*`` relations, if present, are ignored by virtue of not
-    being mentioned in the scenario's dependencies).  ``source_side``
-    lets callers that already hold ``I_S ∪ Υ_S(I_S)`` (the pipeline's
-    chase input) skip its re-materialization; verifying several
-    candidates is cheaper still through :class:`ScenarioVerifier`.
-    ``parallelism`` fans the per-dependency checks across threads (same
-    spec syntax and worker budget as the chase).
+    being mentioned in the scenario's dependencies); it may be an
+    encoded :class:`ColumnarInstance`, which is checked without
+    decoding.  ``source_side`` lets callers that already hold
+    ``I_S ∪ Υ_S(I_S)`` (the pipeline's chase input) skip its
+    re-materialization; verifying several candidates is cheaper still
+    through :class:`ScenarioVerifier`.  ``parallelism`` fans the
+    per-dependency checks across threads (same spec syntax and worker
+    budget as the chase).
     """
     return ScenarioVerifier(
         scenario, source_instance, source_side=source_side,

@@ -216,6 +216,21 @@ class SemanticDatabase:
         """Insert many base facts; returns how many were new."""
         return sum(1 for fact in facts if self.add_fact(fact))
 
+    def ingest(self, instance: ColumnarInstance) -> int:
+        """Insert a columnar store's live rows as base facts, encoded.
+
+        The bulk twin of :meth:`add_facts`: rows move as code tuples
+        (:meth:`ColumnarInstance.ingest`), and only rows landing in view
+        relations decode, to keep the ``_seeded`` bookkeeping.  A
+        reference-kernel database takes the decoded path.  Views
+        refresh lazily; returns how many rows were new."""
+        working = self._working
+        if not isinstance(working, ColumnarInstance):
+            return self.add_facts(instance)
+        for view in self._view_names.intersection(instance.relations()):
+            self._seeded.update(instance.facts(view))
+        return working.ingest(instance)
+
     # -- maintenance -------------------------------------------------------
 
     def _rule_plans(self, rule: Rule, key: int) -> DeltaPlans:

@@ -34,7 +34,9 @@ class PipelineResult:
     rewrite: RewriteResult
     chase: ChaseResult
     target: Instance
-    """Physical target instance (auxiliary requirement relations stripped)."""
+    """Physical target instance (auxiliary requirement relations
+    stripped), carrying the scenario's target schema.  Built eagerly:
+    it is the one place the pipeline decodes the chase's rows."""
 
     verification: Optional[VerificationReport] = None
 
@@ -178,7 +180,20 @@ def run_rewritten(
             )
             chase_result = standard.run(chase_input, recorder=rec)
 
-    target = strip_auxiliary(chase_result.target, scenario.target_schema)
+    # Strip and verify on the chase's encoded store; the rows decode
+    # exactly once, into ``PipelineResult.target``.  A result that was
+    # already decoded (a branch raced in another process, or the
+    # reference kernel) is stripped and verified decoded instead.
+    stripped = chase_result.encoded_target(
+        keep=lambda relation: not relation.startswith(AUX_PREFIX)
+    )
+    if stripped is None:
+        stripped = target = strip_auxiliary(
+            chase_result.target, scenario.target_schema
+        )
+    else:
+        target = stripped.to_instance(scenario.target_schema)
+        rec.count("kernel.decoded_rows", stripped.kernel_stats.decoded_rows)
     verification = None
     if verify and chase_result.ok:
         # The chase input *is* the verifier's source side (I_S ∪ Υ_S(I_S))
@@ -189,7 +204,7 @@ def run_rewritten(
             verification = verify_solution(
                 scenario,
                 source_instance,
-                target,
+                stripped,
                 source_side=None if unfold_source_premises else chase_input,
                 parallelism=config.parallelism if config is not None else None,
             )

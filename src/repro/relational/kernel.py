@@ -58,7 +58,7 @@ from typing import (
 from repro.errors import SchemaError
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Null, Term
-from repro.relational.instance import ProbeView
+from repro.relational.instance import Instance, ProbeView
 from repro.relational.types import term_order_key
 
 __all__ = [
@@ -271,14 +271,18 @@ class _KernelStats:
     comparison filters and were actually materialized downstream.  The
     two diverge on self-joins and filtered probes — splitting them is
     what lets ``grom profile`` show probe selectivity honestly.
+    ``decoded_rows`` counts rows turned back into ``Atom`` objects — the
+    boundary decodes (:meth:`ColumnarInstance.to_instance`, iteration,
+    pickling) an encoded pipeline should pay once, for its output.
     """
 
-    __slots__ = ("encoded_appends", "probe_rows", "probe_survivors")
+    __slots__ = ("encoded_appends", "probe_rows", "probe_survivors", "decoded_rows")
 
     def __init__(self) -> None:
         self.encoded_appends = 0
         self.probe_rows = 0
         self.probe_survivors = 0
+        self.decoded_rows = 0
 
 
 class _Table:
@@ -379,6 +383,7 @@ class ColumnarInstance:
                     )
                 )
             tables[relation] = (table.arity, rows)
+            self.kernel_stats.decoded_rows += len(rows)
         return {
             "schema": self.schema,
             "current_generation": self._current_generation,
@@ -434,6 +439,7 @@ class ColumnarInstance:
 
     def decode_row(self, relation: str, row_id: int) -> Atom:
         table = self._tables[relation]
+        self.kernel_stats.decoded_rows += 1
         return Atom(
             relation,
             tuple(self.decode_term(column[row_id]) for column in table.columns),
@@ -987,16 +993,58 @@ class ColumnarInstance:
         return clone
 
     def restricted_to(self, relations: Iterable[str]) -> "ColumnarInstance":
+        """A fresh, schemaless copy holding only ``relations``' live rows.
+
+        Rows move encoded, one :meth:`extend_encoded` batch per relation
+        (the strip step of the pipeline rides this, so no per-row
+        ``add_encoded`` bookkeeping); null hints carry over."""
         keep = set(relations)
         clone = ColumnarInstance(pool=self.pool)
-        for relation in keep:
-            table = self._tables.get(relation)
-            if table is None:
+        for relation, table in self._tables.items():
+            if relation not in keep or not table.live_count:
                 continue
-            for row_id in self.live_row_ids(relation):
-                clone.add_encoded(relation, table.row_values(row_id))
+            if table.arity and table.live_count == len(table.generations):
+                rows = list(zip(*table.columns))
+            else:
+                rows = [
+                    table.row_values(row_id)
+                    for row_id in self.live_row_ids(relation)
+                ]
+            clone.extend_encoded(relation, rows)
         clone._null_hints = dict(self._null_hints)
         return clone
+
+    def to_instance(
+        self, schema=None, relations: Optional[Iterable[str]] = None
+    ) -> Instance:
+        """Decode live rows into a set-based :class:`Instance`.
+
+        The boundary decode: encoded pipelines hand their result to
+        callers through exactly one of these.  ``relations`` limits the
+        decode to those relations (default: all); ``schema`` is attached
+        to the result and validates every fact, as ``Instance.add``
+        does.  Counted in ``kernel_stats.decoded_rows``."""
+        out = Instance(schema)
+        add = out.add
+        decode = self.decode_term
+        keep = None if relations is None else set(relations)
+        decoded = 0
+        for relation, table in self._tables.items():
+            if keep is not None and relation not in keep:
+                continue
+            columns = table.columns
+            generations = table.generations
+            for row_id in range(len(generations)):
+                if generations[row_id] >= 0:
+                    add(
+                        Atom(
+                            relation,
+                            tuple(decode(column[row_id]) for column in columns),
+                        )
+                    )
+                    decoded += 1
+        self.kernel_stats.decoded_rows += decoded
+        return out
 
     def to_atoms(self) -> List[Atom]:
         return list(self)

@@ -128,6 +128,12 @@ def _alarm(seconds: Optional[float]) -> Iterator[None]:
     A no-op when no budget is set, off the main thread, or on platforms
     without ``SIGALRM``/``setitimer`` (Windows) — timeouts are then
     simply not enforced rather than refusing to run.
+
+    The handler's exception can be lost: when the signal lands inside a
+    gc callback it is unraisable, so Python prints and discards it and
+    the body runs on.  The handler therefore also records that the
+    timer expired, and leaving the block raises the timeout if it fired
+    but never propagated.
     """
     usable = (
         seconds is not None
@@ -139,7 +145,10 @@ def _alarm(seconds: Optional[float]) -> Iterator[None]:
         yield
         return
 
+    expired = []
+
     def _handler(_signum, _frame):
+        expired.append(True)
         raise _TaskTimeout()
 
     previous = signal.signal(signal.SIGALRM, _handler)
@@ -149,6 +158,8 @@ def _alarm(seconds: Optional[float]) -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise _TaskTimeout()
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,42 @@ class TestPickleAndCopy:
         assert atom("R", 3) not in inst.facts_since(0)
         assert atom("R", 2) not in clone.facts_since(0)
 
+    def test_restricted_to_keeps_live_rows_and_null_hints(self):
+        inst = ColumnarInstance(pool=TermPool())
+        for i in range(6):
+            inst.add(atom("R", i, i + 1))
+        inst.add(Atom("S", (Constant("x"), Null(4, "who"))))
+        inst.add(atom("T", "dropped"))
+        inst.add(atom("U"))  # arity 0
+        inst.remove(atom("R", 2, 3))  # a tombstone inside R
+        clone = inst.restricted_to(["R", "S", "U", "missing"])
+        assert sorted(clone.relations()) == ["R", "S", "U"]
+        for relation in ("R", "S", "U"):
+            assert clone.facts(relation) == inst.facts(relation)
+            assert clone.size(relation) == inst.size(relation)
+        assert clone.size("T") == 0
+        (fact,) = clone.facts("S")
+        assert fact.terms[1].hint == "who"
+        # Rows arrive in row-id order, in one generation window.
+        assert clone.rows_since(0) == [
+            (relation, row_id)
+            for relation in ("R", "S", "U")
+            for row_id in range(clone.size(relation))
+        ]
+        assert clone.kernel_stats.encoded_appends == len(clone)
+
+    def test_to_instance_decodes_once_and_counts(self):
+        inst = ColumnarInstance(pool=TermPool())
+        inst.add(atom("R", 1, 2))
+        inst.add(Atom("S", (Null(7, "h"),)))
+        decoded = inst.to_instance(relations=["S"])
+        assert decoded.facts("S") == inst.facts("S")
+        assert decoded.size("R") == 0
+        assert next(iter(decoded.facts("S"))).terms[0].hint == "h"
+        # One row for the decode, one for the facts("S") comparison.
+        assert inst.kernel_stats.decoded_rows == 2
+        assert inst.to_instance() == inst
+
 
 class TestIngestAndEquality:
     def test_ingest_same_pool_moves_encoded_rows(self):

@@ -288,6 +288,33 @@ class TestExecutor:
         assert report.records[0].status == "timeout"
         assert report.summary.timeouts == 1
 
+    def test_swallowed_timeout_still_times_out(self):
+        # A SIGALRM landing inside a gc callback raises an unraisable
+        # exception: Python prints and discards it, and the task body
+        # carries on.  The body below discards the first timeout the
+        # same way; leaving the alarm must still report the timeout.
+        import signal
+        import time
+
+        from repro.runtime.executor import _alarm, _TaskTimeout
+
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("no SIGALRM on this platform")
+        swallowed = []
+        with pytest.raises(_TaskTimeout):
+            with _alarm(0.01):
+                try:
+                    time.sleep(5)
+                except _TaskTimeout:
+                    swallowed.append(True)
+        assert swallowed == [True]
+
+    def test_alarm_without_expiry_is_silent(self):
+        from repro.runtime.executor import _alarm
+
+        with _alarm(5.0):
+            pass
+
 
 class TestResults:
     def test_jsonl_round_trip(self, tmp_path, smoke_records=None):

@@ -51,6 +51,22 @@ class TestDirection:
             ("delta_contiguous.block_rows_per_second", 1),
             ("by_fanout.16.row_rows_per_second", 1),
             ("delta_sparse.block_vs_row_speedup", 1),
+            # e15 ledger leaves (BENCH_e15_pipeline.json): unit-suffixed
+            # names, each metric's number under ``.value``.
+            ("workloads.running-dsl.untraced.metrics.setup_s.value", -1),
+            ("workloads.running-dsl.untraced.metrics.latency_p90_s.value", -1),
+            ("workloads.running-dsl.untraced.metrics.peak_rss_mb.value", -1),
+            ("workloads.ded-search.traced.metrics.chase.search.self_s.value", -1),
+            ("running-dsl.pipeline.strip_auxiliary.self_s", -1),
+            ("workloads.running-dsl.untraced.metrics.throughput_rps.value", 1),
+            ("workloads.running-dsl.traced.metrics.dsl.parse.bytes_per_s.value", 1),
+            ("corpus-mixed.runtime.cache.hit_ratio", 1),
+            ("corpus-mixed.analysis.proven_ratio", 1),
+            ("join-triangles.kernel.probe_yield", 1),
+            ("ded-search.chase.selection_yield", 1),
+            # Counts and unit strings stay unflagged.
+            ("workloads.ded-search.traced.metrics.chase.runs.value", 0),
+            ("workloads.running-dsl.untraced.attempted", 0),
         ],
     )
     def test_polarity(self, path, expected):
