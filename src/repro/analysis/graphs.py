@@ -1,8 +1,9 @@
-"""Small deterministic graph kernels for the static analyzer.
+"""Small deterministic graph kernels for the analyzer and the evaluator.
 
-The analyzer needs exactly two graph algorithms — strongly connected
-components and a condensation-order traversal — over graphs whose nodes
-are positions, rules or dependency indices.  They are implemented here
+The static analyzer and the Datalog evaluator's stratification need
+exactly two graph algorithms — strongly connected components and a
+condensation-order traversal — over graphs whose nodes are positions,
+rules, dependency indices or view names.  They are implemented here
 (iterative Tarjan plus a heap-based Kahn order) instead of pulling in a
 graph library: the determinism guarantees of the whole repo extend to
 the analyzer, so component *numbering* and stratum *order* must be

@@ -7,6 +7,11 @@ branch-selection strategy; :class:`DisjunctiveChase` the exact
 universal-model-set chase used as ground truth.
 """
 
+from repro.analysis.termination import (
+    is_weakly_acyclic,
+    position_graph,
+    weak_acyclicity_report,
+)
 from repro.chase.ded import GreedyDedChase, branch_cost, greedy_ded_chase
 from repro.chase.disjunctive import (
     DisjunctiveChase,
@@ -17,7 +22,6 @@ from repro.chase.engine import ChaseConfig, StandardChase, chase
 from repro.chase.parallel import (
     MatchSharder,
     ProcessSharder,
-    ThreadSharder,
     chase_worker_budget,
     compose_parallelism,
     create_sharder,
@@ -29,15 +33,9 @@ from repro.chase.race import (
     ProcessRacer,
     RaceResult,
     SerialRacer,
-    ThreadRacer,
     create_racer,
 )
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
-from repro.chase.termination import (
-    is_weakly_acyclic,
-    position_graph,
-    weak_acyclicity_report,
-)
 from repro.chase.universal import core_of, is_universal_for, satisfies, violations
 
 __all__ = [
@@ -45,7 +43,6 @@ __all__ = [
     "StandardChase",
     "chase",
     "MatchSharder",
-    "ThreadSharder",
     "ProcessSharder",
     "create_sharder",
     "parse_parallelism",
@@ -55,7 +52,6 @@ __all__ = [
     "BranchOutcome",
     "RaceResult",
     "SerialRacer",
-    "ThreadRacer",
     "ProcessRacer",
     "create_racer",
     "ChaseResult",

@@ -27,18 +27,13 @@ directly observable through :attr:`ChaseResult.scenarios_tried`.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chase.compiled import compile_dependencies
 from repro.chase.engine import ChaseConfig, StandardChase
-from repro.chase.parallel import (
-    create_sharder,
-    effective_parallelism,
-    parse_parallelism,
-)
+from repro.chase.parallel import create_sharder, effective_parallelism
 from repro.analysis.termination import TerminationReport
 from repro.chase.race import ProcessRacer, create_racer
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
@@ -182,11 +177,12 @@ class GreedyDedChase:
         is exhausted.
 
         When ``config.branch_parallelism`` asks for workers, the derived
-        scenarios *race* on a worker pool (:mod:`repro.chase.race`): the
+        scenarios *race* on forked workers (:mod:`repro.chase.race`): the
         winner is the lowest selection in canonical order that succeeds,
         so status, target, statistics and ``scenarios_tried`` are
         bit-identical to the serial sweep; losers past the winner are
-        cancelled early.
+        cancelled early.  A caller that cannot fork runs the serial
+        sweep, and ``branch_racing`` stays ``serial``.
 
         ``recorder`` follows the engine convention: an external recorder
         keeps the trace; otherwise one is built from ``config.trace``
@@ -202,15 +198,15 @@ class GreedyDedChase:
         selections = list(
             itertools.islice(self.selections(), self.max_scenarios)
         )
-        _mode, workers = parse_parallelism(self.config.branch_parallelism)
+        racer = create_racer(self.config.branch_parallelism)
         with rec.span(
             "chase.search",
             selections=len(selections),
             racing=self.config.branch_parallelism,
         ):
-            if workers > 1 and len(selections) > 1:
+            if isinstance(racer, ProcessRacer) and len(selections) > 1:
                 result = self._run_raced(
-                    selections, source_instance, target_instance, rec
+                    racer, selections, source_instance, target_instance, rec
                 )
             else:
                 result = self._run_serial(
@@ -294,14 +290,14 @@ class GreedyDedChase:
 
     def _run_raced(
         self,
+        racer: ProcessRacer,
         selections: List[Tuple[int, ...]],
         source_instance: Instance,
         target_instance: Optional[Instance],
         rec,
     ) -> ChaseResult:
         start = time.perf_counter()
-        racer = create_racer(self.config.branch_parallelism)
-        # Branches record into their own recorder (fork/thread-safe) and
+        # Branches record into their own recorder (one per process) and
         # ship the payload on the result; make sure the branch config asks
         # for one whenever this sweep is being traced at all (the trace
         # may have been handed down as an external recorder).
@@ -320,23 +316,7 @@ class GreedyDedChase:
             trace=branch_trace,
         )
         # Forked race workers inherit the sweep's compiled plans
-        # copy-on-write; racing *threads* must not share mutable plan
-        # caches, so each thread compiles its own set once and reuses it
-        # across all the branches it chases.
-        dependencies_template = self.standard + [
-            info.dependency for info in self._infos
-        ]
-        shared_plans = isinstance(racer, ProcessRacer)
-        local = threading.local()
-
-        def compiled_for_worker():
-            if shared_plans:
-                return self._compiled
-            plans = getattr(local, "compiled", None)
-            if plans is None:
-                plans = compile_dependencies(dependencies_template)
-                local.compiled = plans
-            return plans
+        # copy-on-write, so every branch reuses ``self._compiled``.
 
         def run_selection(index: int) -> ChaseResult:
             dependencies, choice = self.scenario_for(selections[index])
@@ -345,7 +325,7 @@ class GreedyDedChase:
                 self.source_relations,
                 inner_config,
                 branch_choice=choice,
-                compiled=compiled_for_worker(),
+                compiled=self._compiled,
                 termination=self.termination,
             )
             return engine.run(source_instance, target_instance)

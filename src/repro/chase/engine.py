@@ -23,9 +23,9 @@ Each dependency's round is an explicit two-phase pipeline:
 * **enumerate** — find every premise match (a read-only join over the
   working instance).  This phase is delegated to a
   :class:`~repro.chase.parallel.MatchSharder`, which may fan the work
-  across threads or forked replica processes
-  (``ChaseConfig.parallelism``); premise matches are independent of one
-  another until enforcement, so sharding them is safe.
+  across forked replica processes (``ChaseConfig.parallelism``);
+  premise matches are independent of one another until enforcement, so
+  sharding them is safe.
 * **enforce** — sort the matches into canonical order, then serially
   probe satisfaction and fire tgd/egd steps.  Because enforcement order
   is canonical and serial, null invention and ``_NullMap`` unions are
@@ -86,19 +86,21 @@ class ChaseConfig:
     :class:`_TriggerMemory`)."""
 
     parallelism: str = "serial"
-    """How the enumerate phase is sharded: ``serial`` (default),
-    ``thread[:N]`` or ``process[:N]`` — see
-    :func:`repro.chase.parallel.parse_parallelism`.  Enforcement is
-    always a serial, canonically-ordered merge, so every mode produces
-    bit-identical instances and null resolutions."""
+    """How the enumerate phase is sharded: ``serial`` (default) or
+    ``process[:N]`` / ``N`` (forked replica workers) — see
+    :func:`repro.chase.parallel.parse_parallelism`.  A caller that
+    cannot fork enumerates serially.  Enforcement is always a serial,
+    canonically-ordered merge, so every mode produces bit-identical
+    instances and null resolutions."""
 
     branch_parallelism: str = "serial"
-    """How the *disjunctive search* races independent branches:
-    ``serial`` (default), ``thread[:N]`` or ``process[:N]``.  The greedy
-    ded sweep races whole candidate selections and the disjunctive
-    chase prefetches tree nodes; winner selection is canonical (lowest
-    selection index / DFS order), so results are bit-identical to the
-    serial sweep — see :mod:`repro.chase.race`."""
+    """How the greedy ded sweep races its derived scenarios:
+    ``serial`` (default) or ``process[:N]`` / ``N`` (forked workers).
+    Winner selection is canonical (lowest selection index), so results
+    are bit-identical to the serial sweep — see :mod:`repro.chase.race`.
+    A caller that cannot fork sweeps serially; the exhaustive
+    :class:`~repro.chase.disjunctive.DisjunctiveChase` is always
+    serial."""
 
     trace: Optional[TraceConfig] = None
     """Flight-recorder knobs (:class:`repro.obs.TraceConfig`).  ``None``
@@ -548,10 +550,10 @@ class StandardChase:
         ``chase.*`` counters mirror :class:`ChaseStats` and are
         bit-identical across execution tiers; ``plan.*`` /
         ``instance.*`` describe this process's caches and may
-        legitimately differ (racing threads compile private plans,
-        replicas build their own indexes).  Plan counters are *deltas*
-        against the run's start because the greedy ded search reuses one
-        compiled plan set across every derived scenario.
+        legitimately differ (forked replicas build their own indexes).
+        Plan counters are *deltas* against the run's start because the
+        greedy ded search reuses one compiled plan set across every
+        derived scenario.
         """
         rec.count("chase.runs")
         rec.count("chase.rounds", stats.rounds)

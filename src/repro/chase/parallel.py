@@ -12,18 +12,17 @@ this module shards exactly that phase behind one interface:
     The serial base: enumerate delegates straight to
     :meth:`~repro.chase.compiled.CompiledDependency.premise_matches`.
 
-:class:`ThreadSharder`
-    Shards each round's (anchor, delta-chunk) units across a thread
-    pool reading the live working instance through its
-    :class:`~repro.relational.instance.ProbeView`.  Index builds are
-    guarded by the instance's lock; nothing mutates during enumerate.
-
 :class:`ProcessSharder`
     Forks replica workers at ``begin_run`` (copy-on-write: the child
     inherits the working instance and compiled plans for free) and keeps
     each replica in lockstep by replaying the enforce phase's events —
     generation bumps, inserted facts, applied null maps — so each round's
     delta can be recomputed worker-side instead of shipped.
+
+There is no thread tier: the joins are CPU-bound Python, so threads
+sharing one interpreter measured no faster than serial.  Wherever a
+process fan-out is impossible (no ``fork``, or a daemonic caller that
+may not spawn children) the sharder is serial.
 
 Sharding is deterministic by construction, not by scheduling: a worker
 owns the anchor facts whose ``hash(fact) % workers`` equals its id (a
@@ -43,7 +42,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ChaseError
@@ -56,7 +54,6 @@ from repro.relational.query import Binding
 
 __all__ = [
     "MatchSharder",
-    "ThreadSharder",
     "ProcessSharder",
     "create_sharder",
     "parse_parallelism",
@@ -66,8 +63,6 @@ __all__ = [
 ]
 
 _MODE_ALIASES = {
-    "thread": "thread",
-    "threads": "thread",
     "process": "process",
     "processes": "process",
     "fork": "process",
@@ -83,13 +78,14 @@ def default_workers() -> int:
 
 
 def parse_parallelism(spec, default: Optional[int] = None) -> Tuple[str, int]:
-    """``spec`` → ``(mode, workers)`` with mode in serial/thread/process.
+    """``spec`` → ``(mode, workers)`` with mode ``serial`` or ``process``.
 
-    Accepted forms: ``None``/``"serial"`` (serial), ``"thread"`` /
-    ``"process"`` (worker count defaulting to ``default`` or this
-    machine's :func:`default_workers`), ``"thread:4"`` / ``"process:4"``
-    (explicit count), or a bare integer (process mode).  Anything that
-    resolves to one worker is serial.
+    Accepted forms: ``None``/``"serial"`` (serial), ``"process"`` (worker
+    count defaulting to ``default`` or this machine's
+    :func:`default_workers`), ``"process:4"`` (explicit count), or a
+    bare integer (process mode).  Anything that resolves to one worker
+    is serial; anything else raises :class:`ChaseError` naming the
+    accepted forms.
     """
     if spec is None:
         return ("serial", 1)
@@ -103,7 +99,7 @@ def parse_parallelism(spec, default: Optional[int] = None) -> Tuple[str, int]:
         return ("process", count) if count > 1 else ("serial", 1)
     mode, _, count_text = text.partition(":")
     if mode not in _MODE_ALIASES:
-        known = "serial, thread[:N], process[:N]"
+        known = "serial, process[:N], N"
         raise ChaseError(f"unknown parallelism {spec!r} (expected {known})")
     if count_text:
         try:
@@ -139,7 +135,7 @@ def effective_parallelism(
 ) -> str:
     """Canonical parallelism string after applying the shared budget.
 
-    A mode without an explicit worker count (``"thread"``) asks for the
+    A mode without an explicit worker count (``"process"``) asks for the
     whole per-task share of the budget.
     """
     cpu = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
@@ -174,47 +170,28 @@ def compose_parallelism(
     return branch, chase
 
 
+def can_fork() -> bool:
+    """Whether this process may fork workers: the ``fork`` start method
+    exists and the caller is not a daemonic pool worker (which may not
+    spawn children)."""
+    return (
+        "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+    )
+
+
 def create_sharder(spec) -> "MatchSharder":
     """Build the sharder a parallelism spec asks for.
 
-    Process mode degrades to threads when ``fork`` is unavailable or the
-    caller is itself a daemonic pool worker (which may not spawn
-    children) — the results are identical either way, only the speedup
-    differs.
+    Process mode falls back to the serial :class:`MatchSharder` when the
+    caller cannot fork (see :func:`can_fork`) — the results are
+    identical either way, only the speedup differs, and the result's
+    ``sharding`` says ``serial``.
     """
     mode, workers = parse_parallelism(spec)
-    if mode == "serial":
-        return MatchSharder()
-    if mode == "process":
-        can_fork = "fork" in multiprocessing.get_all_start_methods()
-        if can_fork and not multiprocessing.current_process().daemon:
-            return ProcessSharder(workers)
-        return ThreadSharder(workers)
-    return ThreadSharder(workers)
-
-
-def _partition_by_hash(
-    facts, workers: int
-) -> List[Set[Atom]]:
-    """Partition facts into ``workers`` chunks by ``hash % workers``.
-
-    The assignment is order-independent, so it needs no canonical sort
-    and every worker of one process tree computes the same partition.
-    """
-    chunks: List[Set[Atom]] = [set() for _ in range(workers)]
-    for fact in facts:
-        chunks[hash(fact) % workers].add(fact)
-    return chunks
-
-
-def _partition_row_ids(row_ids, workers: int) -> List[Set[int]]:
-    """Columnar twin of :func:`_partition_by_hash`: row ids shard by
-    ``rid % workers``, which every replica computes identically because
-    row ids are assigned by the deterministic event replay."""
-    chunks: List[Set[int]] = [set() for _ in range(workers)]
-    for row_id in row_ids:
-        chunks[row_id % workers].add(row_id)
-    return chunks
+    if mode == "process" and can_fork():
+        return ProcessSharder(workers)
+    return MatchSharder()
 
 
 def _delta_size(delta) -> int:
@@ -348,126 +325,6 @@ class MatchSharder:
         return min(
             range(len(atoms)), key=lambda i: (-size(atoms[i].relation), i)
         )
-
-
-class ThreadSharder(MatchSharder):
-    """Shards enumeration across threads over the live instance.
-
-    Threads read the working instance through its probe view while the
-    engine is between enforcement phases, so nothing mutates under them.
-    Python's GIL caps the speedup for these pure-Python joins — the
-    thread sharder exists as the portable/fallback tier and as the
-    determinism cross-check; fork-based :class:`ProcessSharder` is the
-    performance tier.
-    """
-
-    mode = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(2, int(workers))
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def begin_run(self, working, compiled: Sequence) -> None:
-        super().begin_run(working, compiled)
-        self._view = working.probe_view()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="chase-shard"
-        )
-
-    def end_run(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def _shard_units(self, index: int):
-        """Plan the round's (anchor, chunk) units, or ``None`` to fall
-        back to serial enumeration.  Chunks are anchor-fact sets over
-        the reference kernel and anchor-row-id sets over columnar."""
-        compiled = self._compiled[index]
-        atoms = compiled.premise_atoms
-        units: List[Tuple[int, Set]] = []
-        if self._delta is None:
-            anchor = self._full_anchor(index)
-            relation = atoms[anchor].relation
-            if self._encoded:
-                candidates = self._working.live_row_ids(relation)
-                partition = _partition_row_ids
-            else:
-                candidates = self._working.facts(relation)
-                partition = _partition_by_hash
-            if len(candidates) < MIN_SHARD_FACTS:
-                return None
-            units = [
-                (anchor, chunk)
-                for chunk in partition(candidates, self.workers)
-                if chunk
-            ]
-        else:
-            if _delta_size(self._delta) < MIN_SHARD_FACTS:
-                return None
-            if self._encoded:
-                relations = set(self._delta)
-            else:
-                relations = {fact.relation for fact in self._delta}
-            anchors = compiled.anchor_indices(relations)
-            if not anchors:
-                return []
-            for anchor in anchors:
-                relation = atoms[anchor].relation
-                if self._encoded:
-                    mine = self._delta.get(relation, ())
-                    chunks = _partition_row_ids(mine, self.workers)
-                else:
-                    mine = [f for f in self._delta if f.relation == relation]
-                    chunks = _partition_by_hash(mine, self.workers)
-                units.extend((anchor, chunk) for chunk in chunks if chunk)
-        return units
-
-    def enumerate_matches(self, index: int):
-        compiled = self._compiled[index]
-        if not compiled.premise_atoms or self._pool is None:
-            return super().enumerate_matches(index)
-        units = self._shard_units(index)
-        if units is None:
-            return super().enumerate_matches(index)
-        if not units:
-            return []
-        if self._encoded:
-            probe, merge = compiled.anchor_matches_encoded, _dedup_merge_rows
-        else:
-            probe, merge = compiled.anchor_matches, _dedup_merge
-        view = self._view
-        rec = self._recorder
-        if not rec.enabled:
-            futures = [
-                self._pool.submit(probe, view, anchor, chunk)
-                for anchor, chunk in units
-            ]
-            return merge([future.result() for future in futures])
-
-        def timed(anchor: int, chunk):
-            begin = time.perf_counter()
-            result = probe(view, anchor, chunk)
-            return result, begin, time.perf_counter()
-
-        futures = [
-            self._pool.submit(timed, anchor, chunk) for anchor, chunk in units
-        ]
-        shards: List[list] = []
-        # Collect (and record) in unit order, not completion order, so the
-        # trace's span sequence is deterministic.
-        for unit, ((anchor, _chunk), future) in enumerate(zip(units, futures)):
-            result, begin, end = future.result()
-            shards.append(result)
-            rec.tracer.add_raw(
-                "enumerate.worker",
-                begin,
-                end,
-                worker=f"thread-{unit}",
-                anchor=anchor,
-                matches=len(result),
-            )
-        return merge(shards)
 
 
 # ---------------------------------------------------------------------------

@@ -13,25 +13,23 @@ here is strict:
   caller's result (winning branch, aggregated statistics, scenarios
   tried) is bit-identical to the serial sweep.
 * **Early cancellation of losers.**  Once the winner is decided,
-  branches with larger indices are not started (thread mode cancels
-  their pool slots; process mode stops dispatching and terminates
-  workers still chasing a loser).  Losers only ever touched private
-  state — each branch chases its own working copy — so cancellation
-  cannot leave partial state behind.
+  branches with larger indices are not started (the process racer
+  stops dispatching and terminates workers still chasing a loser).
+  Losers only ever touched private state — each branch chases its own
+  working copy — so cancellation cannot leave partial state behind.
 * **Deterministic errors.**  An unexpected exception in a branch is
   re-raised only if the serial sweep would have reached that branch
   (its index is below every success), and always the lowest such index.
 
-Three tiers mirror :mod:`repro.chase.parallel`: :class:`SerialRacer`
-(the reference loop), :class:`ThreadRacer` (portable, GIL-bound) and
-:class:`ProcessRacer` (forked workers, the performance tier — branch
-payloads are inherited copy-on-write and only indices travel down /
-results travel up).  Worker failures degrade to the serial loop with
-identical results.
+Two tiers mirror :mod:`repro.chase.parallel`: :class:`SerialRacer`
+(the reference loop) and :class:`ProcessRacer` (forked workers —
+branch payloads are inherited copy-on-write and only indices travel
+down / results travel up).  A caller that cannot fork gets the serial
+loop, and worker failures degrade to it mid-race, with identical
+results.
 
 Branches need no term-pool coordination under the columnar kernel:
-racing threads intern into the shared (locked) global pool, while each
-forked worker grows its private copy-on-write pool — the columnar
+each forked worker grows its private copy-on-write pool — the columnar
 instances inside its results pickle as portable decoded rows and
 re-intern against the parent's pool on arrival, so codes never cross a
 process boundary.
@@ -40,20 +38,17 @@ process boundary.
 from __future__ import annotations
 
 import multiprocessing
-import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ChaseError
-from repro.chase.parallel import parse_parallelism
+from repro.chase.parallel import can_fork, parse_parallelism
 
 __all__ = [
     "BranchOutcome",
     "RaceResult",
     "SerialRacer",
-    "ThreadRacer",
     "ProcessRacer",
     "create_racer",
 ]
@@ -64,10 +59,10 @@ class BranchOutcome:
     """One branch's run: its result, wall time and executing worker.
 
     ``error`` is the branch's exception when it crashed — the exception
-    *object* when it could travel to the parent (threads always, forked
-    workers when picklable), else its rendered text.  Keeping the
-    object lets :func:`_settle` re-raise exactly what the serial sweep
-    would have raised.
+    *object* when it could travel to the parent (always in-process, from
+    forked workers when picklable), else its rendered text.  Keeping
+    the object lets :func:`_settle` re-raise exactly what the serial
+    sweep would have raised.
     """
 
     index: int
@@ -157,90 +152,6 @@ class SerialRacer:
             if success(result):
                 race.winner = index
                 break
-        return race
-
-
-class ThreadRacer(SerialRacer):
-    """Race branches across a thread pool.
-
-    Python's GIL caps the speedup for pure-Python chases — this tier
-    exists as the portable fallback and the determinism cross-check;
-    :class:`ProcessRacer` is the performance tier.  Pending branches
-    beyond the winner bound are cancelled before they start.
-    """
-
-    mode = "thread"
-
-    def __init__(self, workers: int) -> None:
-        self.workers = max(2, int(workers))
-
-    @staticmethod
-    def _timed(run: Callable[[int], Any], index: int) -> BranchOutcome:
-        start = time.perf_counter()
-        worker = threading.current_thread().name
-        try:
-            result = run(index)
-            return BranchOutcome(
-                index=index,
-                result=result,
-                seconds=time.perf_counter() - start,
-                worker=worker,
-            )
-        except Exception as exc:
-            return BranchOutcome(
-                index=index,
-                seconds=time.perf_counter() - start,
-                worker=worker,
-                error=exc,
-            )
-
-    def race(
-        self,
-        count: int,
-        run: Callable[[int], Any],
-        success: Callable[[Any], bool],
-    ) -> RaceResult:
-        outcomes: Dict[int, BranchOutcome] = {}
-        successes: List[int] = []
-
-        def decided() -> bool:
-            # The race is over once the best success is confirmed: every
-            # lower index has resolved, so nothing can displace it.
-            if not successes:
-                return False
-            best = min(successes)
-            return all(index in outcomes for index in range(best))
-
-        pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="branch-race"
-        )
-        try:
-            futures = {
-                pool.submit(self._timed, run, index): index
-                for index in range(count)
-            }
-            for future in as_completed(futures):
-                try:
-                    outcome = future.result()
-                except CancelledError:
-                    continue
-                outcomes[outcome.index] = outcome
-                if outcome.error is None and success(outcome.result):
-                    successes.append(outcome.index)
-                    bound = min(successes)
-                    for pending, index in futures.items():
-                        if index > bound:
-                            pending.cancel()
-                if decided():
-                    # Don't wait out losers that were already running
-                    # when the winner resolved — their results are
-                    # meaningless and they only touch branch-private
-                    # state; let them drain on the abandoned pool.
-                    break
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        race = RaceResult(outcomes=outcomes)
-        race.winner = _settle(outcomes, successes, count)
         return race
 
 
@@ -452,15 +363,11 @@ class ProcessRacer(SerialRacer):
 def create_racer(spec) -> SerialRacer:
     """Build the racer a parallelism spec asks for.
 
-    Same degradation ladder as :func:`repro.chase.parallel.create_sharder`:
-    process mode needs ``fork`` and a non-daemonic caller, else threads.
+    Same fallback as :func:`repro.chase.parallel.create_sharder`: process
+    mode needs a caller that can fork, else the serial loop races (and
+    ``describe`` says ``serial``).
     """
     mode, workers = parse_parallelism(spec)
-    if mode == "serial":
-        return SerialRacer()
-    if mode == "process":
-        can_fork = "fork" in multiprocessing.get_all_start_methods()
-        if can_fork and not multiprocessing.current_process().daemon:
-            return ProcessRacer(workers)
-        return ThreadRacer(workers)
-    return ThreadRacer(workers)
+    if mode == "process" and can_fork():
+        return ProcessRacer(workers)
+    return SerialRacer()

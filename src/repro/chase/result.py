@@ -99,13 +99,15 @@ class ChaseResult:
     branch_selection: Optional[Dict[str, int]] = None
     scenarios_tried: int = 0
     sharding: str = "serial"
-    """How the enumerate phase was sharded (``serial``, ``thread:N`` or
-    ``process:N`` — see :mod:`repro.chase.parallel`)."""
+    """How the enumerate phase was sharded (``serial`` or ``process:N``
+    — see :mod:`repro.chase.parallel`); ``serial`` too when a process
+    spec fell back because the caller could not fork."""
 
     branch_racing: str = "serial"
     """How the disjunctive search raced its derived scenarios
-    (``serial``, ``thread:N`` or ``process:N`` — see
-    :mod:`repro.chase.race`)."""
+    (``serial`` or ``process:N`` — see :mod:`repro.chase.race`);
+    ``serial`` too when a process spec fell back because the caller
+    could not fork."""
 
     branch_timings: Optional[List[Dict[str, object]]] = None
     """Per derived-scenario timings of the greedy ded sweep, in

@@ -23,10 +23,12 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from repro.chase.parallel import parse_parallelism
 from repro.core.analysis import predict_deds
 from repro.core.rewriter import rewrite
 from repro.dsl.parser import ParsedDocument, parse_scenario
 from repro.dsl.serializer import serialize_scenario
+from repro.errors import ChaseError
 from repro.logic.pretty import render_dependencies
 from repro.pipeline import run_scenario
 from repro.relational.csv_io import load_instance
@@ -34,6 +36,16 @@ from repro.relational.instance import Instance
 from repro.reporting import Table
 
 __all__ = ["main", "build_argument_parser"]
+
+
+def _parallelism_spec(text: str) -> str:
+    """Argparse ``type=`` for parallelism specs: reject a bad spec with
+    a one-line usage error, keep a good one as typed."""
+    try:
+        parse_parallelism(text)
+    except ChaseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -92,13 +104,15 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     chase_cmd.add_argument(
         "--parallelism", default="serial", metavar="MODE",
-        help="shard premise-match enumeration: serial (default), "
-             "thread[:N] or process[:N]",
+        type=_parallelism_spec,
+        help="shard premise-match enumeration: serial (default) or "
+             "process[:N] / N forked workers",
     )
     chase_cmd.add_argument(
         "--branch-parallelism", default="serial", metavar="MODE",
+        type=_parallelism_spec,
         help="race the disjunctive search's derived scenarios: serial "
-             "(default), thread[:N] or process[:N]; results are "
+             "(default) or process[:N] / N forked workers; results are "
              "bit-identical to the serial sweep",
     )
     chase_cmd.add_argument(
@@ -143,15 +157,17 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--parallelism", default="serial", metavar="MODE",
-        help="intra-chase sharding per task (serial, thread[:N], "
-             "process[:N]); capped so jobs x branch workers x chase "
-             "workers <= cpu count",
+        type=_parallelism_spec,
+        help="intra-chase sharding per task (serial, process[:N] or N); "
+             "capped so branch workers x chase workers <= cpu count; "
+             "serial under --jobs > 1, whose pool workers cannot fork",
     )
     batch.add_argument(
         "--branch-parallelism", default="serial", metavar="MODE",
+        type=_parallelism_spec,
         help="branch racing of each task's disjunctive search (serial, "
-             "thread[:N], process[:N]); shares the cpu budget with "
-             "--jobs and --parallelism",
+             "process[:N] or N); shares the cpu budget with "
+             "--parallelism; serial under --jobs > 1",
     )
     batch.add_argument(
         "--timeout", type=float, default=None,

@@ -167,24 +167,18 @@ class RewriteResult:
             self.aux_arities
         )
 
-    def verifier(
-        self, source_instance, parallelism=None
-    ) -> "ScenarioVerifier":
+    def verifier(self, source_instance) -> "ScenarioVerifier":
         """A soundness verifier for candidate targets of this rewriting.
 
         All candidates produced from one rewriting share the scenario's
         source side, so the returned
         :class:`~repro.core.verify.ScenarioVerifier` materializes
         ``I_S ∪ Υ_S(I_S)`` once into a shared semantic database and
-        verifies each candidate against it.  ``parallelism`` (same spec
-        syntax as the chase) lets ``verify_candidates`` fan whole
-        candidates across a worker pool.
+        verifies each candidate against it.
         """
         from repro.core.verify import ScenarioVerifier
 
-        return ScenarioVerifier(
-            self.scenario, source_instance, parallelism=parallelism
-        )
+        return ScenarioVerifier(self.scenario, source_instance)
 
     def problematic_views(self) -> List[str]:
         """Views implicated in the production of deds.

@@ -29,21 +29,16 @@ conclusion disjunct once, drains premise rows block-wise and probes the
 conclusion seeded straight from the premise row; rows decode only to
 report a violation.
 
-Per-dependency checks are independent read-only scans, so a verifier
-may fan them across a thread pool (``parallelism``); the pool draws
-from the same worker budget as the chase's match sharding (see
-:mod:`repro.chase.parallel`), and violations are merged back in
-dependency order so reports are identical to a serial check.  When many
-candidates are checked at once, :meth:`ScenarioVerifier.verify_candidates`
-fans *whole candidates* instead — the coarser unit the branch-racing
-disjunctive search produces — with reports returned in candidate order.
+Checks run serially, in dependency order, so the report (and its
+violation prefix under the cap) is deterministic.  Verifying many
+candidates of one scenario is one :meth:`ScenarioVerifier.verify` call
+per candidate against the shared source side.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.compose import source_database
 from repro.core.scenario import MappingScenario
@@ -223,13 +218,11 @@ class ScenarioVerifier:
         scenario: MappingScenario,
         source_instance: Instance,
         source_side: Optional[Target] = None,
-        parallelism: Optional[str] = None,
     ) -> None:
         self.scenario = scenario
         self.source_instance = source_instance
         self._source_side = source_side
         self._source_store: Optional[ColumnarInstance] = None
-        self.parallelism = parallelism
 
     @property
     def source_side(self) -> Target:
@@ -250,7 +243,6 @@ class ScenarioVerifier:
         self,
         target_instance: Target,
         max_violations: int = 100,
-        _workers: Optional[int] = None,
     ) -> VerificationReport:
         """Check one candidate target against the semantic scenario.
 
@@ -261,136 +253,23 @@ class ScenarioVerifier:
         source = self._encoded_source()
         target = target_side(self.scenario, target_instance)
 
-        checks: List[Tuple[str, Dependency]] = [
-            ("mapping", m) for m in self.scenario.mappings
-        ] + [("constraint", c) for c in self.scenario.target_constraints]
-
-        workers = (
-            _workers if _workers is not None else self._check_workers(len(checks))
-        )
-        if workers > 1:
-            outcomes = self._run_parallel(
-                checks, source, target, max_violations, workers
+        # Mapping premises read the source side; the conclusion is
+        # seeded with the frontier (premise variables it mentions).
+        for mapping in self.scenario.mappings:
+            report.premise_matches += _check(
+                mapping, source, target, mapping.frontier(),
+                _MAPPING_REASONS, report.violations, max_violations,
             )
-        else:
-            outcomes = [
-                self._run_check(kind, dependency, source, target, max_violations)
-                for kind, dependency in checks
-            ]
-
-        # Merge in dependency order so the report (and its violation
-        # prefix under the cap) is identical to a serial check.
-        for (kind, _dependency), (matched, violations) in zip(checks, outcomes):
-            report.premise_matches += matched
-            if kind == "mapping":
-                report.mappings_checked += 1
-            else:
-                report.constraints_checked += 1
-            take = max_violations - len(report.violations)
-            if take > 0:
-                report.violations.extend(violations[:take])
+            report.mappings_checked += 1
+        for constraint in self.scenario.target_constraints:
+            report.premise_matches += _check(
+                constraint, target, target, None,
+                _CONSTRAINT_REASONS, report.violations, max_violations,
+            )
+            report.constraints_checked += 1
 
         report.ok = not report.violations
         return report
-
-    def verify_candidates(
-        self,
-        target_instances: Sequence[Target],
-        max_violations: int = 100,
-    ) -> List[VerificationReport]:
-        """Check many candidate targets, fanning *whole candidates*.
-
-        The greedy ded sweep's k derived scenarios produce k candidate
-        targets; per-candidate checks are far coarser-grained units than
-        per-dependency checks, so with a worker budget this fans one
-        candidate per worker (each candidate verified serially inside
-        its worker) and returns reports in candidate order — identical
-        to ``[verify(t) for t in targets]``.  The shared source side is
-        materialized once, before the fan-out.
-        """
-        targets = list(target_instances)
-        workers = min(self._candidate_workers(), len(targets))
-        if workers <= 1:
-            return [
-                self.verify(target, max_violations=max_violations)
-                for target in targets
-            ]
-        self._encoded_source()  # materialize once, outside the pool
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="verify-candidate"
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self.verify, target, max_violations, 1
-                )
-                for target in targets
-            ]
-            return [future.result() for future in futures]
-
-    def _candidate_workers(self) -> int:
-        """Thread-pool width for a candidate fan (1 = stay serial)."""
-        if self.parallelism is None:
-            return 1
-        from repro.chase.parallel import parse_parallelism
-
-        mode, workers = parse_parallelism(self.parallelism)
-        return 1 if mode == "serial" else workers
-
-    def _check_workers(self, checks: int) -> int:
-        """Thread-pool width for this verify call (1 = stay serial)."""
-        if self.parallelism is None or checks < 2:
-            return 1
-        from repro.chase.parallel import parse_parallelism
-
-        mode, workers = parse_parallelism(self.parallelism)
-        if mode == "serial":
-            return 1
-        # Dependency checks share one address space; threads suffice for
-        # both the "thread" and "process" chase modes.
-        return min(workers, checks)
-
-    @staticmethod
-    def _run_check(
-        kind: str,
-        dependency: Dependency,
-        source: ColumnarInstance,
-        target: ColumnarInstance,
-        max_violations: int,
-    ) -> Tuple[int, List[Violation]]:
-        violations: List[Violation] = []
-        if kind == "mapping":
-            # Mapping premises read the source side; the conclusion is
-            # seeded with the frontier (premise variables it mentions).
-            matched = _check(
-                dependency, source, target, dependency.frontier(),
-                _MAPPING_REASONS, violations, max_violations,
-            )
-        else:
-            matched = _check(
-                dependency, target, target, None,
-                _CONSTRAINT_REASONS, violations, max_violations,
-            )
-        return matched, violations
-
-    def _run_parallel(
-        self,
-        checks: List[Tuple[str, Dependency]],
-        source: ColumnarInstance,
-        target: ColumnarInstance,
-        max_violations: int,
-        workers: int,
-    ) -> List[Tuple[int, List[Violation]]]:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="verify-shard"
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self._run_check, kind, dependency, source, target,
-                    max_violations,
-                )
-                for kind, dependency in checks
-            ]
-            return [future.result() for future in futures]
 
 
 def verify_solution(
@@ -399,7 +278,6 @@ def verify_solution(
     target_instance: Target,
     max_violations: int = 100,
     source_side: Optional[Target] = None,
-    parallelism: Optional[str] = None,
 ) -> VerificationReport:
     """Check that ``target_instance`` solves the original semantic scenario.
 
@@ -410,11 +288,8 @@ def verify_solution(
     decoding.  ``source_side`` lets callers that already hold
     ``I_S ∪ Υ_S(I_S)`` (the pipeline's chase input) skip its
     re-materialization; verifying several candidates is cheaper still
-    through :class:`ScenarioVerifier`.  ``parallelism`` fans the
-    per-dependency checks across threads (same spec syntax and worker
-    budget as the chase).
+    through :class:`ScenarioVerifier`.
     """
     return ScenarioVerifier(
-        scenario, source_instance, source_side=source_side,
-        parallelism=parallelism,
+        scenario, source_instance, source_side=source_side
     ).verify(target_instance, max_violations=max_violations)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, List, Set, Tuple
 
+from repro.analysis.graphs import strongly_connected_components
 from repro.errors import RecursionError_
 from repro.datalog.program import ViewProgram
 
@@ -152,71 +153,32 @@ def stratified_components(program: ViewProgram) -> List[List[str]]:
     classical ``p ⇐ ¬p`` has no stable model the evaluator could
     compute), so such programs are rejected outright.
     """
-    adjacency = _adjacency(program)
-    names = program.view_names()
-
-    # Tarjan's SCC algorithm, iterative (view programs can be deep).
-    index_of: Dict[str, int] = {}
-    lowlink: Dict[str, int] = {}
-    on_stack: Set[str] = set()
-    stack: List[str] = []
-    components: List[List[str]] = []
-    counter = [0]
-
-    def strongconnect(root: str) -> None:
-        work: List[Tuple[str, List[str]]] = [
-            (root, sorted(adjacency.get(root, ())))
-        ]
-        index_of[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, pending = work[-1]
-            if pending:
-                nxt = pending.pop()
-                if nxt not in index_of:
-                    index_of[nxt] = lowlink[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, sorted(adjacency.get(nxt, ()))))
-                elif nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index_of[node]:
-                    component: List[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(sorted(component))
-
-    for name in sorted(names):
-        if name not in index_of:
-            strongconnect(name)
-
-    # Tarjan emits components in reverse topological order of the
-    # condensation when edges point at dependencies — i.e. dependencies
-    # first, which is exactly the bottom-up evaluation order we want.
+    edges = predicate_graph(program)
+    # Edges point at dependencies, so Tarjan emits components in reverse
+    # topological order of the condensation — dependencies first, which
+    # is exactly the bottom-up evaluation order we want.
+    components = [
+        list(component)
+        for component in strongly_connected_components(
+            sorted(program.view_names()),
+            [
+                (head, predicate)
+                for head, predicate, _negative in edges
+                if program.is_view(predicate)
+            ],
+        )
+    ]
     membership = {
         view: position
         for position, component in enumerate(components)
         for view in component
     }
-    negative_edges = {
-        (head, predicate)
-        for head, predicate, negative in predicate_graph(program)
-        if negative and program.is_view(predicate)
-    }
-    for head, predicate in negative_edges:
-        if membership[head] == membership[predicate]:
+    for head, predicate, negative in edges:
+        if (
+            negative
+            and program.is_view(predicate)
+            and membership[head] == membership[predicate]
+        ):
             raise RecursionError_(
                 f"view program is not stratified: {head!r} depends "
                 f"negatively on {predicate!r} within a recursive cycle"

@@ -99,8 +99,8 @@ class Tracer:
     """Collects finished spans as flat records.
 
     Not thread-safe: one tracer belongs to one thread of control.
-    Worker threads/processes record into their own tracer and the
-    parent merges the finished records (:meth:`merge_records`), which
+    Worker processes record into their own tracer and the parent
+    merges the finished records (:meth:`merge_records`), which
     is how the parallel chase ships worker spans home.
     """
 

@@ -198,15 +198,13 @@ def run_rewritten(
     if verify and chase_result.ok:
         # The chase input *is* the verifier's source side (I_S ∪ Υ_S(I_S))
         # unless premises were unfolded — then the views were never
-        # materialized and the verifier builds them itself.  The verifier
-        # inherits the chase's parallelism spec (one worker budget).
+        # materialized and the verifier builds them itself.
         with rec.span("verify"):
             verification = verify_solution(
                 scenario,
                 source_instance,
                 stripped,
                 source_side=None if unfold_source_premises else chase_input,
-                parallelism=config.parallelism if config is not None else None,
             )
         rec.count("verify.checked", 1)
         rec.count("verify.ok", 1 if verification.ok else 0)

@@ -72,9 +72,9 @@ class Instance:
         # insert); the cache only serves key-sets nobody probes.
         self._key_count_cache: Dict[_IndexKey, Tuple[int, int]] = {}
         # Guards lazy index construction only.  Reads of a built index
-        # are lock-free; the parallel chase fans read-only enumeration
-        # across threads, and two threads lazily building the same index
-        # must not both register it as live (add() would then append new
+        # are lock-free; callers may share an instance across their own
+        # threads, and two threads lazily building the same index must
+        # not both register it as live (add() would then append new
         # facts to it twice).
         self._index_lock = threading.Lock()
         #: Lazy index constructions performed by this instance — the
@@ -255,7 +255,7 @@ class Instance:
             return self._indexes[key]
         with self._index_lock:
             # Re-check under the lock: another thread may have built the
-            # index while this one waited (parallel match enumeration).
+            # index while this one waited.
             if self._index_versions.get(key) == self._relation_versions[relation]:
                 return self._indexes[key]
             built: Dict[Tuple[Term, ...], List[Atom]] = defaultdict(list)
@@ -419,12 +419,12 @@ class Instance:
 class ProbeView:
     """Read-only facade over an :class:`Instance` for chase workers.
 
-    The parallel chase's enumerate phase hands the working instance to
-    worker threads (or, via a forked replica, worker processes).  Workers
-    must never mutate it — enforcement is the serial merge phase's job —
-    so they receive this view, which exposes exactly the query surface
-    the compiled evaluator and plan cache consume (hash indexes, sizes,
-    key counts, generation-window reads) and nothing that writes facts.
+    The parallel chase's enumerate phase hands each forked worker process
+    a replica of the working instance.  Workers must never mutate it —
+    enforcement is the serial merge phase's job — so they receive this
+    view, which exposes exactly the query surface the compiled evaluator
+    and plan cache consume (hash indexes, sizes, key counts,
+    generation-window reads) and nothing that writes facts.
 
     Lazy *internal* caching (index builds, key-count memos) still happens
     on the underlying instance; those paths are idempotent and guarded by

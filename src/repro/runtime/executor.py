@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.chase.engine import ChaseConfig
-from repro.chase.parallel import compose_parallelism
+from repro.chase.parallel import compose_parallelism, parse_parallelism
 from repro.core.rewriter import rewrite
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder
 from repro.pipeline import run_rewritten
@@ -56,15 +56,16 @@ class BatchOptions:
     """Worker processes; 1 means serial in-process execution."""
     parallelism: str = "serial"
     """Requested *intra-chase* sharding per task (``serial``,
-    ``thread[:N]``, ``process[:N]``).  :func:`run_batch` caps it against
-    the shared CPU budget — ``jobs × branch workers × chase workers ≤
-    os.cpu_count()`` — so scenario-level, branch-race and intra-chase
-    parallelism never oversubscribe."""
+    ``process[:N]``).  Only an in-process (``jobs=1``) run forks shards:
+    pool workers are daemonic and may not fork, so pooled tasks chase
+    serial and the report's ``note`` says so.  :func:`run_batch` caps
+    it against ``os.cpu_count()`` together with ``branch_parallelism``
+    (``branch workers × chase workers ≤ os.cpu_count()``)."""
     branch_parallelism: str = "serial"
     """Requested branch racing of each task's disjunctive search
-    (``serial``, ``thread[:N]``, ``process[:N]``).  Shares the same CPU
-    budget as ``jobs`` and ``parallelism``; branch workers take the
-    per-job share first, chase shards divide the remainder."""
+    (``serial``, ``process[:N]``).  Runs serial in pooled tasks, like
+    ``parallelism``; in-process, branch workers take the CPU budget
+    first and chase shards divide the remainder."""
     timeout: Optional[float] = None
     """Per-task wall-clock budget in seconds (needs ``SIGALRM``)."""
     verify: bool = True
@@ -95,9 +96,11 @@ class BatchReport:
     jobs: int
     note: str = ""
     parallelism: str = "serial"
-    """Effective intra-chase sharding after the shared worker budget."""
+    """Effective intra-chase sharding after the shared worker budget
+    (always ``serial`` for a pooled run)."""
     branch_parallelism: str = "serial"
-    """Effective branch-race fan-out after the shared worker budget."""
+    """Effective branch-race fan-out after the shared worker budget
+    (always ``serial`` for a pooled run)."""
     cache_stats: Optional[CacheStats] = None
     """Parent-process cache counters (serial runs only; pooled workers
     keep their own — use the per-record ``cache_hit`` flags, which are
@@ -383,32 +386,24 @@ def run_batch(
     parallelism = "serial"
     branch_parallelism = "serial"
     if jobs > 1 and len(specs) > 1:
-        # Shared pool budget: every concurrent task's branch racers and
-        # chase shards come out of the same cpu_count, so jobs × branch
-        # workers × chase workers never oversubscribes the machine.
-        branch_parallelism, parallelism = compose_parallelism(
-            jobs, options.branch_parallelism, options.parallelism, cpu_count
-        )
-        degraded = []
-        if branch_parallelism.startswith("process"):
-            branch_parallelism = (
-                "thread" + branch_parallelism[len("process"):]
+        # Pool workers are daemonic and may not fork, so each task's
+        # branch race and chase run serial; say so up front instead of
+        # letting every task fall back on its own.
+        degraded = [
+            name
+            for name, spec in (
+                ("branch racing", options.branch_parallelism),
+                ("intra-chase sharding", options.parallelism),
             )
-            degraded.append("branch racing")
-        if parallelism.startswith("process"):
-            parallelism = "thread" + parallelism[len("process"):]
-            degraded.append("intra-chase sharding")
+            if parse_parallelism(spec)[0] != "serial"
+        ]
         if degraded:
-            # Pool workers are daemonic and may not fork; say so up
-            # front instead of silently degrading per task.
             note = (
                 f"pool workers cannot fork; {' and '.join(degraded)} "
-                f"use threads"
+                f"run serial"
             )
         pooled_options = replace(
-            options,
-            parallelism=parallelism,
-            branch_parallelism=branch_parallelism,
+            options, parallelism="serial", branch_parallelism="serial"
         )
         try:
             records = _run_pool(corpus.name, specs, pooled_options, jobs)

@@ -52,8 +52,9 @@ class TaskRecord:
     verified: Optional[bool] = None
     error: str = ""
     parallelism: str = "serial"
-    """Effective intra-chase sharding for this task (``serial``,
-    ``thread:N`` or ``process:N``) after the shared worker budget."""
+    """Effective intra-chase sharding for this task (``serial`` or
+    ``process:N``) after the shared worker budget; ``serial`` in a
+    pooled run, whose workers may not fork."""
     branch_parallelism: str = "serial"
     """Effective branch-race fan-out of the disjunctive search for this
     task, after the shared worker budget."""

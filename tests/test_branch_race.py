@@ -1,17 +1,15 @@
 """Differential suite for the branch-raced disjunctive search.
 
 The racing contract is *bit-identical* results: whatever the racer
-(threads, forked workers, or the serial reference), the greedy ded
-sweep must return the same winning selection, target instance, failure
-reason, aggregated statistics and ``scenarios_tried`` as the serial
-sweep — the winner is decided by canonical selection order, never by
-completion order.  The speculative disjunctive chase must likewise
-produce the identical universal model set, leaf accounting and
-truncation behaviour.  These tests sweep the shared scenario corpus
+(forked workers, or the serial reference), the greedy ded sweep must
+return the same winning selection, target instance, failure reason,
+aggregated statistics and ``scenarios_tried`` as the serial sweep — the
+winner is decided by canonical selection order, never by completion
+order.  These tests sweep the shared scenario corpus
 (``tests/corpus.py``) plus the ded-pressure cases through every racing
 mode and compare, and unit-test the racer machinery (deterministic
-winner, early cancellation, no partial state, the three-tier worker
-budget, candidate-fanning verification).
+winner, early cancellation, no partial state, the serial fallback, the
+three-tier worker budget).
 """
 
 import multiprocessing
@@ -21,20 +19,15 @@ from dataclasses import replace
 import pytest
 
 from repro.chase.ded import GreedyDedChase
-from repro.chase.disjunctive import DisjunctiveChase
 from repro.chase.engine import ChaseConfig
 from repro.chase.parallel import compose_parallelism
 from repro.chase.race import (
     ProcessRacer,
     SerialRacer,
-    ThreadRacer,
     create_racer,
 )
 from repro.core.rewriter import rewrite
-from repro.core.verify import ScenarioVerifier
-from repro.errors import ChaseError
 from repro.pipeline import run_rewritten
-from repro.runtime.fingerprint import fingerprint_instance
 
 from corpus import (
     DISJUNCTIVE,
@@ -45,7 +38,12 @@ from corpus import (
     pipeline_specs,
 )
 
-RACE_MODES = ["thread:2", "process:2"]
+RACE_MODES = ["process:2"]
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs fork",
+)
 
 DISJUNCTIVE_SPECS = pipeline_specs(require={DISJUNCTIVE})
 
@@ -210,7 +208,8 @@ class TestEarlyCancellation:
         assert race.winner == 0
         assert ran == [0]
 
-    def test_thread_racer_winner_is_canonical_not_fastest(self):
+    @needs_fork
+    def test_process_racer_winner_is_canonical_not_fastest(self):
         # Branch 1 finishes long before branch 0, but both succeed:
         # the winner must still be branch 0.
         def run(index):
@@ -218,24 +217,9 @@ class TestEarlyCancellation:
                 time.sleep(0.2)
             return f"branch-{index}"
 
-        race = ThreadRacer(2).race(2, run, success=lambda r: True)
+        race = ProcessRacer(2).race(2, run, success=lambda r: True)
         assert race.winner == 0
         assert race.outcomes[0].result == "branch-0"
-
-    def test_thread_racer_cancels_pending_beyond_winner(self):
-        # With one worker the pool is strictly sequential, so once
-        # branch 0 succeeds nothing else may start.
-        ran = []
-
-        def run(index):
-            ran.append(index)
-            return index
-
-        racer = ThreadRacer(2)
-        racer.workers = 1  # deterministic: single pool slot
-        race = racer.race(16, run, success=lambda r: True)
-        assert race.winner == 0
-        assert 15 not in ran  # the tail was cancelled, not run
 
     def test_error_in_reachable_branch_raises_original_type(self):
         # The serial sweep would hit the ValueError at branch 1 before
@@ -246,7 +230,10 @@ class TestEarlyCancellation:
                 raise ValueError("boom")
             return index
 
-        for racer in (SerialRacer(), ThreadRacer(2)):
+        racers = [SerialRacer()]
+        if "fork" in multiprocessing.get_all_start_methods():
+            racers.append(ProcessRacer(2))
+        for racer in racers:
             with pytest.raises(ValueError, match="boom"):
                 racer.race(4, run, success=lambda r: r == 3)
 
@@ -260,14 +247,16 @@ class TestEarlyCancellation:
         with pytest.raises(KeyError, match="branch-0"):
             ProcessRacer(2).race(3, run, success=lambda r: True)
 
+    @needs_fork
     def test_error_beyond_winner_is_ignored(self):
         def run(index):
             if index == 3:
                 raise ValueError("boom")
             return index
 
-        race = ThreadRacer(2).race(4, run, success=lambda r: r == 0)
-        assert race.winner == 0
+        for racer in (SerialRacer(), ProcessRacer(2)):
+            race = racer.race(4, run, success=lambda r: r == 0)
+            assert race.winner == 0
 
 
 class TestProcessRacer:
@@ -293,98 +282,54 @@ class TestProcessRacer:
             for outcome in race.outcomes.values()
         )
 
-    def test_daemonic_caller_degrades_to_threads(self, monkeypatch):
-        class _Daemonic:
-            daemon = True
-
-        monkeypatch.setattr(
-            multiprocessing, "current_process", lambda: _Daemonic()
-        )
-        racer = create_racer("process:3")
-        assert isinstance(racer, ThreadRacer)
-        assert racer.workers == 3
-
     def test_create_racer_modes(self):
         assert type(create_racer("serial")) is SerialRacer
-        assert isinstance(create_racer("thread:2"), ThreadRacer)
         if "fork" in multiprocessing.get_all_start_methods():
             assert isinstance(create_racer("process:2"), ProcessRacer)
+        else:
+            assert type(create_racer("process:2")) is SerialRacer
 
     def test_describe(self):
         assert SerialRacer().describe() == "serial"
-        assert ThreadRacer(2).describe() == "thread:2"
         assert ProcessRacer(4).describe() == "process:4"
         degraded = ProcessRacer(4)
         degraded._degraded = True
         assert degraded.describe() == "serial (degraded from process:4)"
 
 
-class TestSpeculativeDisjunctive:
-    """The speculative tree exploration is bit-identical to serial."""
+class TestSerialFallback:
+    """A process spec the caller cannot honour sweeps serially: the
+    result is bit-identical to a serial sweep and says ``serial``."""
 
-    def _ded_setup(self):
-        return (
-            list(ded_sweep_dependencies(deds=2, insert_branches=2)),
-            ded_sweep_relations(deds=2),
-            ded_sweep_instance(deds=2),
+    def _assert_serial_fallback(self):
+        assert type(create_racer("process:3")) is SerialRacer
+        deps = list(ded_sweep_dependencies(deds=3))
+        instance = ded_sweep_instance(deds=3)
+        relations = ded_sweep_relations(deds=3)
+        serial = GreedyDedChase(deps, relations).run(instance)
+        fallback = GreedyDedChase(
+            deps, relations, ChaseConfig(branch_parallelism="process:3")
+        ).run(instance)
+        _compare_chases(serial, fallback, "fallback")
+        assert fallback.branch_racing == "serial"
+        assert [t["worker"] for t in fallback.branch_timings] == (
+            ["serial"] * serial.scenarios_tried
         )
 
-    def test_model_set_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations).run(instance)
-        raced = DisjunctiveChase(
-            deps, relations, ChaseConfig(branch_parallelism="thread:3")
-        ).run(instance)
-        assert serial.satisfiable
-        assert len(serial.models) == len(raced.models)
-        for left, right in zip(serial.models, raced.models):
-            assert left == right  # bit-identical, including null ids
-            assert fingerprint_instance(left) == fingerprint_instance(right)
-        assert (serial.leaves, serial.failures, serial.branchings) == (
-            raced.leaves, raced.failures, raced.branchings
+    def test_daemonic_caller_falls_back_to_serial(self, monkeypatch):
+        class _Daemonic:
+            daemon = True
+
+        monkeypatch.setattr(
+            multiprocessing, "current_process", lambda: _Daemonic()
         )
-        assert raced.branch_racing == "thread:3"
+        self._assert_serial_fallback()
 
-    def test_first_only_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations).run(
-            instance, first_only=True
+    def test_missing_fork_falls_back_to_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        raced = DisjunctiveChase(
-            deps, relations, ChaseConfig(branch_parallelism="thread:2")
-        ).run(instance, first_only=True)
-        assert serial.models and serial.models[0] == raced.models[0]
-        assert serial.leaves == raced.leaves
-
-    def test_truncation_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations, max_leaves=3).run(instance)
-        raced = DisjunctiveChase(
-            deps,
-            relations,
-            ChaseConfig(branch_parallelism="thread:2"),
-            max_leaves=3,
-        ).run(instance)
-        assert serial.truncated and raced.truncated
-        assert serial.leaves == raced.leaves
-        assert [m for m in serial.models] == [m for m in raced.models]
-
-    def test_minimize_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations).run(instance, minimize=True)
-        raced = DisjunctiveChase(
-            deps, relations, ChaseConfig(branch_parallelism="thread:2")
-        ).run(instance, minimize=True)
-        assert [m for m in serial.models] == [m for m in raced.models]
-
-    def test_oblivious_policy_stays_serial(self):
-        deps, relations, instance = self._ded_setup()
-        result = DisjunctiveChase(
-            deps,
-            relations,
-            ChaseConfig(policy="oblivious", branch_parallelism="thread:2"),
-        ).run(instance)
-        assert result.branch_racing == "serial"
+        self._assert_serial_fallback()
 
 
 class TestThreeTierBudget:
@@ -413,7 +358,7 @@ class TestThreeTierBudget:
 
     def test_single_cpu_serializes_everything(self):
         branch, chase = compose_parallelism(
-            1, "process:4", "thread:4", cpu_count=1
+            1, "process:4", "process:4", cpu_count=1
         )
         assert branch == "serial"
         assert chase == "serial"
@@ -429,45 +374,6 @@ class TestThreeTierBudget:
         assert effective_parallelism("process:4", jobs=4, cpu_count=8) == (
             "process:2"
         )
-
-
-class TestCandidateFanVerifier:
-    """verify_candidates == [verify(t) for t], reports in order."""
-
-    def _built(self):
-        spec = pipeline_specs(corpus="smoke")[0]
-        built = spec.build()
-        rewritten = rewrite(built.scenario)
-        outcome = run_rewritten(
-            built.scenario, rewritten, built.instance, verify=False
-        )
-        return built, outcome
-
-    def test_reports_identical_to_serial(self):
-        built, outcome = self._built()
-        from repro.relational.instance import Instance
-
-        candidates = [outcome.target, Instance(), outcome.target]
-        serial = ScenarioVerifier(built.scenario, built.instance)
-        fanned = ScenarioVerifier(
-            built.scenario, built.instance, parallelism="thread:2"
-        )
-        serial_reports = serial.verify_candidates(candidates)
-        fanned_reports = fanned.verify_candidates(candidates)
-        assert len(serial_reports) == len(fanned_reports) == 3
-        for left, right in zip(serial_reports, fanned_reports):
-            assert left.ok == right.ok
-            assert left.premise_matches == right.premise_matches
-            assert [str(v) for v in left.violations] == [
-                str(v) for v in right.violations
-            ]
-        assert serial_reports[0].ok and not serial_reports[1].ok
-
-    def test_serial_parallelism_stays_in_process(self):
-        built, outcome = self._built()
-        verifier = ScenarioVerifier(built.scenario, built.instance)
-        reports = verifier.verify_candidates([outcome.target])
-        assert len(reports) == 1 and reports[0].ok
 
 
 class TestRacedResultMetadata:
@@ -505,9 +411,9 @@ class TestRacedResultMetadata:
         corpus = get_corpus("smoke").limited(2)
         report = run_batch(
             corpus,
-            BatchOptions(branch_parallelism="thread:2", use_cache=False),
+            BatchOptions(branch_parallelism="process:2", use_cache=False),
         )
-        assert report.branch_parallelism in ("serial", "thread:2")
+        assert report.branch_parallelism in ("serial", "process:2")
         assert report.summary.branch_parallelism == report.branch_parallelism
         path = tmp_path / "records.jsonl"
         write_jsonl(report.records, path)
@@ -518,7 +424,7 @@ class TestRacedResultMetadata:
 
     def test_chase_config_replace_keeps_branch_field(self):
         config = replace(
-            ChaseConfig(), parallelism="thread:2",
+            ChaseConfig(), parallelism="process:2",
             branch_parallelism="process:4",
         )
         assert config.branch_parallelism == "process:4"

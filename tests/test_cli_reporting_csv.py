@@ -77,6 +77,22 @@ class TestCli:
         path.write_text(text)
         assert main(["chase", str(path)]) == 1
 
+    @pytest.mark.parametrize("spec", ["bogus", "thread:2"])
+    @pytest.mark.parametrize("flag", ["--parallelism", "--branch-parallelism"])
+    @pytest.mark.parametrize("command", ["chase", "batch"])
+    def test_bad_parallelism_is_a_usage_error(
+        self, scenario_file, capsys, command, flag, spec
+    ):
+        target = str(scenario_file) if command == "chase" else "smoke"
+        with pytest.raises(SystemExit) as info:
+            main([command, target, flag, spec])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [message] = [line for line in err.splitlines() if "error:" in line]
+        assert f"unknown parallelism '{spec}'" in message
+        assert "(expected serial, process[:N], N)" in message
+
 
 class TestReporting:
     def test_format_table_alignment(self):

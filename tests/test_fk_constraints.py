@@ -139,7 +139,7 @@ class TestTgdConstraintVariants:
         """An inclusion dependency whose conclusion re-feeds its own
         premise view is not weakly acyclic; the chase budget catches it."""
         from repro.chase.engine import ChaseConfig
-        from repro.chase.termination import is_weakly_acyclic
+        from repro.analysis.termination import is_weakly_acyclic
         from repro.relational.instance import Instance
 
         views = [

@@ -381,21 +381,19 @@ def _chase_counters(payload):
 class TestTraceDeterminism:
     def test_span_structure_identical_across_tiers(self):
         serial = _traced_pipeline("serial")
-        threaded = _traced_pipeline("thread:2")
         forked = _traced_pipeline("process:2")
-        assert _structure(serial) == _structure(threaded) == _structure(forked)
+        assert _structure(serial) == _structure(forked)
 
     def test_chase_counters_identical_across_tiers(self):
         serial = _traced_pipeline("serial")
-        threaded = _traced_pipeline("thread:2")
         forked = _traced_pipeline("process:2")
         counters = _chase_counters(serial)
         assert counters  # the chase.* namespace is populated
-        assert counters == _chase_counters(threaded) == _chase_counters(forked)
+        assert counters == _chase_counters(forked)
 
     def test_raced_sweep_structure_matches_serial_sweep(self):
         serial = _traced_pipeline("serial", branch_parallelism="serial")
-        raced = _traced_pipeline("serial", branch_parallelism="thread:2")
+        raced = _traced_pipeline("serial", branch_parallelism="process:2")
         assert _structure(serial) == _structure(raced)
         assert _chase_counters(serial) == _chase_counters(raced)
 
@@ -403,11 +401,6 @@ class TestTraceDeterminism:
         payload = _traced_pipeline("process:2")
         workers = {span["worker"] for span in payload["spans"]}
         assert any(worker.startswith("fork-") for worker in workers)
-
-    def test_threaded_worker_spans_reach_the_parent_trace(self):
-        payload = _traced_pipeline("thread:2")
-        workers = {span["worker"] for span in payload["spans"]}
-        assert any(worker.startswith("thread-") for worker in workers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Differential suite for the parallel chase: sharded == serial, always.
 
 The sharded chase's contract is *bit-identical* results: whatever the
-sharder (threads, forked replica processes, or the serial fallback),
+sharder (forked replica processes, or the serial fallback),
 the produced instances, null resolutions, failure reasons and counters
 must match the serial chase exactly.  These tests sweep the scenario
 corpus — including disjunctive (ded) and failing scenarios — through
@@ -20,7 +20,6 @@ from repro.chase.engine import ChaseConfig, StandardChase
 from repro.chase.parallel import (
     MatchSharder,
     ProcessSharder,
-    ThreadSharder,
     chase_worker_budget,
     create_sharder,
     effective_parallelism,
@@ -42,7 +41,7 @@ from corpus import (
     dense_pair_instance as _dense_pair_instance,
 )
 
-MODES = ["thread:2", "process:2"]
+MODES = ["process:2"]
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -219,14 +218,21 @@ class TestSharderMachinery:
         assert parse_parallelism("1") == ("serial", 1)
         assert parse_parallelism(4) == ("process", 4)
         assert parse_parallelism("3") == ("process", 3)
-        assert parse_parallelism("thread:2") == ("thread", 2)
         assert parse_parallelism("process:6") == ("process", 6)
-        assert parse_parallelism("THREAD:2") == ("thread", 2)
+        assert parse_parallelism("PROCESS:2") == ("process", 2)
         assert parse_parallelism("process:1") == ("serial", 1)
         with pytest.raises(ChaseError):
             parse_parallelism("gpu:2")
         with pytest.raises(ChaseError):
-            parse_parallelism("thread:lots")
+            parse_parallelism("process:lots")
+
+    @pytest.mark.parametrize("spec", ["thread:2", "thread", "threads:4"])
+    def test_thread_specs_are_rejected(self, spec):
+        with pytest.raises(ChaseError) as info:
+            parse_parallelism(spec)
+        message = str(info.value)
+        for form in ("serial", "process[:N]", "N"):
+            assert form in message
 
     def test_chase_worker_budget_arithmetic(self):
         # jobs x chase workers never exceeds the cpu budget
@@ -244,33 +250,20 @@ class TestSharderMachinery:
         assert effective_parallelism("process:4", jobs=1, cpu_count=8) == "process:4"
         assert effective_parallelism("process:4", jobs=4, cpu_count=8) == "process:2"
         assert effective_parallelism("process:4", jobs=8, cpu_count=8) == "serial"
-        assert effective_parallelism("thread", jobs=2, cpu_count=4) == "thread:2"
+        assert effective_parallelism("process", jobs=2, cpu_count=4) == "process:2"
         assert effective_parallelism("serial", jobs=1, cpu_count=8) == "serial"
 
     def test_create_sharder_modes(self):
         assert type(create_sharder("serial")) is MatchSharder
-        thread = create_sharder("thread:2")
-        assert isinstance(thread, ThreadSharder) and thread.workers == 2
         process = create_sharder("process:2")
         if "fork" in multiprocessing.get_all_start_methods():
             assert isinstance(process, ProcessSharder)
+            assert process.workers == 2
         else:
-            assert isinstance(process, ThreadSharder)
-
-    def test_daemonic_caller_degrades_to_threads(self, monkeypatch):
-        class _Daemonic:
-            daemon = True
-
-        monkeypatch.setattr(
-            multiprocessing, "current_process", lambda: _Daemonic()
-        )
-        sharder = create_sharder("process:3")
-        assert isinstance(sharder, ThreadSharder)
-        assert sharder.workers == 3
+            assert type(process) is MatchSharder
 
     def test_describe(self):
         assert MatchSharder().describe() == "serial"
-        assert ThreadSharder(2).describe() == "thread:2"
         assert ProcessSharder(4).describe() == "process:4"
 
     def test_describe_reports_degradation(self):
@@ -333,46 +326,60 @@ class TestProbeView:
             assert not hasattr(view, forbidden)
 
 
-class TestParallelVerifier:
-    def test_report_identical_to_serial(self):
-        spec_corpus = get_corpus("smoke")
-        spec = list(spec_corpus)[0]
-        built = spec.build()
-        rewritten = rewrite(built.scenario)
-        outcome = run_rewritten(
-            built.scenario, rewritten, built.instance, verify=False
-        )
-        serial = ScenarioVerifier(built.scenario, built.instance).verify(
-            outcome.target
-        )
-        threaded = ScenarioVerifier(
-            built.scenario, built.instance, parallelism="thread:2"
-        ).verify(outcome.target)
-        assert threaded.ok == serial.ok
-        assert threaded.mappings_checked == serial.mappings_checked
-        assert threaded.constraints_checked == serial.constraints_checked
-        assert threaded.premise_matches == serial.premise_matches
-        assert [str(v) for v in threaded.violations] == [
-            str(v) for v in serial.violations
-        ]
+class TestSerialFallback:
+    """A process spec the caller cannot honour chases serially: the
+    result is bit-identical to a serial run and says ``serial``."""
 
-    def test_violations_capped_like_serial(self):
-        # An empty target violates every premise match; the violation
-        # list caps identically in both modes.
+    def _chase(self, parallelism):
+        deps = [
+            tgd(
+                Conjunction(atoms=(Atom("S", (x, y)), Atom("R", (y, z)))),
+                (Atom("T", (x, z)),),
+                name="join",
+            ),
+        ]
+        return StandardChase(
+            deps, ("S", "R"), ChaseConfig(parallelism=parallelism)
+        ).run(_dense_pair_instance())
+
+    def _assert_serial_fallback(self):
+        assert type(create_sharder("process:3")) is MatchSharder
+        serial = self._chase("serial")
+        fallback = self._chase("process:3")
+        _compare_results(serial, fallback, "fallback")
+        assert fallback.stats.tgd_fires == serial.stats.tgd_fires
+        assert fallback.sharding == "serial"
+
+    def test_daemonic_caller_falls_back_to_serial(self, monkeypatch):
+        class _Daemonic:
+            daemon = True
+
+        monkeypatch.setattr(
+            multiprocessing, "current_process", lambda: _Daemonic()
+        )
+        self._assert_serial_fallback()
+
+    def test_missing_fork_falls_back_to_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        self._assert_serial_fallback()
+
+
+class TestVerifierCap:
+    def test_violations_capped_to_the_uncapped_prefix(self):
+        # An empty target violates every premise match; the capped
+        # report keeps exactly the first violations of an uncapped one.
         spec = list(get_corpus("smoke"))[0]
         built = spec.build()
-        empty = Instance()
-        serial = ScenarioVerifier(built.scenario, built.instance).verify(
-            empty, max_violations=3
-        )
-        threaded = ScenarioVerifier(
-            built.scenario, built.instance, parallelism="thread:3"
-        ).verify(empty, max_violations=3)
-        assert not serial.ok and not threaded.ok
-        assert len(serial.violations) == len(threaded.violations) == 3
-        assert [str(v) for v in threaded.violations] == [
-            str(v) for v in serial.violations
+        verifier = ScenarioVerifier(built.scenario, built.instance)
+        uncapped = verifier.verify(Instance())
+        capped = verifier.verify(Instance(), max_violations=3)
+        assert not capped.ok and len(uncapped.violations) > 3
+        assert [str(v) for v in capped.violations] == [
+            str(v) for v in uncapped.violations[:3]
         ]
+        assert capped.premise_matches == uncapped.premise_matches
 
 
 @pytest.mark.skipif(os.cpu_count() is None, reason="cpu_count unavailable")
@@ -387,7 +394,10 @@ def test_chase_result_records_sharding():
     source = _dense_pair_instance(8)
     serial = StandardChase(deps, ("S", "R")).run(source)
     assert serial.sharding == "serial"
-    threaded = StandardChase(
-        deps, ("S", "R"), ChaseConfig(parallelism="thread:2")
+    forked = StandardChase(
+        deps, ("S", "R"), ChaseConfig(parallelism="process:2")
     ).run(source)
-    assert threaded.sharding == "thread:2"
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert forked.sharding == "process:2"
+    else:
+        assert forked.sharding == "serial"

@@ -4,9 +4,9 @@ Hypothesis drives :mod:`repro.scenarios.generators` with random seeds
 and shape parameters, and asserts the engine's central invariant: one
 generated scenario chases to the *same* result — fingerprint-identical
 targets, same status, same number of scenarios tried — whichever
-execution strategy runs it (serial, thread-sharded, process-sharded,
-branch-raced).  A second property pins the DSL round-trip: a generated
-scenario serializes and re-parses fingerprint-identically, whatever the
+execution strategy runs it (serial, process-sharded, branch-raced).
+A second property pins the DSL round-trip: a generated scenario
+serializes and re-parses fingerprint-identically, whatever the
 generator produced.
 
 Profiles (registered in ``tests/conftest.py``): the default ``dev``
@@ -38,16 +38,14 @@ from repro.runtime.fingerprint import (
 )
 from repro.scenarios.generators import random_scenario
 
-# The execution strategies every scenario must agree across.  Thread
-# modes exercise the sharded enumerate phase and the racer; the process
-# tiers are covered by the (heavier) differential suites, so the
-# property sweep stays fast enough to fuzz deeply.
+# The execution strategies every scenario must agree across: the
+# forked sharded enumerate phase, the forked racer, and both at once.
 MODE_CONFIGS = [
-    ("thread-sharded", ChaseConfig(parallelism="thread:2")),
-    ("branch-raced", ChaseConfig(branch_parallelism="thread:2")),
+    ("process-sharded", ChaseConfig(parallelism="process:2")),
+    ("branch-raced", ChaseConfig(branch_parallelism="process:2")),
     (
         "sharded+raced",
-        ChaseConfig(parallelism="thread:2", branch_parallelism="thread:2"),
+        ChaseConfig(parallelism="process:2", branch_parallelism="process:2"),
     ),
 ]
 
@@ -149,11 +147,11 @@ def test_generated_scenarios_roundtrip_fingerprint_identically(
 @example(seed=3)
 def test_rerunning_one_mode_is_deterministic(seed):
     """The same config twice gives byte-identical targets — no hidden
-    dependence on pool scheduling, thread interleaving or hash seeds."""
+    dependence on worker scheduling or hash seeds."""
     generated = random_scenario(seed=seed, instance_rows=8)
     rewritten = rewrite(generated.scenario)
     config = ChaseConfig(
-        parallelism="thread:2", branch_parallelism="thread:2"
+        parallelism="process:2", branch_parallelism="process:2"
     )
     first = run_rewritten(
         generated.scenario, rewritten, generated.instance,

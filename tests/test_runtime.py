@@ -356,28 +356,47 @@ class TestIntraChaseParallelism:
         monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
         corpus = get_corpus("smoke").limited(2)
         report = run_batch(
-            corpus, BatchOptions(parallelism="thread:2", use_cache=False)
+            corpus, BatchOptions(parallelism="process:2", use_cache=False)
         )
-        assert report.parallelism == "thread:2"
-        assert report.summary.parallelism == "thread:2"
-        assert all(r.parallelism == "thread:2" for r in report.records)
+        assert report.parallelism == "process:2"
+        assert report.summary.parallelism == "process:2"
+        assert all(r.parallelism == "process:2" for r in report.records)
         assert all(r.ok for r in report.records)
 
-    def test_pool_budget_caps_chase_workers(self, monkeypatch):
-        import repro.runtime.executor as executor_module
-
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 4)
-        corpus = get_corpus("smoke").limited(3)
-        report = run_batch(
+    def test_pooled_run_falls_back_to_serial(self):
+        # Daemonic pool workers cannot fork: a pooled run chases and
+        # races every task serially, with records bit-identical to a
+        # serial batch, and both the records and the note say so.
+        corpus = get_corpus("smoke").limited(4)
+        serial = run_batch(corpus, BatchOptions(use_cache=False))
+        pooled = run_batch(
             corpus,
-            BatchOptions(jobs=2, parallelism="process:4", use_cache=False),
+            BatchOptions(
+                jobs=2,
+                parallelism="process:2",
+                branch_parallelism="process:2",
+                use_cache=False,
+            ),
         )
-        # 4 cpus / 2 jobs = 2 chase workers per task, never 4 — and
-        # daemonic pool workers cannot fork, so the record says threads.
-        assert report.parallelism == "thread:2"
-        assert all(r.parallelism == "thread:2" for r in report.records)
-        if report.mode == "pool":
-            assert "cannot fork" in report.note
+        fields = (
+            "label", "status", "ok", "verified", "task_fingerprint",
+            "target_facts", "rounds", "scenarios_tried", "nulls_created",
+        )
+        assert [
+            [getattr(r, f) for f in fields] for r in pooled.records
+        ] == [[getattr(r, f) for f in fields] for r in serial.records]
+        if pooled.mode == "pool":
+            assert (pooled.parallelism, pooled.branch_parallelism) == (
+                "serial", "serial"
+            )
+            assert all(r.parallelism == "serial" for r in pooled.records)
+            assert all(
+                r.branch_parallelism == "serial" for r in pooled.records
+            )
+            assert pooled.note == (
+                "pool workers cannot fork; branch racing and intra-chase "
+                "sharding run serial"
+            )
 
     def test_exhausted_budget_degrades_to_serial(self, monkeypatch):
         import repro.runtime.executor as executor_module

@@ -1,7 +1,7 @@
 """Tests for weak acyclicity and universal-solution utilities."""
 
 
-from repro.chase.termination import (
+from repro.analysis.termination import (
     is_weakly_acyclic,
     position_graph,
     weak_acyclicity_report,

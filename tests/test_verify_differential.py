@@ -8,8 +8,8 @@ plus one fact that contradicts an existing one, and the empty target —
 its report must equal the decoded per-binding oracle's
 (``tests/verify_oracle.py``): ``ok``, the check counts,
 ``premise_matches`` and the violation list, in order and under the
-``max_violations`` cap.  Serial, under ``parallelism="thread:2"`` and
-under the reference evaluator.
+``max_violations`` cap.  On the columnar kernel and under the
+reference evaluator.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from corpus import (
 from verify_oracle import oracle_verify
 
 SPECS = pipeline_specs()
-MODES = ["serial", "thread:2", "reference"]
+MODES = ["serial", "reference"]
 
 
 @lru_cache(maxsize=None)
@@ -103,10 +103,9 @@ def _assert_same(report, expected, label):
 @pytest.mark.parametrize("label", [s.label for s in SPECS])
 def test_encoded_verifier_matches_oracle(label, mode):
     scenario, source, target, solved = _chased(label)
-    parallelism = "thread:2" if mode == "thread:2" else None
     context = reference_evaluator() if mode == "reference" else nullcontext()
     with context:
-        verifier = ScenarioVerifier(scenario, source, parallelism=parallelism)
+        verifier = ScenarioVerifier(scenario, source)
         for name, candidate, cap in _candidates(target):
             report = verifier.verify(candidate, max_violations=cap)
             expected = oracle_verify(
