@@ -19,6 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.chase.ded import GreedyDedChase
+from repro.chase.disjunctive import DisjunctiveChase
 from repro.chase.engine import ChaseConfig
 from repro.chase.parallel import compose_parallelism
 from repro.chase.race import (
@@ -28,6 +29,7 @@ from repro.chase.race import (
 )
 from repro.core.rewriter import rewrite
 from repro.pipeline import run_rewritten
+from repro.runtime.fingerprint import fingerprint_instance
 
 from corpus import (
     DISJUNCTIVE,
@@ -38,7 +40,8 @@ from corpus import (
     pipeline_specs,
 )
 
-RACE_MODES = ["process:2"]
+# Three workers race a window that the branch count does not divide.
+RACE_MODES = ["process:2", "process:3"]
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -330,6 +333,67 @@ class TestSerialFallback:
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
         self._assert_serial_fallback()
+
+
+class TestExhaustiveChaseIgnoresParallelKnobs:
+    """The exhaustive disjunctive chase has no parallel tier: a config
+    asking for process racing and sharding explores the same tree, in
+    the same order, as the default config."""
+
+    PARALLEL = ChaseConfig(
+        parallelism="process:2", branch_parallelism="process:2"
+    )
+
+    def _ded_setup(self):
+        return (
+            list(ded_sweep_dependencies(deds=2, insert_branches=2)),
+            ded_sweep_relations(deds=2),
+            ded_sweep_instance(deds=2),
+        )
+
+    def test_model_set_identical(self):
+        deps, relations, instance = self._ded_setup()
+        serial = DisjunctiveChase(deps, relations).run(instance)
+        knobbed = DisjunctiveChase(deps, relations, self.PARALLEL).run(
+            instance
+        )
+        assert serial.satisfiable
+        assert len(serial.models) == len(knobbed.models)
+        for left, right in zip(serial.models, knobbed.models):
+            assert left == right  # bit-identical, including null ids
+            assert fingerprint_instance(left) == fingerprint_instance(right)
+        assert (serial.leaves, serial.failures, serial.branchings) == (
+            knobbed.leaves, knobbed.failures, knobbed.branchings
+        )
+
+    def test_first_only_identical(self):
+        deps, relations, instance = self._ded_setup()
+        serial = DisjunctiveChase(deps, relations).run(
+            instance, first_only=True
+        )
+        knobbed = DisjunctiveChase(deps, relations, self.PARALLEL).run(
+            instance, first_only=True
+        )
+        assert serial.models and serial.models == knobbed.models
+        assert serial.leaves == knobbed.leaves
+
+    def test_truncation_identical(self):
+        deps, relations, instance = self._ded_setup()
+        serial = DisjunctiveChase(deps, relations, max_leaves=3).run(instance)
+        knobbed = DisjunctiveChase(
+            deps, relations, self.PARALLEL, max_leaves=3
+        ).run(instance)
+        assert serial.truncated and knobbed.truncated
+        assert serial.leaves == knobbed.leaves == 3
+        assert serial.models == knobbed.models
+
+    def test_minimize_identical(self):
+        deps, relations, instance = self._ded_setup()
+        serial = DisjunctiveChase(deps, relations).run(instance, minimize=True)
+        knobbed = DisjunctiveChase(deps, relations, self.PARALLEL).run(
+            instance, minimize=True
+        )
+        assert serial.models == knobbed.models
 
 
 class TestThreeTierBudget:

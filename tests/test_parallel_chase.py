@@ -41,7 +41,8 @@ from corpus import (
     dense_pair_instance as _dense_pair_instance,
 )
 
-MODES = ["process:2"]
+# An even and an odd worker count: three workers split the shards unevenly.
+MODES = ["process:2", "process:3"]
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 

@@ -8,8 +8,10 @@ plus one fact that contradicts an existing one, and the empty target —
 its report must equal the decoded per-binding oracle's
 (``tests/verify_oracle.py``): ``ok``, the check counts,
 ``premise_matches`` and the violation list, in order and under the
-``max_violations`` cap.  On the columnar kernel and under the
-reference evaluator.
+``max_violations`` cap.  On the columnar kernel with set-based
+candidates, with candidates handed in already encoded (a
+:class:`~repro.relational.kernel.ColumnarInstance`, read without
+decoding), and under the reference evaluator.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from corpus import (
 from verify_oracle import oracle_verify
 
 SPECS = pipeline_specs()
-MODES = ["serial", "reference"]
+MODES = ["serial", "columnar", "reference"]
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +109,12 @@ def test_encoded_verifier_matches_oracle(label, mode):
     with context:
         verifier = ScenarioVerifier(scenario, source)
         for name, candidate, cap in _candidates(target):
-            report = verifier.verify(candidate, max_violations=cap)
+            if mode == "columnar":
+                encoded = ColumnarInstance()
+                encoded.add_all(candidate)
+                report = verifier.verify(encoded, max_violations=cap)
+            else:
+                report = verifier.verify(candidate, max_violations=cap)
             expected = oracle_verify(
                 scenario,
                 verifier._encoded_source(),
