@@ -19,7 +19,13 @@ This experiment races the two paths on identical plans and data:
   restricted to an insertion window, once contiguous (a fresh
   generation: mask restriction is a bisect slice or bucket identity)
   and once sparse (a sharder-style ``rid % 2`` chunk: span-bounded
-  membership).
+  membership);
+* **comparison-filtered** — the second step carries an order
+  comparison between two slots it binds (``b < c``, true on half the
+  candidates): the block driver applies it on codes as a comprehension
+  filter, row mode calls the compiled check per row.  This is the shape
+  of the triangle tgd's ``x < y`` / ``x < z`` filters, so it explains
+  ``chase.enumerate.self_s`` on e15's join-triangles.
 
 Both paths must produce identical row streams and identical
 ``probe_rows``/``probe_survivors`` counters — asserted every section.
@@ -31,7 +37,7 @@ trend comparison.
 
 import time
 
-from repro.logic.atoms import Atom, Conjunction
+from repro.logic.atoms import Atom, Comparison, Conjunction
 from repro.logic.terms import Constant, Variable
 from repro.relational.kernel import ColumnarInstance, RowMask, TermPool
 from repro.relational.query import compile_query, row_probe_mode
@@ -83,6 +89,16 @@ def _query():
     k, a, b = Variable("k"), Variable("a"), Variable("b")
     return Conjunction(
         atoms=(Atom("R", (k, a)), Atom("S", (a, b, b)))
+    )
+
+
+def _comparison_query():
+    """R(k, a), S(a, b, c), b < c: ``c`` is ``b + 1`` on the odd-j half
+    of :func:`_join_store`'s S rows, so the comparison keeps half."""
+    k, a, b, c = (Variable(n) for n in "kabc")
+    return Conjunction(
+        atoms=(Atom("R", (k, a)), Atom("S", (a, b, c))),
+        comparisons=(Comparison("<", b, c),),
     )
 
 
@@ -199,6 +215,22 @@ def test_report_e14():
         round(sparse_section["row_rows_per_second"]),
         round(sparse_section["block_vs_row_speedup"], 2),
     )
+
+    # -- comparison-filtered (an order comparison on bound slots) -----
+    plan = compile_query(_comparison_query(), first_atom=0).encoded(store.pool)
+    comparison = _race(plan, store)
+    payload["comparison_filtered"] = comparison
+    table.add(
+        "comparison b < c",
+        comparison["rows_probed"],
+        round(comparison["block_rows_per_second"]),
+        round(comparison["row_rows_per_second"]),
+        round(comparison["block_vs_row_speedup"], 2),
+    )
+    # Half the second step's candidates survive the comparison.
+    s_probed = comparison["rows_probed"] - store.size("R")
+    s_survived = comparison["rows_survived"] - store.size("R")
+    assert 2 * s_survived == s_probed, comparison
 
     print_experiment_table(table)
     record_bench_json("e14_probe", payload)

@@ -41,7 +41,7 @@ from repro.logic.dependencies import Dependency
 from repro.logic.terms import Term, Variable
 from repro.relational.delta import DeltaPlans, PlanCache, RowDelta
 from repro.relational.instance import Instance
-from repro.relational.kernel import ColumnarInstance, TermPool
+from repro.relational.kernel import CodeComparison, ColumnarInstance, TermPool
 from repro.relational.query import Binding
 
 __all__ = ["CompiledDependency", "compile_dependencies"]
@@ -89,21 +89,15 @@ def _code_getter(term: Term, slot_of: Dict[Variable, int], pool: TermPool):
     return lambda _row, _code=code: _code
 
 
-def _encoded_ground_check(comparison, slot_of: Dict[Variable, int], pool: TermPool):
-    left_get = _code_getter(comparison.left, slot_of, pool)
-    right_get = _code_getter(comparison.right, slot_of, pool)
-    decode = pool.decode
-
-    def check(row) -> bool:
-        ground = type(comparison)(
-            comparison.op, decode(left_get(row)), decode(right_get(row))
-        )
-        try:
-            return ground.evaluate()
-        except TypingError:
-            return False
-
-    return check
+def _comparison_check(comparison, slot_of: Dict[Variable, int], pool: TermPool):
+    """The kernel's code-level test of a disjunct comparison over a
+    premise row — or, when the premise leaves one of its variables
+    unbound, a check that fails loudly when fired (as :func:`_resolve`
+    does), not at compile time."""
+    for variable in comparison.variables():
+        if variable not in slot_of:
+            return _code_getter(variable, slot_of, pool)
+    return CodeComparison(comparison, slot_of, pool).check
 
 
 class _DisjunctKernel:
@@ -129,7 +123,7 @@ class _DisjunctKernel:
             for equality in disjunct.equalities
         )
         self.comparisons = tuple(
-            (comparison, _encoded_ground_check(comparison, slot_of, pool))
+            (comparison, _comparison_check(comparison, slot_of, pool))
             for comparison in disjunct.comparisons
         )
         existential_index: Dict[Variable, int] = {}
@@ -331,7 +325,8 @@ class CompiledDependency:
         """Encoded :meth:`disjunct_satisfied` over a premise code row.
 
         Equality is code equality (the pool interns by term equality),
-        comparisons decode-and-delegate, and the atom probe is the same
+        comparisons are the kernel's :class:`CodeComparison` tests on
+        codes, and the atom probe is the same
         hash anti-join over the incrementally-maintained *encoded*
         index — facts enforced for one match stay visible to the next."""
         kernel = self.disjunct_kernel(disjunct_index, working.pool)

@@ -343,6 +343,32 @@ class _TriggerMemory:
         return bloom + sum(64 + 48 * len(t[1]) for t in self._exact)
 
 
+def _seed(working, source_instance, target_instance) -> str:
+    """Load the chase's inputs into its fresh working store; returns the
+    seeding path (the ``chase.seed`` span's ``path`` attribute).
+
+    ``ingest``: columnar inputs on the working store's pool move as raw
+    code rows (the pipeline hands over the semantic database's store —
+    no decode/re-encode).  ``bulk``: a decoded input encodes one
+    relation at a time through :meth:`ColumnarInstance.add_all`.
+    ``reference``: the set-based working store takes fact by fact.
+    """
+    inputs = [i for i in (source_instance, target_instance) if i is not None]
+    if not isinstance(working, ColumnarInstance):
+        for instance in inputs:
+            for fact in instance:
+                working.add(fact)
+        return "reference"
+    path = "ingest"
+    for instance in inputs:
+        if isinstance(instance, ColumnarInstance):
+            working.ingest(instance)
+        else:
+            working.add_all(instance)
+            path = "bulk"
+    return path
+
+
 class StandardChase:
     """Chases a set of *standard* dependencies (no deds).
 
@@ -458,24 +484,14 @@ class StandardChase:
         kernel_mark = (
             len(working.pool) if isinstance(working, ColumnarInstance) else 0
         )
-        # Columnar-to-columnar seeding moves encoded rows (the pipeline
-        # hands over the semantic database's columnar store directly —
-        # no decode/re-encode of the whole input).
-        if isinstance(working, ColumnarInstance):
-            ingest = working.ingest
-            for instance in (source_instance, target_instance):
-                if instance is None:
-                    continue
-                if isinstance(instance, ColumnarInstance):
-                    ingest(instance)
-                else:
-                    working.add_all(instance)
-        else:
-            for fact in source_instance:
-                working.add(fact)
-            if target_instance is not None:
-                for fact in target_instance:
-                    working.add(fact)
+        with rec.span("chase.seed") as seed_span:
+            path = _seed(working, source_instance, target_instance)
+            if rec.enabled:
+                seed_span.annotate(
+                    rows=len(working),
+                    relations=len(working.relations()),
+                    path=path,
+                )
         factory = null_factory or NullFactory()
         factory.advance_past(working.nulls())
         stats = ChaseStats()

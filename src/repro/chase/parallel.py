@@ -24,9 +24,12 @@ sharing one interpreter measured no faster than serial.  Wherever a
 process fan-out is impossible (no ``fork``, or a daemonic caller that
 may not spawn children) the sharder is serial.
 
-Sharding is deterministic by construction, not by scheduling: a worker
-owns the anchor facts whose ``hash(fact) % workers`` equals its id (a
-partition, so every match is found exactly once per anchor), the merge
+Sharding is deterministic by construction, not by scheduling: shard
+``k`` is the anchor facts whose ``hash(fact) % workers`` (row id, over
+the columnar kernel) equals ``k`` (a partition, so every match is found
+exactly once per anchor); the shards are dealt round-robin to at most
+``os.cpu_count()`` forked processes — more processes than CPUs only
+time-slice a memory-bound join, which measured slower — and the merge
 deduplicates across anchors exactly like the serial delta join, and the
 engine sorts the merged matches into canonical order before enforcement
 — so null invention and ``_NullMap`` unions are bit-identical to the
@@ -333,9 +336,14 @@ class MatchSharder:
 
 
 def _replica_worker(
-    conn, worker_id: int, worker_count: int, replica, compiled, traced=False
+    conn, worker_id: int, worker_count: int, shards, replica, compiled,
+    traced=False,
 ):
     """Loop of one forked enumeration worker.
+
+    The worker owns the anchor facts of the shard ids in ``shards``
+    (shard ``k`` of ``worker_count``: row id, or fact hash, ``% worker_count
+    == k``).
 
     ``replica``/``compiled`` are copy-on-write images of the engine's
     working instance and plans at ``begin_run`` time.  The parent keeps
@@ -433,7 +441,7 @@ def _replica_worker(
                         chunk = {
                             row_id
                             for row_id in replica.live_row_ids(relation)
-                            if row_id % worker_count == worker_id
+                            if row_id % worker_count in shards
                         }
                         if chunk:
                             out = dependency.anchor_matches_encoded(
@@ -443,7 +451,7 @@ def _replica_worker(
                         chunk = {
                             fact
                             for fact in replica.facts(relation)
-                            if hash(fact) % worker_count == worker_id
+                            if hash(fact) % worker_count in shards
                         }
                         if chunk:
                             out = dependency.anchor_matches(view, anchor, chunk)
@@ -462,7 +470,7 @@ def _replica_worker(
                             chunk = {
                                 row_id
                                 for row_id in delta.get(relation, ())
-                                if row_id % worker_count == worker_id
+                                if row_id % worker_count in shards
                             }
                             if chunk:
                                 out.extend(
@@ -475,7 +483,7 @@ def _replica_worker(
                                 fact
                                 for fact in delta
                                 if fact.relation == relation
-                                and hash(fact) % worker_count == worker_id
+                                and hash(fact) % worker_count in shards
                             }
                             if chunk:
                                 out.extend(
@@ -507,6 +515,8 @@ def _replica_worker(
 class ProcessSharder(MatchSharder):
     """Shards enumeration across forked replica processes.
 
+    ``workers`` is the shard count; ``begin_run`` forks at most
+    ``os.cpu_count()`` processes and deals the shards round-robin.
     Forking at ``begin_run`` makes replica setup O(1) (copy-on-write
     pages), and replaying enforcement events keeps per-round traffic at
     O(|new facts|) down and O(|matches|) up — the joins themselves, the
@@ -555,14 +565,16 @@ class ProcessSharder(MatchSharder):
         self._pool_mark = len(working.pool) if self._encoded else 0
         context = multiprocessing.get_context("fork")
         traced = self._recorder.enabled
+        processes = min(self.workers, max(2, os.cpu_count() or 1))
         try:
-            for worker_id in range(self.workers):
+            for worker_id in range(processes):
                 parent_end, child_end = context.Pipe()
+                shards = frozenset(range(worker_id, self.workers, processes))
                 process = context.Process(
                     target=_replica_worker,
                     args=(
-                        child_end, worker_id, self.workers, working, compiled,
-                        traced,
+                        child_end, worker_id, self.workers, shards, working,
+                        compiled, traced,
                     ),
                     daemon=True,
                     name=f"chase-replica-{worker_id}",

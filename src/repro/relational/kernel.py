@@ -41,6 +41,7 @@ import threading
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from typing import (
     Dict,
@@ -56,14 +57,15 @@ from typing import (
 )
 
 from repro.errors import SchemaError
-from repro.logic.atoms import Atom
-from repro.logic.terms import Constant, Null, Term
+from repro.logic.atoms import Atom, Comparison
+from repro.logic.terms import Constant, Null, Term, Variable
 from repro.relational.instance import Instance, ProbeView
 from repro.relational.types import term_order_key
 
 __all__ = [
     "TermPool",
     "ColumnarInstance",
+    "CodeComparison",
     "RowMask",
     "global_pool",
     "encode_null",
@@ -92,7 +94,7 @@ class TermPool:
     lock-free (entries are published before their id is).
     """
 
-    __slots__ = ("_lock", "_ids", "_terms", "_orders")
+    __slots__ = ("_lock", "_ids", "_terms", "_orders", "values", "is_str")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -100,6 +102,12 @@ class TermPool:
         # Slot 0 is a sentinel so code == list index.
         self._terms: List[Optional[Term]] = [None]
         self._orders: List[Optional[Tuple[int, int, str]]] = [None]
+        #: Code -> raw Python value, and code -> "the value is a str":
+        #: the arrays order comparisons on codes read (see
+        #: :class:`CodeComparison`).  Kept in step with ``_terms``;
+        #: readers index them and never rebind or mutate them.
+        self.values: List[object] = [None]
+        self.is_str: List[bool] = [False]
 
     def __len__(self) -> int:
         """Interned constants (the ``instance.intern_size`` gauge)."""
@@ -116,12 +124,19 @@ class TermPool:
             code = self._ids.get(term)
             if code is None:
                 code = len(self._terms)
-                self._terms.append(term)
-                self._orders.append(term_order_key(term))
+                self._append(term)
                 # Publish the id last: lock-free readers that obtain a
                 # code always find its entry populated.
                 self._ids[term] = code
         return code
+
+    def _append(self, term: Term) -> None:
+        """Populate every per-code array for the next code (lock held)."""
+        self._terms.append(term)
+        self._orders.append(term_order_key(term))
+        value = term.value  # type: ignore[union-attr]
+        self.values.append(value)
+        self.is_str.append(isinstance(value, str))
 
     def try_encode(self, term: Term) -> Optional[int]:
         """The code of a term *without* interning; None when unknown.
@@ -174,8 +189,7 @@ class TermPool:
                 )
             for term in terms:
                 code = len(self._terms)
-                self._terms.append(term)
-                self._orders.append(term_order_key(term))
+                self._append(term)
                 self._ids[term] = code  # type: ignore[index]
 
 
@@ -188,6 +202,80 @@ def global_pool() -> TermPool:
     One shared id space is what lets plans, instances and forked chase
     replicas exchange encoded rows without translation."""
     return _GLOBAL_POOL
+
+
+#: Compiled ``lambda _row: ...`` code objects keyed by source text; the
+#: pool's arrays bind as globals per :class:`CodeComparison`.
+_CHECK_CODE: Dict[str, object] = {}
+
+
+class CodeComparison:
+    """A comparison atom compiled to a boolean expression over codes.
+
+    The one place comparisons are lowered onto the kernel: the query
+    plans' seed and per-step filters, the block drivers and the chase's
+    disjunct checks all come through here.  Operands are ``(is_slot,
+    value)`` pairs like join-key parts: a slot of the row, or a literal
+    code interned when the plan compiles (so a pre-fork warm-up covers
+    it).  Semantics on codes, matching ``Comparison.evaluate`` with a
+    ``TypingError`` read as False:
+
+    * ``=`` / ``!=`` compare codes — the pool interns by term equality
+      (``1``, ``1.0`` and ``True`` share a code) and a null's code is
+      its identity;
+    * order operators are False when either side is a null (code < 0)
+      or exactly one side is a str, and otherwise compare the raw values
+      the pool keeps in :attr:`TermPool.values`.
+
+    ``tests/test_encoded_comparisons.py`` pins this against
+    ``Comparison.evaluate`` over mixed value domains.
+    :meth:`expression` renders the test for the generated block drivers
+    (which apply it as a comprehension filter over column locals);
+    :attr:`check` is the same expression as a function of one row.
+    """
+
+    __slots__ = ("op", "left", "right", "check")
+
+    def __init__(
+        self, comparison: Comparison, slot_of: Mapping[Variable, int], pool: TermPool
+    ) -> None:
+        self.op: str = comparison.op
+        self.left = self._operand(comparison.left, slot_of, pool)
+        self.right = self._operand(comparison.right, slot_of, pool)
+        source = f"lambda _row: {self.expression('_row[{}]'.format)}"
+        code = _CHECK_CODE.get(source)
+        if code is None:
+            code = compile(source, "<comparison>", "eval")
+            _CHECK_CODE[source] = code
+        self.check = eval(code, {"_vals": pool.values, "_isstr": pool.is_str})  # noqa: S307
+
+    @staticmethod
+    def _operand(term: Term, slot_of, pool: TermPool) -> Tuple[bool, int]:
+        if isinstance(term, Variable):
+            return True, slot_of[term]
+        return False, pool.encode(term)
+
+    def expression(self, slot_expr) -> str:
+        """The test as Python source over codes; ``slot_expr(i)`` renders
+        slot ``i``.  Order tests read the globals ``_vals`` and ``_isstr``
+        (the pool's :attr:`~TermPool.values` / :attr:`~TermPool.is_str`)."""
+        a, b = (
+            slot_expr(value) if is_slot else str(value)
+            for is_slot, value in (self.left, self.right)
+        )
+        if self.op == "=":
+            return f"({a} == {b})"
+        if self.op == "!=":
+            return f"({a} != {b})"
+        tests = []
+        for expr, (is_slot, value) in zip((a, b), (self.left, self.right)):
+            if is_slot:
+                tests.append(f"{expr} > 0")  # nulls never order
+            elif value < 0:
+                return "False"
+        tests.append(f"_isstr[{a}] is _isstr[{b}]")
+        tests.append(f"_vals[{a}] {self.op} _vals[{b}]")
+        return "(" + " and ".join(tests) + ")"
 
 
 class RowMask:
@@ -311,6 +399,34 @@ class _Table:
         clone.row_ids = dict(self.row_ids)
         clone.live_count = self.live_count
         return clone
+
+
+def _live_keys(table: _Table, positions: Tuple[int, ...]) -> Iterator:
+    """The code tuple at ``positions`` of every live row, in row-id
+    order, scanned by ``zip`` at C level.  Positions ``()`` key every
+    live row ``()``; tombstoned rows are skipped (by ``compress`` over
+    the generations, also at C level)."""
+    generations = table.generations
+    if positions:
+        keys: Iterator = zip(*[table.columns[i] for i in positions])
+    else:
+        keys = repeat((), len(generations))
+    if table.live_count == len(generations):
+        return keys
+    return compress(keys, map((0).__le__, generations))
+
+
+def _live_rows(table: _Table) -> Iterator:
+    """Every live row's full code tuple, in row-id order."""
+    return _live_keys(table, tuple(range(table.arity)))
+
+
+def _live_row_ids(table: _Table) -> Iterable[int]:
+    """Every live row's id, in order."""
+    generations = table.generations
+    if table.live_count == len(generations):
+        return range(len(generations))
+    return compress(count(), map((0).__le__, generations))
 
 
 class ColumnarInstance:
@@ -631,11 +747,84 @@ class ColumnarInstance:
         return self.add_encoded(fact.relation, self.encode_row(fact.terms))
 
     def add_all(self, facts: Iterable[Atom]) -> int:
+        """Insert many facts; returns how many were new.
+
+        A decoded :class:`Instance` seeds in bulk: each relation's facts
+        encode in one pass (in the instance's iteration order) and land
+        through one :meth:`extend_encoded` call, giving the same row ids
+        as per-fact :meth:`add`.  A schema-carrying store, and any
+        relation whose facts are not plain ground same-arity rows
+        appendable to a tombstone-free table, take the per-fact path —
+        which raises the usual ``SchemaError`` at the offending fact.
+        """
+        added = 0
+        if isinstance(facts, Instance) and self.schema is None:
+            for relation, bucket in facts._facts.items():
+                rows = self._encode_bucket(relation, bucket)
+                if rows is None:
+                    added += self._add_each(bucket)
+                else:
+                    added += self.extend_encoded(relation, rows)
+            return added
+        return self._add_each(facts)
+
+    def _add_each(self, facts: Iterable[Atom]) -> int:
         added = 0
         for fact in facts:
             if self.add(fact):
                 added += 1
         return added
+
+    def _encode_bucket(
+        self, relation: str, facts: Iterable[Atom]
+    ) -> Optional[List[Tuple[int, ...]]]:
+        """One relation's facts as code rows, or None when any of them
+        needs the per-fact path (a non-ground fact, mixed arities, a
+        table of another arity or with tombstones to resurrect)."""
+        encode = self.pool.encode
+        # Value type -> value -> code.  Hashing a raw value is C-level,
+        # where a Constant's dataclass __hash__/__eq__ run as Python; the
+        # type keeps 1 / 1.0 / True apart here (the pool still gives
+        # them one code).
+        codes_by_type: Dict[type, Dict[object, int]] = {}
+        hints: List[Null] = []
+        rows: List[Tuple[int, ...]] = []
+        arity = -1
+        for fact in facts:
+            terms = fact.terms
+            if len(terms) != arity:
+                if arity >= 0:
+                    return None
+                arity = len(terms)
+                table = self._tables.get(relation)
+                if table is not None and (
+                    table.arity != arity
+                    or table.live_count != len(table.generations)
+                ):
+                    return None
+            row = []
+            for term in terms:
+                if term.__class__ is Constant:
+                    value = term.value
+                    codes = codes_by_type.get(value.__class__)
+                    if codes is None:
+                        codes = codes_by_type[value.__class__] = {}
+                    code = codes.get(value)
+                    if code is None:
+                        code = codes[value] = encode(term)
+                elif isinstance(term, Null):
+                    if term.hint:
+                        hints.append(term)
+                    code = -(term.id + 1)
+                else:
+                    return None
+                row.append(code)
+            rows.append(tuple(row))
+        known = self._null_hints
+        for null in hints:
+            if null.id not in known:
+                known[null.id] = null.hint
+        return rows
 
     def ingest(self, other: "ColumnarInstance") -> int:
         """Bulk-copy another columnar instance's live rows.
@@ -650,15 +839,9 @@ class ColumnarInstance:
             return self.add_all(other)
         self._null_hints.update(other._null_hints)
         added = 0
-        row_values = other.row_values
-        for relation in other.relations():
-            added += self.extend_encoded(
-                relation,
-                [
-                    row_values(relation, row_id)
-                    for row_id in other.live_row_ids(relation)
-                ],
-            )
+        for relation, table in other._tables.items():
+            if table.live_count:
+                added += self.extend_encoded(relation, list(_live_rows(table)))
         return added
 
     def add_row(self, relation: str, *values) -> bool:
@@ -702,8 +885,7 @@ class ColumnarInstance:
         table = self._tables.get(relation)
         if table is None:
             return []
-        generations = table.generations
-        return [i for i in range(len(generations)) if generations[i] >= 0]
+        return list(_live_row_ids(table))
 
     def columns(self, relation: str) -> Sequence[array]:
         table = self._tables.get(relation)
@@ -794,26 +976,23 @@ class ColumnarInstance:
         table = self._tables.get(relation)
         return table.live_count if table is not None else 0
 
-    def nulls(self) -> Set[Null]:
-        out: Set[Null] = set()
-        hints = self._null_hints
+    def _live_codes(self) -> Set[int]:
+        """Every distinct code in a live row (a C-level scan)."""
+        codes: Set[int] = set()
         for table in self._tables.values():
-            generations = table.generations
-            for column in table.columns:
-                for row_id, code in enumerate(column):
-                    if code < 0 and generations[row_id] >= 0:
-                        null_id = -code - 1
-                        out.add(Null(null_id, hints.get(null_id, "")))
-        return out
+            codes.update(chain.from_iterable(_live_rows(table)))
+        return codes
+
+    def nulls(self) -> Set[Null]:
+        hints = self._null_hints
+        return {
+            Null(-code - 1, hints.get(-code - 1, ""))
+            for code in self._live_codes()
+            if code < 0
+        }
 
     def is_ground_complete(self) -> bool:
-        for table in self._tables.values():
-            generations = table.generations
-            for column in table.columns:
-                for row_id, code in enumerate(column):
-                    if code < 0 and generations[row_id] >= 0:
-                        return False
-        return True
+        return min(self._live_codes(), default=0) >= 0
 
     # -- encoded indexes ---------------------------------------------------
 
@@ -835,13 +1014,11 @@ class ColumnarInstance:
             built: Dict[Tuple[int, ...], List[int]] = {}
             table = self._tables.get(relation)
             if table is not None:
-                columns = [table.columns[i] for i in key[1]]
-                generations = table.generations
-                for row_id in range(len(generations)):
-                    if generations[row_id] < 0:
-                        continue
-                    index_key = tuple(column[row_id] for column in columns)
-                    bucket = built.get(index_key)
+                get = built.get
+                for row_id, index_key in zip(
+                    _live_row_ids(table), _live_keys(table, key[1])
+                ):
+                    bucket = get(index_key)
                     if bucket is None:
                         built[index_key] = [row_id]
                     else:
@@ -883,16 +1060,12 @@ class ColumnarInstance:
         cached = self._key_count_cache.get(key)
         if cached is not None and cached[0] == version:
             return cached[1]
-        seen: Set[Tuple[int, ...]] = set()
         table = self._tables.get(relation)
+        keys = 0
         if table is not None:
-            columns = [table.columns[i] for i in key[1]]
-            generations = table.generations
-            for row_id in range(len(generations)):
-                if generations[row_id] >= 0:
-                    seen.add(tuple(column[row_id] for column in columns))
-        self._key_count_cache[key] = (version, len(seen))
-        return len(seen)
+            keys = len(set(_live_keys(table, key[1])))
+        self._key_count_cache[key] = (version, keys)
+        return keys
 
     def cached_key_count(
         self, relation: str, positions: Sequence[int]
@@ -1001,16 +1174,8 @@ class ColumnarInstance:
         keep = set(relations)
         clone = ColumnarInstance(pool=self.pool)
         for relation, table in self._tables.items():
-            if relation not in keep or not table.live_count:
-                continue
-            if table.arity and table.live_count == len(table.generations):
-                rows = list(zip(*table.columns))
-            else:
-                rows = [
-                    table.row_values(row_id)
-                    for row_id in self.live_row_ids(relation)
-                ]
-            clone.extend_encoded(relation, rows)
+            if relation in keep and table.live_count:
+                clone.extend_encoded(relation, list(_live_rows(table)))
         clone._null_hints = dict(self._null_hints)
         return clone
 
@@ -1032,17 +1197,9 @@ class ColumnarInstance:
         for relation, table in self._tables.items():
             if keep is not None and relation not in keep:
                 continue
-            columns = table.columns
-            generations = table.generations
-            for row_id in range(len(generations)):
-                if generations[row_id] >= 0:
-                    add(
-                        Atom(
-                            relation,
-                            tuple(decode(column[row_id]) for column in columns),
-                        )
-                    )
-                    decoded += 1
+            for row in _live_rows(table):
+                add(Atom(relation, tuple(map(decode, row))))
+                decoded += 1
         self.kernel_stats.decoded_rows += decoded
         return out
 

@@ -57,7 +57,12 @@ from repro.logic.atoms import Atom, Comparison, Conjunction
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Term, Variable
 from repro.relational.instance import Instance, ProbeView
-from repro.relational.kernel import ColumnarInstance, RowMask, TermPool
+from repro.relational.kernel import (
+    CodeComparison,
+    ColumnarInstance,
+    RowMask,
+    TermPool,
+)
 
 __all__ = [
     "CompiledQuery",
@@ -160,9 +165,10 @@ class _EncodedStep:
     ``key_parts`` are (is_slot, value) pairs: a slot read for bound
     variables, a pre-interned code for literals.  ``binds`` write column
     values into slots; ``checks`` compare two columns of the probed row;
-    ``comparisons`` are compiled closures over the slot array.
-    ``driver`` is the generated block-probe function for this step's
-    exact shape (see :func:`_compile_block_join`).
+    ``comparisons`` are :class:`CodeComparison` tests on codes, which
+    the driver applies as comprehension filters (row mode calls their
+    ``check``).  ``driver`` is the generated block-probe function for
+    this step's exact shape (see :func:`_compile_block_join`).
     """
 
     __slots__ = (
@@ -185,14 +191,14 @@ class _EncodedStep:
         self.binds = tuple((p, slot_of[v]) for p, v in step.binds)
         self.checks = step.checks
         self.comparisons = tuple(
-            _compile_comparison(c, slot_of, pool) for c in step.comparisons
+            CodeComparison(c, slot_of, pool) for c in step.comparisons
         )
         self.driver = _compile_block_join(
             width,
             self.key_parts,
             self.binds,
             self.checks,
-            bool(self.comparisons),
+            self.comparisons,
         )
 
 
@@ -212,7 +218,7 @@ def _compile_block_join(
     key_parts: Tuple[Tuple[bool, int], ...],
     binds: Tuple[Tuple[int, int], ...],
     checks: Tuple[Tuple[int, int], ...],
-    has_comparisons: bool,
+    comparisons: Tuple[CodeComparison, ...],
 ) -> object:
     """Generate the block-probe driver for one join-step shape.
 
@@ -224,11 +230,11 @@ def _compile_block_join(
     whose element is a *tuple display* over hoisted column locals — a
     bucket of candidate rows turns into output row tuples in one
     bytecode pass, no per-row function calls, no per-row slot stores.
-    Checks become comprehension filters over column locals; delta
+    Checks and comparisons become comprehension filters over column
+    and slot locals, so a rejected row never becomes a tuple; delta
     restriction happens once per bucket through
     :meth:`RowMask.restrict` (bucket identity / bisect slice) instead
-    of a per-row membership scan; the comparison closures filter
-    surviving blocks only.  Output blocks flush at ``_PROBE_BLOCK``
+    of a per-row membership scan.  Output blocks flush at ``_PROBE_BLOCK``
     rows, so lazy ``exists()``/limit consumers never materialize more
     than one block past their stopping point.
 
@@ -252,47 +258,34 @@ def _compile_block_join(
     hoisted_slots = [
         slot for slot in range(width) if slot not in bound_slot_columns
     ]
+
+    def slot_expr(slot: int) -> str:
+        """A slot of the candidate row: its column read when this step
+        binds it, else the input row's value hoisted into a local."""
+        if slot in bound_slot_columns:
+            return f"_c{bound_slot_columns[slot]}[_r]"
+        return f"_v{slot}"
+
     # Rows are *tuple* displays: nothing downstream mutates a built row
     # (each step builds fresh ones), so skipping the list->tuple
     # conversion at the pipeline edge is free.
-    row_elems = (
-        "("
-        + "".join(
-            (
-                f"_c{bound_slot_columns[slot]}[_r], "
-                if slot in bound_slot_columns
-                else f"_v{slot}, "
-            )
-            for slot in range(width)
-        )
-        + ")"
-    )
+    row_elems = "(" + "".join(f"{slot_expr(slot)}, " for slot in range(width)) + ")"
     filters = "".join(
         f" if _c{position}[_r] == _c{bound_at}[_r]"
         for position, bound_at in checks
-    )
+    ) + "".join(f" if {c.expression(slot_expr)}" for c in comparisons)
 
     def flush(indent: str) -> List[str]:
-        """Filter a full output block through the comparison closures,
-        account it, and hand it downstream."""
-        out = []
-        if has_comparisons:
-            out += [
-                f"{indent}for _check in _comps:",
-                f"{indent}    _out = [_row for _row in _out if _check(_row)]",
-                f"{indent}    if not _out:",
-                f"{indent}        break",
-            ]
-        out += [
+        """Account a full output block and hand it downstream."""
+        return [
             f"{indent}if _out:",
             f"{indent}    _stats.probe_survivors += len(_out)",
             f"{indent}    yield _out",
             f"{indent}    _out = []",
         ]
-        return out
 
     lines = [
-        "def _drive(_stream, _lookup, _columns, _mask, _stats, _comps):",
+        "def _drive(_stream, _lookup, _columns, _mask, _stats, _vals, _isstr):",
     ]
     lines += [f"    _c{p} = _columns[{p}]" for p in columns_used]
     lines += [
@@ -344,33 +337,6 @@ def _compile_block_join(
     return driver
 
 
-def _compile_comparison(comparison: Comparison, slot_of, pool: TermPool):
-    """A comparison as a closure over the encoded slot array.
-
-    Decodes the (at most two) operands and delegates to the decoded
-    ground check, so typing semantics (nulls never order) are shared
-    with the reference pipeline by construction.
-    """
-    decode = pool.decode
-    left, right = comparison.left, comparison.right
-    left_slot = slot_of[left] if isinstance(left, Variable) else None
-    right_slot = slot_of[right] if isinstance(right, Variable) else None
-    op = comparison.op
-
-    def check(values) -> bool:
-        ground = Comparison(
-            op,
-            left if left_slot is None else decode(values[left_slot]),
-            right if right_slot is None else decode(values[right_slot]),
-        )
-        try:
-            return ground.evaluate()
-        except TypingError:
-            return False
-
-    return check
-
-
 class _EncodedPlan:
     """A :class:`CompiledQuery` lowered onto one term pool.
 
@@ -408,7 +374,7 @@ class _EncodedPlan:
         }
         self.width = len(self.varlist)
         self.seed_comparisons = tuple(
-            _compile_comparison(c, self.slot_of, pool)
+            CodeComparison(c, self.slot_of, pool).check
             for c in query.seed_comparisons
         )
         self.steps = tuple(
@@ -542,7 +508,8 @@ class _EncodedPlan:
             columns,
             delta,
             store.kernel_stats,
-            step.comparisons,
+            self.pool.values,
+            self.pool.is_str,
         )
 
     def _join_rows(
@@ -564,7 +531,7 @@ class _EncodedPlan:
         key_parts = step.key_parts
         binds = step.binds
         checks = step.checks
-        comparisons = step.comparisons
+        comparisons = [comparison.check for comparison in step.comparisons]
         stats = store.kernel_stats
         for values in stream:
             key = tuple(values[v] if s else v for s, v in key_parts)

@@ -295,3 +295,204 @@ class TestIngestAndEquality:
         assert reference == columnar
         reference.add(atom("R", "z", "z"))
         assert columnar != reference
+
+
+# -- column scans: encoded_index / key_count edge cases ---------------------
+
+SCAN_POSITIONS = [(), (0,), (1,), (0, 1), (1, 0)]
+
+
+def _scan_states():
+    """(label, columnar, reference) pairs covering the scan edge cases:
+    a relation never added, a table whose rows are all tombstoned, a
+    table with holes, and one whose holes were resurrected."""
+
+    def pair():
+        return ColumnarInstance(pool=TermPool()), Instance()
+
+    def fill(stores, n=9):
+        for store in stores:
+            for i in range(n):
+                store.add(atom("R", i % 4, i % 2))
+
+    states = [("absent", *pair())]
+    stores = pair()
+    fill(stores, 3)
+    for store in stores:
+        for i in range(3):
+            store.remove(atom("R", i % 4, i % 2))
+    states.append(("all-tombstoned", *stores))
+    stores = pair()
+    fill(stores)
+    for store in stores:
+        store.remove(atom("R", 1, 1))
+        store.remove(atom("R", 0, 0))
+    states.append(("tombstoned", *stores))
+    stores = pair()
+    fill(stores)
+    for store in stores:
+        store.remove(atom("R", 1, 1))
+        store.remove(atom("R", 2, 0))
+        store.add(atom("R", 2, 0))  # resurrects its old row id
+    states.append(("resurrected", *stores))
+    stores = pair()
+    fill(stores)
+    states.append(("dense", *stores))
+    return states
+
+
+def _brute_index(store, positions):
+    built = {}
+    for row_id in range(len(store._tables["R"].generations) if "R" in store._tables else 0):
+        if store._tables["R"].generations[row_id] < 0:
+            continue
+        row = store.row_values("R", row_id)
+        built.setdefault(tuple(row[p] for p in positions), []).append(row_id)
+    return built
+
+
+class TestColumnScans:
+    @pytest.mark.parametrize("positions", SCAN_POSITIONS)
+    def test_encoded_index_matches_brute_force(self, positions):
+        for label, columnar, _reference in _scan_states():
+            expected = _brute_index(columnar, positions)
+            assert dict(columnar.encoded_index("R", positions)) == expected, label
+
+    @pytest.mark.parametrize("positions", SCAN_POSITIONS)
+    def test_key_count_matches_brute_force_and_reference(self, positions):
+        for label, columnar, reference in _scan_states():
+            expected = len(_brute_index(columnar, positions))
+            assert reference.key_count("R", positions) == expected, label
+            # The scan path: no index is live yet.
+            assert columnar.cached_key_count("R", positions) is None, label
+            assert columnar.key_count("R", positions) == expected, label
+            assert columnar.cached_key_count("R", positions) == expected, label
+            # The index path: a live index answers with len(index).
+            columnar.encoded_index("R", positions)
+            columnar.add(atom("R", 99, 99))
+            reference.add(atom("R", 99, 99))
+            expected = reference.key_count("R", positions)
+            assert columnar.cached_key_count("R", positions) == expected, label
+            assert columnar.key_count("R", positions) == expected, label
+
+    def test_empty_positions_key_every_live_row(self):
+        # Dropping the () case would make every cross-product probe miss
+        # (the triangle chase would find no triangles at all).
+        store = ColumnarInstance(pool=TermPool())
+        for i in range(5):
+            store.add(atom("R", i, i))
+        store.remove(atom("R", 2, 2))
+        assert dict(store.encoded_index("R", ())) == {(): [0, 1, 3, 4]}
+        assert store.key_count("S", ()) == 0
+
+
+# -- bulk seeding: add_all over a decoded Instance ---------------------------
+
+
+def _mixed_instance():
+    source = Instance()
+    for i in range(40):
+        source.add(atom("R", i, i % 3, "x" if i % 2 else 1.5))
+        source.add(atom("S", f"s{i % 7}"))
+    source.add(Atom("S", (Null(4, "hint"),)))
+    source.add(Atom("T", (Null(4), Null(5, "other"))))
+    return source
+
+
+class TestBulkAddAll:
+    def test_bulk_matches_per_fact_adds(self):
+        source = _mixed_instance()
+        pool = TermPool()
+        per_fact = ColumnarInstance(pool=pool)
+        for fact in source:
+            per_fact.add(fact)
+        bulk = ColumnarInstance(pool=pool)
+        assert bulk.add_all(source) == len(source)
+        assert bulk == per_fact
+        for relation in ("R", "S", "T"):
+            assert bulk.live_row_ids(relation) == per_fact.live_row_ids(relation)
+            assert [
+                bulk.row_values(relation, r) for r in bulk.live_row_ids(relation)
+            ] == [
+                per_fact.row_values(relation, r)
+                for r in per_fact.live_row_ids(relation)
+            ]
+        assert bulk.rows_since(0) == per_fact.rows_since(0)
+        assert (
+            bulk.kernel_stats.encoded_appends
+            == per_fact.kernel_stats.encoded_appends
+            == len(source)
+        )
+        assert {n.id: n.hint for n in bulk.nulls()} == {4: "hint", 5: "other"}
+
+    def test_bulk_into_a_populated_store_dedups(self):
+        source = _mixed_instance()
+        pool = TermPool()
+        per_fact = ColumnarInstance(pool=pool)
+        bulk = ColumnarInstance(pool=pool)
+        for store in (per_fact, bulk):
+            store.add(atom("R", 3, 0, "x"))
+            store.add(atom("Q", 1))
+        added = sum(per_fact.add(fact) for fact in source)
+        assert bulk.add_all(source) == added == len(source) - 1
+        assert bulk.live_row_ids("R") == per_fact.live_row_ids("R")
+        assert bulk.rows_since(0) == per_fact.rows_since(0)
+
+    def test_bulk_around_tombstones_matches_per_fact(self):
+        # A table with tombstones resurrects rows; the per-fact path
+        # keeps the insertion log in fact order.
+        pool = TermPool()
+        source = _mixed_instance()
+        stores = [ColumnarInstance(pool=pool), ColumnarInstance(pool=pool)]
+        for store in stores:
+            store.add(atom("R", 0, 0, 1.5))
+            store.add(atom("R", 999, 0, 1.5))
+            store.remove(atom("R", 0, 0, 1.5))
+        for fact in source:
+            stores[0].add(fact)
+        stores[1].add_all(source)
+        assert stores[0].rows_since(0) == stores[1].rows_since(0)
+        assert stores[0].live_row_ids("R") == stores[1].live_row_ids("R")
+
+    def test_non_ground_atom_still_raises(self):
+        from repro.logic.terms import Variable
+
+        source = Instance()
+        source.add(atom("R", 1))
+        source._facts["R"].add(Atom("R", (Variable("v"),)))
+        store = ColumnarInstance(pool=TermPool())
+        with pytest.raises(SchemaError, match="non-ground"):
+            store.add_all(source)
+
+    def test_mixed_arity_still_raises(self):
+        source = Instance()
+        source.add(atom("R", 1))
+        source.add(atom("R", 1, 2))
+        store = ColumnarInstance(pool=TermPool())
+        with pytest.raises(SchemaError, match="arity"):
+            store.add_all(source)
+
+    def test_arity_clash_with_existing_table_still_raises(self):
+        store = ColumnarInstance(pool=TermPool())
+        store.add(atom("R", 1, 2))
+        source = Instance()
+        source.add(atom("R", 1))
+        with pytest.raises(SchemaError, match="arity"):
+            store.add_all(source)
+
+    def test_schema_store_validates_every_fact(self):
+        from repro.errors import TypingError
+        from repro.relational.schema import Attribute, Relation, Schema
+        from repro.relational.types import DataType
+
+        schema = Schema("s", [Relation("R", [Attribute("a", DataType.INT)])])
+        source = Instance()
+        source.add(atom("R", 1))
+        assert ColumnarInstance(schema).add_all(source) == 1
+        source.add(atom("R", "not an int"))
+        with pytest.raises(TypingError):
+            ColumnarInstance(schema).add_all(source)
+        stray = Instance()
+        stray.add(atom("Elsewhere", 1))
+        with pytest.raises(SchemaError, match="does not belong"):
+            ColumnarInstance(schema).add_all(stray)

@@ -404,6 +404,63 @@ class TestTraceDeterminism:
 
 
 # ---------------------------------------------------------------------------
+# The chase.seed span: which path loaded the working store
+# ---------------------------------------------------------------------------
+
+
+def _seed_spans(payload):
+    return [span for span in payload["spans"] if span["name"] == "chase.seed"]
+
+
+class TestSeedSpan:
+    @pytest.mark.parametrize(
+        "kernel,extended,path",
+        [
+            ("columnar", False, "bulk"),
+            ("columnar", True, "ingest"),
+            ("reference", False, "reference"),
+        ],
+    )
+    def test_records_rows_relations_and_path(self, kernel, extended, path):
+        from repro.core.compose import extend_source
+        from repro.core.rewriter import rewrite
+
+        scenario = build_scenario()
+        rewritten = rewrite(scenario)
+        tgds = [d for d in rewritten.dependencies if not d.is_ded()]
+        engine = StandardChase(
+            tgds,
+            rewritten.source_relations(),
+            ChaseConfig(kernel=kernel, trace=TraceConfig(enabled=True)),
+        )
+        source = generate_source_instance(products=8, seed=1)
+        if extended:
+            # The composed source is a columnar store on the shared pool.
+            source = extend_source(scenario, source)
+        payload = engine.run(source).trace
+        (span,) = _seed_spans(payload)
+        assert span["attrs"] == {
+            "rows": len(source),
+            "relations": len(source.relations()),
+            "path": path,
+        }
+        # Seeding is its own span, ahead of (not inside) chase.run.
+        run = next(s for s in payload["spans"] if s["name"] == "chase.run")
+        assert span["parent"] == run["parent"]
+        assert span["end"] <= run["start"]
+
+    def test_pipeline_ingests_the_columnar_store(self):
+        scenario = build_scenario()
+        source = generate_source_instance(products=8, seed=1)
+        outcome = run_scenario(
+            scenario, source, config=ChaseConfig(trace=TraceConfig(enabled=True))
+        )
+        spans = _seed_spans(outcome.trace)
+        assert spans and {span["attrs"]["path"] for span in spans} == {"ingest"}
+        assert all(span["attrs"]["rows"] > 0 for span in spans)
+
+
+# ---------------------------------------------------------------------------
 # Overhead guard: a disabled trace never touches real instrumentation
 # ---------------------------------------------------------------------------
 

@@ -51,6 +51,9 @@ class TestDirection:
             ("delta_contiguous.block_rows_per_second", 1),
             ("by_fanout.16.row_rows_per_second", 1),
             ("delta_sparse.block_vs_row_speedup", 1),
+            ("comparison_filtered.block_rows_per_second", 1),
+            ("comparison_filtered.row_rows_per_second", 1),
+            ("comparison_filtered.rows_survived", 0),
             # e15 ledger leaves (BENCH_e15_pipeline.json): unit-suffixed
             # names, each metric's number under ``.value``.
             ("workloads.running-dsl.untraced.metrics.setup_s.value", -1),
