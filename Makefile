@@ -39,7 +39,7 @@ example:
 batch:
 	$(PYTHON) -m repro.cli batch mixed --cache-dir .grom-cache --results batch-results.jsonl
 
-# The merge paths of the parallel chase, the branch racer and the
+# The merge paths of the parallel chase, the greedy ded sweep and the
 # flight recorder promise bit-identical output; the AST lint rejects
 # raw set iteration there.  ruff runs too when present (CI always has
 # it; the dev container may not).

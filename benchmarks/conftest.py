@@ -1,4 +1,4 @@
-"""Shared helpers for the experiment benchmarks (E1–E7).
+"""Shared helpers for the experiment benchmarks (E2–E14).
 
 Each benchmark module reproduces one experiment from DESIGN.md §4 and
 prints the table EXPERIMENTS.md records.  ``pytest benchmarks/
@@ -28,11 +28,6 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if here in pathlib.Path(str(item.fspath)).resolve().parents:
             item.add_marker(pytest.mark.bench)
-
-
-@pytest.fixture(scope="session")
-def running_rewritten():
-    return rewrite(build_scenario())
 
 
 @pytest.fixture(scope="session")
@@ -68,8 +63,8 @@ def parallel_speedup_gate(workers: int, base_floor: float):
     base floor scaled by ``min(workers, cpus) / workers`` — a 4-worker
     bench on a 2-CPU runner can at best halve its wall clock, so
     holding it to the 4-CPU floor measured runner shape, not
-    parallelism (the recorded e11/e12 bug: the 1-CPU CI runner ran the
-    parallel tiers *below* 1x serial against a >= 1.5x assert).  The
+    parallelism (the recorded e11 bug: the 1-CPU CI runner ran the
+    parallel tier *below* 1x serial against a >= 1.5x assert).  The
     floor never drops below 1.1 (parallel must still beat serial by a
     margin), and is ``None`` below 2 usable CPUs, where no speedup is
     physically possible — callers must then log an explicit skip line

@@ -19,6 +19,9 @@ from conftest import print_experiment_table, quick_mode, record_bench_json
 
 SIZES = [100, 500, 1000, 2000]
 QUICK_SIZES = [100, 500]
+# Each size's time is the best of this many runs: one GC pause or a
+# noisy neighbour inflates a single run, never all of them.
+REPEATS = 3
 
 
 @pytest.mark.parametrize("products", SIZES)
@@ -49,9 +52,11 @@ def test_report_e2(benchmark, running_rewritten_no_key):
             running_rewritten_no_key.dependencies,
             running_rewritten_no_key.source_relations(),
         )
-        start = time.perf_counter()
-        result = engine.run(source)
-        elapsed = time.perf_counter() - start
+        elapsed = float("inf")
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            result = engine.run(source)
+            elapsed = min(elapsed, time.perf_counter() - start)
         times[products] = elapsed
         table.add(
             products,
@@ -67,12 +72,14 @@ def test_report_e2(benchmark, running_rewritten_no_key):
         {
             "quick": quick_mode(),
             "seconds_by_products": {str(k): v for k, v in times.items()},
+            "timing": f"best of {REPEATS}",
         },
     )
-    # Shape check: the compiled evaluator keeps the chase near-linear —
-    # growing the data by Nx may cost at most ~1.3Nx the time (1.3x
-    # headroom for cache effects), plus a small absolute floor so timer
-    # noise on tiny runs cannot flake the bound.  This runs in quick
-    # (CI) mode too, so a superlinear regression fails the smoke job.
+    # Shape check on the best-of-REPEATS times: the compiled evaluator
+    # keeps the chase near-linear — growing the data by Nx may cost at
+    # most ~1.3Nx the time (1.3x headroom for cache effects), plus a
+    # small absolute floor so timer noise on tiny runs cannot flake the
+    # bound.  This runs in quick (CI) mode too, so a superlinear
+    # regression fails the smoke job.
     fact_ratio = sizes[-1] / sizes[0]
     assert times[sizes[-1]] <= times[sizes[0]] * fact_ratio * 1.3 + 0.05, times

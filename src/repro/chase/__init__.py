@@ -23,17 +23,9 @@ from repro.chase.parallel import (
     MatchSharder,
     ProcessSharder,
     chase_worker_budget,
-    compose_parallelism,
     create_sharder,
     effective_parallelism,
     parse_parallelism,
-)
-from repro.chase.race import (
-    BranchOutcome,
-    ProcessRacer,
-    RaceResult,
-    SerialRacer,
-    create_racer,
 )
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
 from repro.chase.universal import core_of, is_universal_for, satisfies, violations
@@ -48,12 +40,6 @@ __all__ = [
     "parse_parallelism",
     "chase_worker_budget",
     "effective_parallelism",
-    "compose_parallelism",
-    "BranchOutcome",
-    "RaceResult",
-    "SerialRacer",
-    "ProcessRacer",
-    "create_racer",
     "ChaseResult",
     "ChaseStats",
     "ChaseStatus",

@@ -22,22 +22,37 @@ before larger ones — and the first scenario that chases to success wins.
 The paper's Section 4 observation that "many of the generated scenarios
 fail and new ones need to be executed" on intricate constraints is
 directly observable through :attr:`ChaseResult.scenarios_tried`.
+
+**Nogood pruning.**  Most of those failures repeat an earlier one
+exactly, and the sweep skips them.  A derived scenario's run is
+deterministic, and a ded's branch choice can only change the run at the
+moment that ded *enforces*: satisfaction checks see every disjunct.
+Let ``F(S)`` be the (ded, branch) pairs of the deds that enforced at
+least once while selection ``S`` ran.  A selection that agrees with
+``S`` on ``F(S)`` replays ``S`` step by step — by induction, every ded
+that enforces in it enforces in ``S`` at the same step, on the same
+branch — so when ``S`` failed, it fails with the same status,
+statistics, target and failure reason.  The sweep keeps one *nogood*
+per failed run and answers a matching selection from it instead of
+chasing: the selection still counts in ``scenarios_tried``, its
+statistics still join the aggregate, and its ``branch_timings`` entry
+says ``pruned``.  Every result is therefore bit-identical to the
+unpruned sweep, which survives only as the test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chase.compiled import compile_dependencies
 from repro.chase.engine import ChaseConfig, StandardChase
-from repro.chase.parallel import create_sharder, effective_parallelism
+from repro.chase.parallel import create_sharder
 from repro.analysis.termination import TerminationReport
-from repro.chase.race import ProcessRacer, create_racer
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
-from repro.obs.recorder import TraceConfig, resolve_recorder
+from repro.obs.recorder import resolve_recorder
 from repro.logic.dependencies import Dependency, Disjunct
 from repro.relational.instance import Instance
 
@@ -62,20 +77,42 @@ class _DedInfo:
     branch_order: List[int]
 
 
+@dataclass
+class _Nogood:
+    """What one failed selection proves about later ones.
+
+    ``pairs`` are the (ded, branch) pairs that enforced in the failed
+    run; any selection agreeing with them fails with ``status`` and
+    ``stats``.  ``result`` keeps the failed run itself only when it
+    covers the sweep's final selection — the one repeat whose target
+    and reason an exhausted sweep returns — so the nogoods of a long
+    sweep do not keep one working store alive per failure.
+    """
+
+    pairs: Tuple[Tuple[int, int], ...]
+    status: ChaseStatus
+    stats: ChaseStats
+    result: Optional[ChaseResult] = None
+
+    def covers(self, selection: Tuple[int, ...]) -> bool:
+        return all(selection[ded] == branch for ded, branch in self.pairs)
+
+
 def _branch_timing(
     index: int,
     selection: Tuple[int, ...],
-    result: ChaseResult,
+    status: ChaseStatus,
     seconds: float,
-    worker: str,
+    pruned: bool = False,
 ) -> Dict[str, object]:
     """One derived scenario's entry in ``ChaseResult.branch_timings``."""
     return {
         "index": index,
         "selection": list(selection),
-        "status": str(result.status),
+        "status": str(status),
         "seconds": seconds,
-        "worker": worker,
+        "worker": "serial",
+        "pruned": pruned,
     }
 
 
@@ -174,48 +211,30 @@ class GreedyDedChase:
         Returns the first successful result (annotated with the winning
         selection and the number of scenarios tried), or the FAILURE
         result of the last attempt when all scenarios fail or the budget
-        is exhausted.
-
-        When ``config.branch_parallelism`` asks for workers, the derived
-        scenarios *race* on forked workers (:mod:`repro.chase.race`): the
-        winner is the lowest selection in canonical order that succeeds,
-        so status, target, statistics and ``scenarios_tried`` are
-        bit-identical to the serial sweep; losers past the winner are
-        cancelled early.  A caller that cannot fork runs the serial
-        sweep, and ``branch_racing`` stays ``serial``.
+        is exhausted.  Selections that repeat an earlier failure are
+        answered from its nogood (see the module docstring), so the
+        result is bit-identical to chasing every selection.
 
         ``recorder`` follows the engine convention: an external recorder
         keeps the trace; otherwise one is built from ``config.trace``
-        and its payload lands on ``ChaseResult.trace``.  Raced branches
-        always record into their own recorder and ship the payload home
-        on the branch result (over the racer's existing pickle channel);
-        the parent folds the payloads in canonical selection order, so
-        the merged trace is deterministic and structurally identical to
-        the serial sweep's.
+        and its payload lands on ``ChaseResult.trace``.
         """
         rec = resolve_recorder(recorder, self.config.trace)
         owned_rec = recorder is None and rec.enabled
         selections = list(
             itertools.islice(self.selections(), self.max_scenarios)
         )
-        racer = create_racer(self.config.branch_parallelism)
-        with rec.span(
-            "chase.search",
-            selections=len(selections),
-            racing=self.config.branch_parallelism,
-        ):
-            if isinstance(racer, ProcessRacer) and len(selections) > 1:
-                result = self._run_raced(
-                    racer, selections, source_instance, target_instance, rec
-                )
-            else:
-                result = self._run_serial(
-                    selections, source_instance, target_instance, rec
-                )
+        with rec.span("chase.search", selections=len(selections)) as span:
+            result = self._sweep(
+                selections, source_instance, target_instance, rec
+            )
+            if rec.enabled:
+                span.annotate(pruned=result.scenarios_pruned)
+                rec.count("search.pruned", result.scenarios_pruned)
         result.trace = rec.to_payload() if owned_rec else None
         return result
 
-    def _run_serial(
+    def _sweep(
         self,
         selections: List[Tuple[int, ...]],
         source_instance: Instance,
@@ -226,7 +245,10 @@ class GreedyDedChase:
         aggregate = ChaseStats()
         last: Optional[ChaseResult] = None
         timings: List[Dict[str, object]] = []
-        tried = 0
+        nogoods: List[_Nogood] = []
+        final_covered = False
+        offset = len(self.standard)
+        tried = pruned = 0
         # One sharder serves the whole selection sweep: every derived
         # scenario shares the compiled plans, so the worker fan-out is
         # configured once and re-armed per run (begin_run/end_run).
@@ -234,6 +256,21 @@ class GreedyDedChase:
         try:
             for selection in selections:
                 tried += 1
+                step = time.perf_counter()
+                nogood = next(
+                    (n for n in nogoods if n.covers(selection)), None
+                )
+                if nogood is not None:
+                    pruned += 1
+                    timings.append(
+                        _branch_timing(
+                            tried - 1, selection, nogood.status,
+                            time.perf_counter() - step, pruned=True,
+                        )
+                    )
+                    aggregate = aggregate.merge(nogood.stats)
+                    last = nogood.result
+                    continue
                 dependencies, choice = self.scenario_for(selection)
                 engine = StandardChase(
                     dependencies,
@@ -244,28 +281,38 @@ class GreedyDedChase:
                     sharder=sharder,
                     termination=self.termination,
                 )
-                step = time.perf_counter()
                 result = engine.run(
                     source_instance, target_instance, recorder=rec
                 )
                 seconds = time.perf_counter() - step
                 timings.append(
-                    _branch_timing(tried - 1, selection, result, seconds, "serial")
+                    _branch_timing(tried - 1, selection, result.status, seconds)
                 )
-                rec.observe("race.branch_seconds", seconds)
+                rec.observe("search.branch_seconds", seconds)
                 aggregate = aggregate.merge(result.stats)
                 if result.ok:
                     result.stats = aggregate
                     result.stats.elapsed_seconds = time.perf_counter() - start
                     result.scenarios_tried = tried
+                    result.scenarios_pruned = pruned
                     result.branch_selection = {
                         info.dependency.describe(): branch
                         for info, branch in zip(self._infos, selection)
                     }
                     result.branch_timings = timings
                     return result
+                pairs = tuple(
+                    (position - offset, selection[position - offset])
+                    for position in sorted(result.enforced)
+                    if position >= offset
+                )
+                nogood = _Nogood(pairs, result.status, result.stats)
+                if not final_covered and nogood.covers(selections[-1]):
+                    nogood.result = result
+                    final_covered = True
+                nogoods.append(nogood)
                 last = result
-            if last is None:  # no scenario budget?  run the standard part once
+            if not selections:  # no scenario budget: chase the standard part
                 engine = StandardChase(
                     self.standard,
                     self.source_relations,
@@ -280,113 +327,29 @@ class GreedyDedChase:
                 )
                 timings.append(
                     _branch_timing(
-                        0, (), last, time.perf_counter() - step, "serial"
+                        0, (), last.status, time.perf_counter() - step
                     )
                 )
                 tried = 1
         finally:
             sharder.close()
-        return self._finish_failure(last, aggregate, tried, start, timings)
-
-    def _run_raced(
-        self,
-        racer: ProcessRacer,
-        selections: List[Tuple[int, ...]],
-        source_instance: Instance,
-        target_instance: Optional[Instance],
-        rec,
-    ) -> ChaseResult:
-        start = time.perf_counter()
-        # Branches record into their own recorder (one per process) and
-        # ship the payload on the result; make sure the branch config asks
-        # for one whenever this sweep is being traced at all (the trace
-        # may have been handed down as an external recorder).
-        branch_trace = self.config.trace
-        if rec.enabled and (branch_trace is None or not branch_trace.enabled):
-            branch_trace = TraceConfig(enabled=True)
-        # Every raced branch chases under the shared CPU budget: its
-        # intra-chase shards divide the per-branch share, and nested
-        # racing is off (one level of fan-out is the whole budget).
-        inner_config = replace(
-            self.config,
-            parallelism=effective_parallelism(
-                self.config.parallelism, jobs=racer.workers
-            ),
-            branch_parallelism="serial",
-            trace=branch_trace,
+        return self._finish_failure(
+            last, aggregate, tried, pruned, start, timings
         )
-        # Forked race workers inherit the sweep's compiled plans
-        # copy-on-write, so every branch reuses ``self._compiled``.
-
-        def run_selection(index: int) -> ChaseResult:
-            dependencies, choice = self.scenario_for(selections[index])
-            engine = StandardChase(
-                dependencies,
-                self.source_relations,
-                inner_config,
-                branch_choice=choice,
-                compiled=self._compiled,
-                termination=self.termination,
-            )
-            return engine.run(source_instance, target_instance)
-
-        race = racer.race(
-            len(selections), run_selection, success=lambda r: r.ok
-        )
-        ordered = race.ordered()
-        timings = [
-            _branch_timing(
-                outcome.index,
-                selections[outcome.index],
-                outcome.result,
-                outcome.seconds,
-                outcome.worker,
-            )
-            for outcome in ordered
-        ]
-        aggregate = ChaseStats()
-        for outcome in ordered:
-            aggregate = aggregate.merge(outcome.result.stats)
-        if rec.enabled:
-            # Fold branch traces home in canonical selection order: the
-            # merged span sequence matches what the serial sweep records.
-            for outcome in ordered:
-                rec.merge_payload(outcome.result.trace, worker=outcome.worker)
-                outcome.result.trace = None
-                rec.observe("race.branch_seconds", outcome.seconds)
-            rec.count("race.branches", len(ordered))
-            rec.count("race.skipped", len(selections) - race.tried)
-        if race.winner is not None:
-            selection = selections[race.winner]
-            result = race.outcomes[race.winner].result
-            result.stats = aggregate
-            result.stats.elapsed_seconds = time.perf_counter() - start
-            result.scenarios_tried = race.tried
-            result.branch_selection = {
-                info.dependency.describe(): branch
-                for info, branch in zip(self._infos, selection)
-            }
-            result.branch_racing = racer.describe()
-            result.branch_timings = timings
-            return result
-        last = race.outcomes[len(selections) - 1].result
-        result = self._finish_failure(
-            last, aggregate, race.tried, start, timings
-        )
-        result.branch_racing = racer.describe()
-        return result
 
     def _finish_failure(
         self,
         last: ChaseResult,
         aggregate: ChaseStats,
         tried: int,
+        pruned: int,
         start: float,
         timings: List[Dict[str, object]],
     ) -> ChaseResult:
         last.stats = aggregate.merge(ChaseStats())
         last.stats.elapsed_seconds = time.perf_counter() - start
         last.scenarios_tried = tried
+        last.scenarios_pruned = pruned
         last.branch_timings = timings
         if last.status is ChaseStatus.SUCCESS:
             return last

@@ -17,10 +17,8 @@ failure, denial, or a ded firing with no applicable disjunct).
 
 The tree runs serially, depth-first: leaves are counted, models
 collected and the shared null factory advanced in DFS order, which is
-what makes the result deterministic.  ``ChaseConfig.parallelism`` and
-``branch_parallelism`` do not apply here — tree nodes are small and
-many, and the greedy chase (:mod:`repro.chase.ded`) is where racing
-pays.
+what makes the result deterministic.  ``ChaseConfig.parallelism``
+does not apply here — tree nodes are small and many.
 """
 
 from __future__ import annotations
@@ -108,7 +106,6 @@ class DisjunctiveChase:
             base,
             keep_working=True,
             parallelism="serial",
-            branch_parallelism="serial",
             trace=None,
         )
         self.trace_config = base.trace

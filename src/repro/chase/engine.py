@@ -93,15 +93,6 @@ class ChaseConfig:
     canonically-ordered merge, so every mode produces bit-identical
     instances and null resolutions."""
 
-    branch_parallelism: str = "serial"
-    """How the greedy ded sweep races its derived scenarios:
-    ``serial`` (default) or ``process[:N]`` / ``N`` (forked workers).
-    Winner selection is canonical (lowest selection index), so results
-    are bit-identical to the serial sweep — see :mod:`repro.chase.race`.
-    A caller that cannot fork sweeps serially; the exhaustive
-    :class:`~repro.chase.disjunctive.DisjunctiveChase` is always
-    serial."""
-
     trace: Optional[TraceConfig] = None
     """Flight-recorder knobs (:class:`repro.obs.TraceConfig`).  ``None``
     or a disabled config means the chase runs uninstrumented — every
@@ -497,6 +488,9 @@ class StandardChase:
         stats = ChaseStats()
         status = ChaseStatus.SUCCESS
         reason = ""
+        # Dependency positions that enforced at least once: the greedy
+        # ded sweep's nogoods are built from the deds among them.
+        self._enforced: Set[int] = set()
         sharder = self._sharder
         owned = sharder is None
         if owned:
@@ -537,6 +531,7 @@ class StandardChase:
             sharding=sharder.describe(),
             guards="dropped" if self._unguarded else "enforced",
             trace=rec.to_payload() if owned_rec else None,
+            enforced=frozenset(self._enforced),
         ).defer_target(
             working,
             self.source_relations,
@@ -768,8 +763,8 @@ class StandardChase:
                 elif compiled.satisfied(resolved, working):
                     continue
                 self._enforce_disjunct(
-                    dependency, chosen, resolved, working, factory, stats,
-                    null_map,
+                    index, dependency, chosen, resolved, working, factory,
+                    stats, null_map,
                 )
             if track_events:
                 sharder.record_new_facts(working.facts_since(mark))
@@ -782,6 +777,7 @@ class StandardChase:
 
     def _enforce_disjunct(
         self,
+        index: int,
         dependency: Dependency,
         disjunct: Disjunct,
         binding: Dict[Variable, Term],
@@ -790,6 +786,7 @@ class StandardChase:
         stats: ChaseStats,
         null_map: _NullMap,
     ) -> None:
+        self._enforced.add(index)
         # 1. Comparisons are checks: failing means this (only) branch is
         #    impossible, i.e. the scenario fails here.
         for comparison in disjunct.comparisons:
@@ -921,6 +918,7 @@ class StandardChase:
         stats: ChaseStats,
         null_map: _EncodedNullMap,
     ) -> None:
+        self._enforced.add(index)
         kernel = self.compiled[index].disjunct_kernel(chosen_index, working.pool)
         # 1. Comparisons are checks: failing means this (only) branch is
         #    impossible, i.e. the scenario fails here.

@@ -62,7 +62,6 @@ __all__ = [
     "parse_parallelism",
     "chase_worker_budget",
     "effective_parallelism",
-    "compose_parallelism",
 ]
 
 _MODE_ALIASES = {
@@ -149,28 +148,6 @@ def effective_parallelism(
     if workers <= 1:
         return "serial"
     return f"{mode}:{workers}"
-
-
-def compose_parallelism(
-    jobs: int, branch_spec, chase_spec, cpu_count: Optional[int] = None
-) -> Tuple[str, str]:
-    """Canonical (branch, chase) parallelism under one shared CPU budget.
-
-    Three tiers draw from the same ``cpu_count``: concurrent batch tasks
-    (``jobs``), branch racers inside each task's disjunctive search, and
-    match shards inside each raced chase.  The invariant is
-    ``jobs × branch workers × chase workers ≤ cpu_count`` — branch
-    workers get the per-job share first (racing whole scenarios
-    dominates sharding single joins), and chase shards divide whatever
-    remains.
-    """
-    cpu = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    branch = effective_parallelism(branch_spec, jobs, cpu)
-    _mode, branch_workers = parse_parallelism(branch)
-    chase = effective_parallelism(
-        chase_spec, max(1, jobs) * max(1, branch_workers), cpu
-    )
-    return branch, chase
 
 
 def can_fork() -> bool:

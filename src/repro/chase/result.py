@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance
@@ -103,16 +103,16 @@ class ChaseResult:
     — see :mod:`repro.chase.parallel`); ``serial`` too when a process
     spec fell back because the caller could not fork."""
 
-    branch_racing: str = "serial"
-    """How the disjunctive search raced its derived scenarios
-    (``serial`` or ``process:N`` — see :mod:`repro.chase.race`);
-    ``serial`` too when a process spec fell back because the caller
-    could not fork."""
+    scenarios_pruned: int = 0
+    """How many of the ``scenarios_tried`` selections the greedy ded
+    sweep answered from a nogood instead of chasing them (see
+    :mod:`repro.chase.ded`)."""
 
     branch_timings: Optional[List[Dict[str, object]]] = None
     """Per derived-scenario timings of the greedy ded sweep, in
     canonical selection order up to the winner: ``index``, ``selection``,
-    ``status``, ``seconds`` and the ``worker`` that chased it."""
+    ``status``, ``seconds``, the ``worker`` that chased it and whether
+    it was ``pruned`` (answered from a nogood, not chased)."""
 
     guards: str = "enforced"
     """``enforced`` when the run kept its step budget and bounded
@@ -123,9 +123,12 @@ class ChaseResult:
     trace: Optional[Dict[str, object]] = None
     """Flight-recorder payload (spans + metric snapshot) when the run
     owned its recorder — i.e. tracing was enabled via ``config.trace``
-    and no external recorder was passed in.  Raced branches use this
-    field to ship their trace across the process boundary: the payload
-    is plain picklable data (see :meth:`repro.obs.FlightRecorder.to_payload`)."""
+    and no external recorder was passed in.  The payload is plain
+    picklable data (see :meth:`repro.obs.FlightRecorder.to_payload`)."""
+
+    enforced: FrozenSet[int] = frozenset()
+    """Positions (in the chased dependency list) of the dependencies
+    that enforced a conclusion at least once during the run."""
 
     @property
     def ok(self) -> bool:

@@ -109,13 +109,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
              "process[:N] / N forked workers",
     )
     chase_cmd.add_argument(
-        "--branch-parallelism", default="serial", metavar="MODE",
-        type=_parallelism_spec,
-        help="race the disjunctive search's derived scenarios: serial "
-             "(default) or process[:N] / N forked workers; results are "
-             "bit-identical to the serial sweep",
-    )
-    chase_cmd.add_argument(
         "--kernel", default="columnar", choices=("columnar", "reference"),
         metavar="KERNEL",
         help="working-instance storage: columnar (interned struct-of-"
@@ -159,15 +152,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
         "--parallelism", default="serial", metavar="MODE",
         type=_parallelism_spec,
         help="intra-chase sharding per task (serial, process[:N] or N); "
-             "capped so branch workers x chase workers <= cpu count; "
-             "serial under --jobs > 1, whose pool workers cannot fork",
-    )
-    batch.add_argument(
-        "--branch-parallelism", default="serial", metavar="MODE",
-        type=_parallelism_spec,
-        help="branch racing of each task's disjunctive search (serial, "
-             "process[:N] or N); shares the cpu budget with "
-             "--parallelism; serial under --jobs > 1",
+             "capped at the cpu count; serial under --jobs > 1, whose "
+             "pool workers cannot fork",
     )
     batch.add_argument(
         "--timeout", type=float, default=None,
@@ -346,12 +332,10 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     config = (
         ChaseConfig(
             parallelism=args.parallelism,
-            branch_parallelism=args.branch_parallelism,
             kernel=args.kernel,
             trace=trace_config,
         )
         if args.parallelism != "serial"
-        or args.branch_parallelism != "serial"
         or args.kernel != "columnar"
         or trace_config is not None
         else None
@@ -378,11 +362,10 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     print(f"rewriting: {outcome.rewrite!r}")
     print(f"chase:     {outcome.chase}")
     print(f"sharding:  {outcome.chase.sharding}")
-    if outcome.chase.branch_racing != "serial":
-        print(f"racing:    {outcome.chase.branch_racing}")
     if outcome.chase.branch_selection:
         print(f"branches:  {outcome.chase.branch_selection} "
-              f"(after {outcome.chase.scenarios_tried} scenarios)")
+              f"(after {outcome.chase.scenarios_tried} scenarios, "
+              f"{outcome.chase.scenarios_pruned} pruned)")
     if outcome.verification is not None:
         print(f"verify:    {outcome.verification}")
     if args.show_target and outcome.chase.ok:
@@ -439,7 +422,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     options = BatchOptions(
         jobs=args.jobs,
         parallelism=args.parallelism,
-        branch_parallelism=args.branch_parallelism,
         timeout=args.timeout,
         verify=not args.no_verify,
         max_scenarios=args.max_scenarios,

@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` per recorder unifies the statistics that
 used to live in per-subsystem ad-hoc objects — chase
 :class:`~repro.chase.result.ChaseStats` counters, plan-cache compile
-counts, rewrite-cache hit/miss tallies, racer branch timings — under
+counts, rewrite-cache hit/miss tallies, ded-search branch timings — under
 one namespace:
 
 * ``chase.*``   — semantic chase counters; **bit-identical across
@@ -14,7 +14,8 @@ one namespace:
 * ``instance.*`` — storage-side counters (index builds).
 * ``datalog.*`` — semi-naive materialization passes and derived facts.
 * ``cache.*``   — rewrite-cache behaviour.
-* ``race.*``    — branch-race bookkeeping.
+* ``search.*``  — greedy ded sweep bookkeeping (branch timings,
+  selections answered from a nogood).
 
 Histograms keep exact ``count``/``sum``/``min``/``max`` and a bounded
 sample buffer for quantiles (first ``sample_cap`` observations; the

@@ -108,8 +108,7 @@ class FlightRecorder:
         span, counters/histograms add, gauges take the incoming value.
 
         Deterministic as long as the caller merges workers in a fixed
-        order (connection order for the sharder, canonical branch order
-        for the race) — which they do.
+        order (connection order for the sharder) — which it does.
         """
         if not payload:
             return

@@ -182,8 +182,8 @@ def run_rewritten(
 
     # Strip and verify on the chase's encoded store; the rows decode
     # exactly once, into ``PipelineResult.target``.  A result that was
-    # already decoded (a branch raced in another process, or the
-    # reference kernel) is stripped and verified decoded instead.
+    # already decoded (the reference kernel) is stripped and verified
+    # decoded instead.
     stripped = chase_result.encoded_target(
         keep=lambda relation: not relation.startswith(AUX_PREFIX)
     )

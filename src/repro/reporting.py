@@ -103,7 +103,6 @@ def batch_summary_table(report: "BatchReport") -> Table:
     table.add("scenarios", summary.total)
     table.add("mode", f"{report.mode} (jobs={report.jobs})")
     table.add("chase sharding", report.parallelism)
-    table.add("branch racing", report.branch_parallelism)
     table.add("succeeded", summary.succeeded)
     table.add("chase failures", summary.failed)
     table.add("nonterminated", summary.nonterminated)
@@ -120,6 +119,10 @@ def batch_summary_table(report: "BatchReport") -> Table:
         table.add("termination classes", classes)
     if summary.dead_dependencies:
         table.add("dead dependencies", summary.dead_dependencies)
+    table.add(
+        "scenarios pruned",
+        f"{summary.scenarios_pruned}/{summary.scenarios_tried}",
+    )
     if summary.analysis_errors or summary.analysis_warnings:
         table.add(
             "lint diagnostics",

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.chase.engine import ChaseConfig
-from repro.chase.parallel import compose_parallelism, parse_parallelism
+from repro.chase.parallel import effective_parallelism, parse_parallelism
 from repro.core.rewriter import rewrite
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder
 from repro.pipeline import run_rewritten
@@ -59,13 +59,7 @@ class BatchOptions:
     ``process[:N]``).  Only an in-process (``jobs=1``) run forks shards:
     pool workers are daemonic and may not fork, so pooled tasks chase
     serial and the report's ``note`` says so.  :func:`run_batch` caps
-    it against ``os.cpu_count()`` together with ``branch_parallelism``
-    (``branch workers × chase workers ≤ os.cpu_count()``)."""
-    branch_parallelism: str = "serial"
-    """Requested branch racing of each task's disjunctive search
-    (``serial``, ``process[:N]``).  Runs serial in pooled tasks, like
-    ``parallelism``; in-process, branch workers take the CPU budget
-    first and chase shards divide the remainder."""
+    it at ``os.cpu_count()``."""
     timeout: Optional[float] = None
     """Per-task wall-clock budget in seconds (needs ``SIGALRM``)."""
     verify: bool = True
@@ -98,9 +92,6 @@ class BatchReport:
     parallelism: str = "serial"
     """Effective intra-chase sharding after the shared worker budget
     (always ``serial`` for a pooled run)."""
-    branch_parallelism: str = "serial"
-    """Effective branch-race fan-out after the shared worker budget
-    (always ``serial`` for a pooled run)."""
     cache_stats: Optional[CacheStats] = None
     """Parent-process cache counters (serial runs only; pooled workers
     keep their own — use the per-record ``cache_hit`` flags, which are
@@ -112,7 +103,6 @@ class BatchReport:
             self.records,
             wall_seconds=self.wall_seconds,
             parallelism=self.parallelism,
-            branch_parallelism=self.branch_parallelism,
         )
 
 
@@ -184,15 +174,10 @@ def _execute(
         family=spec.family,
         params=spec.params_dict(),
         parallelism=options.parallelism,
-        branch_parallelism=options.branch_parallelism,
     )
     chase_config = (
-        ChaseConfig(
-            parallelism=options.parallelism,
-            branch_parallelism=options.branch_parallelism,
-        )
+        ChaseConfig(parallelism=options.parallelism)
         if options.parallelism != "serial"
-        or options.branch_parallelism != "serial"
         else None
     )
     recorder = FlightRecorder() if options.trace else NULL_RECORDER
@@ -259,6 +244,7 @@ def _execute(
             record.target_facts = len(outcome.target)
             record.rounds = outcome.chase.stats.rounds
             record.scenarios_tried = outcome.chase.scenarios_tried
+            record.scenarios_pruned = outcome.chase.scenarios_pruned
             record.nulls_created = outcome.chase.stats.nulls_created
             record.branch_timings = outcome.chase.branch_timings
             record.guards = outcome.chase.guards
@@ -384,27 +370,13 @@ def run_batch(
     start = time.perf_counter()
     mode = "serial"
     parallelism = "serial"
-    branch_parallelism = "serial"
     if jobs > 1 and len(specs) > 1:
         # Pool workers are daemonic and may not fork, so each task's
-        # branch race and chase run serial; say so up front instead of
-        # letting every task fall back on its own.
-        degraded = [
-            name
-            for name, spec in (
-                ("branch racing", options.branch_parallelism),
-                ("intra-chase sharding", options.parallelism),
-            )
-            if parse_parallelism(spec)[0] != "serial"
-        ]
-        if degraded:
-            note = (
-                f"pool workers cannot fork; {' and '.join(degraded)} "
-                f"run serial"
-            )
-        pooled_options = replace(
-            options, parallelism="serial", branch_parallelism="serial"
-        )
+        # chase runs serial; say so up front instead of letting every
+        # task fall back on its own.
+        if parse_parallelism(options.parallelism)[0] != "serial":
+            note = "pool workers cannot fork; intra-chase sharding runs serial"
+        pooled_options = replace(options, parallelism="serial")
         try:
             records = _run_pool(corpus.name, specs, pooled_options, jobs)
             mode = "pool"
@@ -412,14 +384,10 @@ def run_batch(
             note = f"{exc}; degraded to serial"
             records = None
     if records is None:
-        branch_parallelism, parallelism = compose_parallelism(
-            1, options.branch_parallelism, options.parallelism, cpu_count
+        parallelism = effective_parallelism(
+            options.parallelism, jobs=1, cpu_count=cpu_count
         )
-        serial_options = replace(
-            options,
-            parallelism=parallelism,
-            branch_parallelism=branch_parallelism,
-        )
+        serial_options = replace(options, parallelism=parallelism)
         if cache is None and options.use_cache:
             cache = RewriteCache(
                 capacity=options.cache_capacity, directory=options.cache_dir
@@ -443,6 +411,5 @@ def run_batch(
         jobs=jobs_used,
         note=note,
         parallelism=parallelism,
-        branch_parallelism=branch_parallelism,
         cache_stats=cache.stats if cache is not None else None,
     )

@@ -55,13 +55,10 @@ class TaskRecord:
     """Effective intra-chase sharding for this task (``serial`` or
     ``process:N``) after the shared worker budget; ``serial`` in a
     pooled run, whose workers may not fork."""
-    branch_parallelism: str = "serial"
-    """Effective branch-race fan-out of the disjunctive search for this
-    task, after the shared worker budget."""
     branch_timings: Optional[List[Dict[str, object]]] = None
     """Per derived-scenario timings from the greedy ded sweep (canonical
     selection order up to the winner): ``index``, ``selection``,
-    ``status``, ``seconds``, ``worker``."""
+    ``status``, ``seconds``, ``worker``, ``pruned``."""
 
     cache_hit: bool = False
     build_seconds: float = 0.0
@@ -75,6 +72,9 @@ class TaskRecord:
     target_facts: int = 0
     rounds: int = 0
     scenarios_tried: int = 0
+    scenarios_pruned: int = 0
+    """Of ``scenarios_tried``, the selections the greedy ded sweep
+    answered from a nogood instead of chasing them."""
     nulls_created: int = 0
 
     termination_class: str = ""
@@ -152,8 +152,10 @@ class BatchSummary:
     wall_seconds: float = 0.0
     parallelism: str = "serial"
     """Intra-chase sharding mode the run's tasks used."""
-    branch_parallelism: str = "serial"
-    """Branch-race fan-out the run's disjunctive searches used."""
+    scenarios_tried: int = 0
+    """Greedy ded sweep selections summed over the run's tasks."""
+    scenarios_pruned: int = 0
+    """Of ``scenarios_tried``, those answered from a nogood."""
     proven_terminating: int = 0
     """Tasks whose scenario the static analyzer proved terminating."""
     guards_dropped: int = 0
@@ -198,14 +200,9 @@ def summarize(
     records: Iterable[TaskRecord],
     wall_seconds: float = 0.0,
     parallelism: str = "serial",
-    branch_parallelism: str = "serial",
 ) -> BatchSummary:
     """Fold task records into one :class:`BatchSummary`."""
-    summary = BatchSummary(
-        wall_seconds=wall_seconds,
-        parallelism=parallelism,
-        branch_parallelism=branch_parallelism,
-    )
+    summary = BatchSummary(wall_seconds=wall_seconds, parallelism=parallelism)
     phase_samples: Dict[str, List[float]] = {
         "build": [],
         "rewrite": [],
@@ -241,6 +238,8 @@ def summarize(
         if record.guards == "dropped":
             summary.guards_dropped += 1
         summary.dead_dependencies += record.dead_dependencies
+        summary.scenarios_tried += record.scenarios_tried
+        summary.scenarios_pruned += record.scenarios_pruned
         summary.analysis_errors += record.analysis_errors
         summary.analysis_warnings += record.analysis_warnings
         summary.rewrite_seconds += record.rewrite_seconds

@@ -78,14 +78,13 @@ class TestCli:
         assert main(["chase", str(path)]) == 1
 
     @pytest.mark.parametrize("spec", ["bogus", "thread:2"])
-    @pytest.mark.parametrize("flag", ["--parallelism", "--branch-parallelism"])
     @pytest.mark.parametrize("command", ["chase", "batch"])
     def test_bad_parallelism_is_a_usage_error(
-        self, scenario_file, capsys, command, flag, spec
+        self, scenario_file, capsys, command, spec
     ):
         target = str(scenario_file) if command == "chase" else "smoke"
         with pytest.raises(SystemExit) as info:
-            main([command, target, flag, spec])
+            main([command, target, "--parallelism", spec])
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err

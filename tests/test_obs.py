@@ -33,6 +33,7 @@ from repro.pipeline import run_scenario
 from repro.runtime.cache import RewriteCache
 from repro.runtime.executor import BatchOptions, run_batch
 from repro.runtime.corpus import get_corpus
+from repro.scenarios.generators import flagged_case
 from repro.scenarios.running_example import (
     build_scenario,
     generate_source_instance,
@@ -341,13 +342,16 @@ class TestProfile:
 # ---------------------------------------------------------------------------
 
 
-def _traced_pipeline(parallelism, branch_parallelism="serial"):
-    scenario = build_scenario()
-    source = generate_source_instance(products=25, seed=3, benign_name_pairs=1)
+def _traced_pipeline(parallelism, built=None):
+    if built is None:
+        scenario = build_scenario()
+        source = generate_source_instance(
+            products=25, seed=3, benign_name_pairs=1
+        )
+    else:
+        scenario, source = built.scenario, built.instance
     config = ChaseConfig(
-        parallelism=parallelism,
-        branch_parallelism=branch_parallelism,
-        trace=TraceConfig(enabled=True),
+        parallelism=parallelism, trace=TraceConfig(enabled=True)
     )
     outcome = run_scenario(scenario, source, config=config)
     assert outcome.ok
@@ -391,11 +395,17 @@ class TestTraceDeterminism:
         assert counters  # the chase.* namespace is populated
         assert counters == _chase_counters(forked)
 
-    def test_raced_sweep_structure_matches_serial_sweep(self):
-        serial = _traced_pipeline("serial", branch_parallelism="serial")
-        raced = _traced_pipeline("serial", branch_parallelism="process:2")
-        assert _structure(serial) == _structure(raced)
-        assert _chase_counters(serial) == _chase_counters(raced)
+    def test_pruned_sweep_trace_identical_across_tiers(self):
+        # A flagged case's sweep answers most selections from nogoods;
+        # the skipped runs are the same whichever tier enumerates.
+        built = flagged_case(flags=3, products=10, name_pairs=2, seed=1)
+        serial = _traced_pipeline("serial", built)
+        forked = _traced_pipeline("process:2", built)
+        pruned = serial["metrics"]["counters"]["search.pruned"]
+        assert pruned > 0
+        assert forked["metrics"]["counters"]["search.pruned"] == pruned
+        assert _structure(serial) == _structure(forked)
+        assert _chase_counters(serial) == _chase_counters(forked)
 
     def test_forked_worker_spans_reach_the_parent_trace(self):
         payload = _traced_pipeline("process:2")

@@ -364,9 +364,9 @@ class TestIntraChaseParallelism:
         assert all(r.ok for r in report.records)
 
     def test_pooled_run_falls_back_to_serial(self):
-        # Daemonic pool workers cannot fork: a pooled run chases and
-        # races every task serially, with records bit-identical to a
-        # serial batch, and both the records and the note say so.
+        # Daemonic pool workers cannot fork: a pooled run chases every
+        # task serially, with records bit-identical to a serial batch,
+        # and both the records and the note say so.
         corpus = get_corpus("smoke").limited(4)
         serial = run_batch(corpus, BatchOptions(use_cache=False))
         pooled = run_batch(
@@ -374,28 +374,22 @@ class TestIntraChaseParallelism:
             BatchOptions(
                 jobs=2,
                 parallelism="process:2",
-                branch_parallelism="process:2",
                 use_cache=False,
             ),
         )
         fields = (
             "label", "status", "ok", "verified", "task_fingerprint",
-            "target_facts", "rounds", "scenarios_tried", "nulls_created",
+            "target_facts", "rounds", "scenarios_tried", "scenarios_pruned",
+            "nulls_created",
         )
         assert [
             [getattr(r, f) for f in fields] for r in pooled.records
         ] == [[getattr(r, f) for f in fields] for r in serial.records]
         if pooled.mode == "pool":
-            assert (pooled.parallelism, pooled.branch_parallelism) == (
-                "serial", "serial"
-            )
+            assert pooled.parallelism == "serial"
             assert all(r.parallelism == "serial" for r in pooled.records)
-            assert all(
-                r.branch_parallelism == "serial" for r in pooled.records
-            )
             assert pooled.note == (
-                "pool workers cannot fork; branch racing and intra-chase "
-                "sharding run serial"
+                "pool workers cannot fork; intra-chase sharding runs serial"
             )
 
     def test_exhausted_budget_degrades_to_serial(self, monkeypatch):

@@ -23,7 +23,6 @@ from functools import lru_cache
 import pytest
 
 from repro.chase.ded import GreedyDedChase
-from repro.chase.engine import ChaseConfig
 from repro.core.rewriter import rewrite
 from repro.core.verify import (
     ScenarioVerifier,
@@ -231,19 +230,3 @@ class TestBoundaryDecodes:
         assert state["_pending"] is None
         assert isinstance(state["_target"], Instance)
         assert pickle.loads(pickle.dumps(result)).target == result.target
-
-    def test_process_raced_result_carries_the_serial_target(self):
-        setup = (
-            list(ded_sweep_dependencies(deds=2)),
-            ded_sweep_relations(deds=2),
-        )
-        serial = GreedyDedChase(*setup).run(ded_sweep_instance(deds=2))
-        raced = GreedyDedChase(
-            *setup, ChaseConfig(branch_parallelism="process:2")
-        ).run(ded_sweep_instance(deds=2))
-        assert raced.branch_racing.startswith("process")
-        # Shipped across the pipe already decoded: no store came along.
-        assert raced.encoded_target() is None
-        assert isinstance(raced.target, Instance)
-        assert raced.target == serial.target
-        assert raced.scenarios_tried == serial.scenarios_tried

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """AST lint: no iteration over unordered sets in deterministic merge paths.
 
-The parallel chase, the branch racer and the flight-recorder merge all
-promise bit-identical output regardless of worker scheduling.  That
+The parallel chase, the greedy ded sweep's nogoods and the
+flight-recorder merge all promise bit-identical output regardless of
+worker scheduling or pruning.  That
 promise dies the moment a merge path iterates a ``set`` directly —
 Python set order depends on insertion history and hash seeding.  This
 tool walks the AST of the deterministic-merge modules and flags every
@@ -36,7 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 DEFAULT_FILES = (
     "src/repro/chase/parallel.py",
-    "src/repro/chase/race.py",
+    "src/repro/chase/ded.py",
     "src/repro/obs/recorder.py",
 )
 
