@@ -56,29 +56,6 @@ def quick_mode() -> bool:
     return os.environ.get("GROM_BENCH_QUICK", "") not in ("", "0")
 
 
-def parallel_speedup_gate(workers: int, base_floor: float):
-    """The speedup floor a parallel bench may honestly assert here.
-
-    Returns ``(cpus, effective_workers, floor)``.  ``floor`` is the
-    base floor scaled by ``min(workers, cpus) / workers`` — a 4-worker
-    bench on a 2-CPU runner can at best halve its wall clock, so
-    holding it to the 4-CPU floor measured runner shape, not
-    parallelism (the recorded e11 bug: the 1-CPU CI runner ran the
-    parallel tier *below* 1x serial against a >= 1.5x assert).  The
-    floor never drops below 1.1 (parallel must still beat serial by a
-    margin), and is ``None`` below 2 usable CPUs, where no speedup is
-    physically possible — callers must then log an explicit skip line
-    and assert only determinism.
-    """
-    import os
-
-    cpus = os.cpu_count() or 1
-    effective = min(workers, cpus)
-    if effective < 2:
-        return cpus, effective, None
-    return cpus, effective, max(1.1, base_floor * effective / workers)
-
-
 def record_bench_json(name: str, payload) -> None:
     """Write ``BENCH_<name>.json`` for the CI artifact upload.
 

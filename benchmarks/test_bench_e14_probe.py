@@ -18,8 +18,8 @@ This experiment races the two paths on identical plans and data:
 * **delta-restricted** — the chase hot-path shape: the anchor step
   restricted to an insertion window, once contiguous (a fresh
   generation: mask restriction is a bisect slice or bucket identity)
-  and once sparse (a sharder-style ``rid % 2`` chunk: span-bounded
-  membership);
+  and once sparse (every other row id, as a window with resurrected
+  rows can be: span-bounded membership);
 * **comparison-filtered** — the second step carries an order
   comparison between two slots it binds (``b < c``, true on half the
   candidates): the block driver applies it on codes as a comprehension
@@ -204,7 +204,7 @@ def test_report_e14():
         round(section["row_rows_per_second"]),
         round(section["block_vs_row_speedup"], 2),
     )
-    # Sparse window: a rid % 2 chunk, as a 2-worker sharder hands out.
+    # Sparse window: every other row id (span-bounded membership).
     sparse = RowMask({r for r in range(r_count) if r % 2 == 0})
     sparse_section = _race(plan, store, delta=sparse)
     payload["delta_sparse"] = sparse_section

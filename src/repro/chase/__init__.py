@@ -19,14 +19,6 @@ from repro.chase.disjunctive import (
     disjunctive_chase,
 )
 from repro.chase.engine import ChaseConfig, StandardChase, chase
-from repro.chase.parallel import (
-    MatchSharder,
-    ProcessSharder,
-    chase_worker_budget,
-    create_sharder,
-    effective_parallelism,
-    parse_parallelism,
-)
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
 from repro.chase.universal import core_of, is_universal_for, satisfies, violations
 
@@ -34,12 +26,6 @@ __all__ = [
     "ChaseConfig",
     "StandardChase",
     "chase",
-    "MatchSharder",
-    "ProcessSharder",
-    "create_sharder",
-    "parse_parallelism",
-    "chase_worker_budget",
-    "effective_parallelism",
     "ChaseResult",
     "ChaseStats",
     "ChaseStatus",

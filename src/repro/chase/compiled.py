@@ -41,7 +41,7 @@ from repro.logic.dependencies import Dependency
 from repro.logic.terms import Term, Variable
 from repro.relational.delta import DeltaPlans, PlanCache, RowDelta
 from repro.relational.instance import Instance
-from repro.relational.kernel import CodeComparison, ColumnarInstance, TermPool
+from repro.relational.kernel import CodeComparison, TermPool
 from repro.relational.query import Binding
 
 __all__ = ["CompiledDependency", "compile_dependencies"]
@@ -209,22 +209,6 @@ class CompiledDependency:
             return self._premise.matches(working)
         return self._premise.delta_matches(working, delta)
 
-    # -- sharded enumeration (the parallel chase's read-only surface) ------
-
-    @property
-    def premise_atoms(self):
-        """The premise's positive atoms (shard anchors index into these)."""
-        return self._premise.body.atoms
-
-    def anchor_indices(self, delta_relations: Set[str]) -> List[int]:
-        """Premise-atom positions whose relation gained delta facts —
-        exactly the anchors :meth:`premise_matches` would delta-join on."""
-        return [
-            index
-            for index, atom in enumerate(self._premise.body.atoms)
-            if atom.relation in delta_relations
-        ]
-
     def premise_matches_encoded(
         self, working, delta_rows: Optional[RowDelta]
     ) -> List[Tuple[int, ...]]:
@@ -236,28 +220,6 @@ class CompiledDependency:
         if delta_rows is None:
             return self._premise.matches_encoded(working)
         return self._premise.delta_matches_encoded(working, delta_rows)
-
-    def anchor_matches_encoded(
-        self, working, anchor_index: int, restrict
-    ) -> List[Tuple[int, ...]]:
-        """Encoded twin of :meth:`anchor_matches` over row-id shards
-        (sharder chunks arrive as plain sets; the encoded plan wraps
-        them as masks before probing)."""
-        return self._premise.anchor_matches_encoded(working, anchor_index, restrict)
-
-    def warm_enumeration_plans(self, working: Instance) -> None:
-        """Pre-compile anchored premise plans and their indexes (called
-        pre-fork so replica workers inherit both copy-on-write).
-
-        Over the columnar kernel this also lowers the satisfaction plans
-        and disjunct kernels, interning every literal the dependency
-        mentions — replica workers then never grow the term pool, so the
-        parent's pool snapshot stays authoritative for the whole run."""
-        self._premise.warm(working)
-        if isinstance(working, ColumnarInstance):
-            for index, plans in enumerate(self._satisfaction):
-                plans.varlist(working)
-                self.disjunct_kernel(index, working.pool)
 
     def disjunct_kernel(self, disjunct_index: int, pool: TermPool) -> _DisjunctKernel:
         """The disjunct's enforcement kernel lowered onto ``pool``
@@ -273,20 +235,6 @@ class CompiledDependency:
             )
             self._kernels[disjunct_index] = kernel
         return kernel
-
-    def anchor_matches(
-        self, working, anchor_index: int, restrict: Set[Atom]
-    ) -> List[Binding]:
-        """One shard of the premise's delta matches: the plan anchored at
-        ``anchor_index`` with the anchor restricted to ``restrict``.
-
-        ``working`` is a :class:`~repro.relational.instance.ProbeView`
-        over a forked replica; the evaluator only touches the read
-        surface.
-        Bindings are raw — the sharded merge deduplicates across anchors
-        and chunks before enforcement.
-        """
-        return self._premise.anchor_matches(working, anchor_index, restrict)
 
     # -- observability -----------------------------------------------------
 

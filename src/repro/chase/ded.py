@@ -49,7 +49,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chase.compiled import compile_dependencies
 from repro.chase.engine import ChaseConfig, StandardChase
-from repro.chase.parallel import create_sharder
 from repro.analysis.termination import TerminationReport
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
 from repro.obs.recorder import resolve_recorder
@@ -111,7 +110,6 @@ def _branch_timing(
         "selection": list(selection),
         "status": str(status),
         "seconds": seconds,
-        "worker": "serial",
         "pruned": pruned,
     }
 
@@ -249,93 +247,74 @@ class GreedyDedChase:
         final_covered = False
         offset = len(self.standard)
         tried = pruned = 0
-        # One sharder serves the whole selection sweep: every derived
-        # scenario shares the compiled plans, so the worker fan-out is
-        # configured once and re-armed per run (begin_run/end_run).
-        sharder = create_sharder(self.config.parallelism)
-        try:
-            for selection in selections:
-                tried += 1
-                step = time.perf_counter()
-                nogood = next(
-                    (n for n in nogoods if n.covers(selection)), None
-                )
-                if nogood is not None:
-                    pruned += 1
-                    timings.append(
-                        _branch_timing(
-                            tried - 1, selection, nogood.status,
-                            time.perf_counter() - step, pruned=True,
-                        )
-                    )
-                    aggregate = aggregate.merge(nogood.stats)
-                    last = nogood.result
-                    continue
-                dependencies, choice = self.scenario_for(selection)
-                engine = StandardChase(
-                    dependencies,
-                    self.source_relations,
-                    self.config,
-                    branch_choice=choice,
-                    compiled=self._compiled,
-                    sharder=sharder,
-                    termination=self.termination,
-                )
-                result = engine.run(
-                    source_instance, target_instance, recorder=rec
-                )
-                seconds = time.perf_counter() - step
-                timings.append(
-                    _branch_timing(tried - 1, selection, result.status, seconds)
-                )
-                rec.observe("search.branch_seconds", seconds)
-                aggregate = aggregate.merge(result.stats)
-                if result.ok:
-                    result.stats = aggregate
-                    result.stats.elapsed_seconds = time.perf_counter() - start
-                    result.scenarios_tried = tried
-                    result.scenarios_pruned = pruned
-                    result.branch_selection = {
-                        info.dependency.describe(): branch
-                        for info, branch in zip(self._infos, selection)
-                    }
-                    result.branch_timings = timings
-                    return result
-                pairs = tuple(
-                    (position - offset, selection[position - offset])
-                    for position in sorted(result.enforced)
-                    if position >= offset
-                )
-                nogood = _Nogood(pairs, result.status, result.stats)
-                if not final_covered and nogood.covers(selections[-1]):
-                    nogood.result = result
-                    final_covered = True
-                nogoods.append(nogood)
-                last = result
-            if not selections:  # no scenario budget: chase the standard part
-                engine = StandardChase(
-                    self.standard,
-                    self.source_relations,
-                    self.config,
-                    compiled=self._compiled[: len(self.standard)],
-                    sharder=sharder,
-                    termination=self.termination,
-                )
-                step = time.perf_counter()
-                last = engine.run(
-                    source_instance, target_instance, recorder=rec
-                )
+        for selection in selections:
+            tried += 1
+            step = time.perf_counter()
+            nogood = next((n for n in nogoods if n.covers(selection)), None)
+            if nogood is not None:
+                pruned += 1
                 timings.append(
                     _branch_timing(
-                        0, (), last.status, time.perf_counter() - step
+                        tried - 1, selection, nogood.status,
+                        time.perf_counter() - step, pruned=True,
                     )
                 )
-                tried = 1
-        finally:
-            sharder.close()
-        return self._finish_failure(
-            last, aggregate, tried, pruned, start, timings
-        )
+                aggregate = aggregate.merge(nogood.stats)
+                last = nogood.result
+                continue
+            dependencies, choice = self.scenario_for(selection)
+            engine = StandardChase(
+                dependencies,
+                self.source_relations,
+                self.config,
+                branch_choice=choice,
+                compiled=self._compiled,
+                termination=self.termination,
+            )
+            result = engine.run(source_instance, target_instance, recorder=rec)
+            seconds = time.perf_counter() - step
+            timings.append(
+                _branch_timing(tried - 1, selection, result.status, seconds)
+            )
+            rec.observe("search.branch_seconds", seconds)
+            aggregate = aggregate.merge(result.stats)
+            if result.ok:
+                result.stats = aggregate
+                result.stats.elapsed_seconds = time.perf_counter() - start
+                result.scenarios_tried = tried
+                result.scenarios_pruned = pruned
+                result.branch_selection = {
+                    info.dependency.describe(): branch
+                    for info, branch in zip(self._infos, selection)
+                }
+                result.branch_timings = timings
+                return result
+            pairs = tuple(
+                (position - offset, selection[position - offset])
+                for position in sorted(result.enforced)
+                if position >= offset
+            )
+            nogood = _Nogood(pairs, result.status, result.stats)
+            if not final_covered and nogood.covers(selections[-1]):
+                nogood.result = result
+                final_covered = True
+            nogoods.append(nogood)
+            last = result
+        if not selections:  # no scenario budget: chase the standard part
+            engine = StandardChase(
+                self.standard,
+                self.source_relations,
+                self.config,
+                compiled=self._compiled[: len(self.standard)],
+                termination=self.termination,
+            )
+            step = time.perf_counter()
+            last = engine.run(source_instance, target_instance, recorder=rec)
+            timings.append(
+                _branch_timing(0, (), last.status, time.perf_counter() - step)
+            )
+            tried = 1
+        return self._finish_failure(last, aggregate, tried, pruned, start, timings)
 
     def _finish_failure(
         self,

@@ -15,10 +15,9 @@ current instance branches, one child per applicable disjunct.  Leaves
 are either successful (no violations anywhere) or failed (hard egd
 failure, denial, or a ded firing with no applicable disjunct).
 
-The tree runs serially, depth-first: leaves are counted, models
-collected and the shared null factory advanced in DFS order, which is
-what makes the result deterministic.  ``ChaseConfig.parallelism``
-does not apply here — tree nodes are small and many.
+The tree runs depth-first: leaves are counted, models collected and
+the shared null factory advanced in DFS order, which is what makes the
+result deterministic.
 """
 
 from __future__ import annotations
@@ -100,14 +99,8 @@ class DisjunctiveChase:
         self.source_relations = frozenset(source_relations)
         base = config or ChaseConfig()
         # Per-node chases keep every tunable of the caller's config
-        # except the parallel knobs (tree nodes are small and many) and
-        # tracing (the search is instrumented at the driver level).
-        self.config = dataclasses.replace(
-            base,
-            keep_working=True,
-            parallelism="serial",
-            trace=None,
-        )
+        # except tracing (the search is instrumented at the driver level).
+        self.config = dataclasses.replace(base, keep_working=True, trace=None)
         self.trace_config = base.trace
         self.max_leaves = max_leaves
         self.max_branch_depth = max_branch_depth

@@ -20,16 +20,19 @@ null rewriting forces a full re-evaluation round — simple and sound.
 
 Each dependency's round is an explicit two-phase pipeline:
 
-* **enumerate** — find every premise match (a read-only join over the
-  working instance).  This phase is delegated to a
-  :class:`~repro.chase.parallel.MatchSharder`, which may fan the work
-  across forked replica processes (``ChaseConfig.parallelism``);
-  premise matches are independent of one another until enforcement, so
-  sharding them is safe.
-* **enforce** — sort the matches into canonical order, then serially
-  probe satisfaction and fire tgd/egd steps.  Because enforcement order
-  is canonical and serial, null invention and ``_NullMap`` unions are
-  bit-identical whichever sharder enumerated the matches.
+* **enumerate** — find every premise match: a read-only join over the
+  working instance through the dependency's compiled premise plans
+  (:meth:`~repro.chase.compiled.CompiledDependency.premise_matches` and
+  its encoded twin).
+* **enforce** — sort the matches into canonical order, then probe
+  satisfaction and fire tgd/egd steps one match at a time.  Because
+  enforcement order is canonical, null invention and ``_NullMap`` unions
+  are bit-identical across kernels, whatever order the join produced
+  the matches in.
+
+Both phases run in the calling process: the columnar enumerate join is
+memory-bound, and forked shards of it did not beat one process on two
+cores (see the README's *Why the chase is serial*).
 
 Premise negation is rejected unless it only mentions *source* relations
 (which the chase never modifies); that is exactly the shape the rewriter
@@ -51,7 +54,6 @@ from repro.chase.compiled import (
     _ground_check,
     _resolve,
 )
-from repro.chase.parallel import MatchSharder, create_sharder
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
 from repro.obs.recorder import TraceConfig, resolve_recorder
 from repro.logic.atoms import Atom
@@ -84,14 +86,6 @@ class ChaseConfig:
     Past the limit, fired triggers spill into a fixed-size Bloom filter,
     bounding the memory of long oblivious runs (see
     :class:`_TriggerMemory`)."""
-
-    parallelism: str = "serial"
-    """How the enumerate phase is sharded: ``serial`` (default) or
-    ``process[:N]`` / ``N`` (forked replica workers) — see
-    :func:`repro.chase.parallel.parse_parallelism`.  A caller that
-    cannot fork enumerates serially.  Enforcement is always a serial,
-    canonically-ordered merge, so every mode produces bit-identical
-    instances and null resolutions."""
 
     trace: Optional[TraceConfig] = None
     """Flight-recorder knobs (:class:`repro.obs.TraceConfig`).  ``None``
@@ -374,7 +368,6 @@ class StandardChase:
         config: Optional[ChaseConfig] = None,
         branch_choice: Optional[Dict[int, int]] = None,
         compiled: Optional[Sequence[CompiledDependency]] = None,
-        sharder: Optional[MatchSharder] = None,
         termination: Optional[TerminationReport] = None,
     ) -> None:
         """``branch_choice`` maps a dependency's *position* in
@@ -389,11 +382,6 @@ class StandardChase:
         same plans to every derived scenario so nothing is re-planned
         between selections.
 
-        ``sharder`` supplies an externally-owned match sharder (again the
-        greedy ded search, which reuses one across all derived
-        scenarios); when omitted, each :meth:`run` builds one from
-        ``config.parallelism`` and closes it on exit.
-
         ``termination`` is the static analyzer's verdict for the
         dependency set (or a superset of it — the proof is monotone
         under removing dependencies).  With ``config.guards == "auto"``
@@ -403,7 +391,6 @@ class StandardChase:
         self.source_relations = frozenset(source_relations)
         self.config = config or ChaseConfig()
         self.branch_choice = dict(branch_choice or {})
-        self._sharder = sharder
         if compiled is not None and len(compiled) != len(self.dependencies):
             raise ChaseError(
                 "compiled plans must align one-to-one with dependencies"
@@ -491,32 +478,19 @@ class StandardChase:
         # Dependency positions that enforced at least once: the greedy
         # ded sweep's nogoods are built from the deds among them.
         self._enforced: Set[int] = set()
-        sharder = self._sharder
-        owned = sharder is None
-        if owned:
-            sharder = create_sharder(self.config.parallelism)
         with rec.span(
             "chase.run",
             dependencies=len(self.dependencies),
-            parallelism=self.config.parallelism,
             guards="dropped" if self._unguarded else "enforced",
         ):
-            sharder.set_recorder(rec)
             try:
-                sharder.begin_run(working, self.compiled)
-                try:
-                    self._chase_rounds(working, factory, stats, sharder, rec)
-                except ChaseFailure as failure:
-                    status = ChaseStatus.FAILURE
-                    reason = str(failure)
-                except ChaseNonTermination as overrun:
-                    status = ChaseStatus.NONTERMINATION
-                    reason = str(overrun)
-            finally:
-                sharder.end_run()
-                sharder.set_recorder(None)
-                if owned:
-                    sharder.close()
+                self._chase_rounds(working, factory, stats, rec)
+            except ChaseFailure as failure:
+                status = ChaseStatus.FAILURE
+                reason = str(failure)
+            except ChaseNonTermination as overrun:
+                status = ChaseStatus.NONTERMINATION
+                reason = str(overrun)
         stats.elapsed_seconds = time.perf_counter() - start
         if rec.enabled:
             self._harvest_metrics(rec, stats, working, plan_mark, kernel_mark)
@@ -528,7 +502,6 @@ class StandardChase:
             working=working if self.config.keep_working else None,
             stats=stats,
             failure_reason=reason,
-            sharding=sharder.describe(),
             guards="dropped" if self._unguarded else "enforced",
             trace=rec.to_payload() if owned_rec else None,
             enforced=frozenset(self._enforced),
@@ -559,9 +532,8 @@ class StandardChase:
         """Fold this run's statistics into the recorder.
 
         ``chase.*`` counters mirror :class:`ChaseStats` and are
-        bit-identical across execution tiers; ``plan.*`` /
-        ``instance.*`` describe this process's caches and may
-        legitimately differ (forked replicas build their own indexes).
+        bit-identical across kernels; ``plan.*`` / ``instance.*``
+        describe this process's caches.
         Plan counters are *deltas* against the run's start because the
         greedy ded search reuses one compiled plan set across every
         derived scenario.
@@ -597,7 +569,6 @@ class StandardChase:
         working: Instance,
         factory: NullFactory,
         stats: ChaseStats,
-        sharder: MatchSharder,
         rec,
     ) -> None:
         fired_triggers = _TriggerMemory(
@@ -621,9 +592,7 @@ class StandardChase:
         apply_dependency = (
             self._apply_dependency_encoded if encoded else self._apply_dependency
         )
-        delta: Optional[Set[Atom]] = None
-        delta_rows: Optional[RowDelta] = None
-        since: Optional[int] = None  # generation the delta was taken from
+        delta = None
         while True:
             stats.rounds += 1
             if not self._unguarded and stats.rounds > self.config.max_rounds:
@@ -631,29 +600,22 @@ class StandardChase:
                     f"exceeded {self.config.max_rounds} chase rounds"
                 )
             generation = working.bump_generation()
-            sharder.record_generation()
-            if encoded:
-                sharder.begin_round(delta_rows, since)
-                delta_relations = (
-                    set(delta_rows) if delta_rows is not None else None
-                )
+            if delta is None:
+                delta_relations = None
+            elif encoded:
+                delta_relations = set(delta)
             else:
-                sharder.begin_round(delta, since)
-                delta_relations = (
-                    {fact.relation for fact in delta}
-                    if delta is not None
-                    else None
-                )
+                delta_relations = {fact.relation for fact in delta}
             rewrites_this_round = 0
             with rec.span(
-                "chase.round", round=stats.rounds, full=since is None
+                "chase.round", round=stats.rounds, full=delta is None
             ) as round_span:
                 for index, dependency in enumerate(self.dependencies):
                     if index in dead:
                         stats.enumerations_skipped += 1
                         continue
                     # Delta rounds anchor enumeration on the new facts:
-                    # when none of them touch this premise, the sharder
+                    # when none of them touch this premise, the join
                     # would return zero matches — skip the call.
                     if (
                         delta_relations is not None
@@ -665,7 +627,7 @@ class StandardChase:
                         stats.enumerations_skipped += 1
                         continue
                     rewrites_this_round += apply_dependency(
-                        index, dependency, working, factory, stats, sharder,
+                        index, dependency, working, factory, stats, delta,
                         fired_triggers, rec,
                     )
                 if encoded:
@@ -690,15 +652,12 @@ class StandardChase:
             # is unreliable: fall back to a full round.  Masks are built
             # once here and shared by every dependency's anchored probes
             # this round (span/contiguity precomputed once per relation).
-            if encoded:
-                delta_rows = (
-                    None
-                    if rewrites_this_round
-                    else mask_rows(group_rows(new_rows))
-                )
+            if rewrites_this_round:
+                delta = None
+            elif encoded:
+                delta = mask_rows(group_rows(new_rows))
             else:
-                delta = None if rewrites_this_round else new_facts
-            since = None if rewrites_this_round else generation
+                delta = new_facts
 
     def _apply_dependency(
         self,
@@ -707,21 +666,19 @@ class StandardChase:
         working: Instance,
         factory: NullFactory,
         stats: ChaseStats,
-        sharder: MatchSharder,
+        delta: Optional[Set[Atom]],
         fired_triggers: "_TriggerMemory",
         rec,
     ) -> int:
         """Process one dependency for one round; returns #null-rewrites.
 
-        Phase 1 (*enumerate*) asks the sharder for every premise match —
-        possibly fanned across workers.  Phase 2 (*enforce*) replays the
-        matches serially in canonical order; when the sharder keeps
-        remote replicas, the phase's mutations are recorded so replicas
-        stay in lockstep with the working instance.
+        Phase 1 (*enumerate*) finds every premise match, restricted to
+        the round's ``delta`` facts (``None``: a full round).  Phase 2
+        (*enforce*) replays the matches in canonical order.
         """
         compiled = self.compiled[index]
         with rec.span("chase.enumerate", dependency=index) as enum_span:
-            matches = sharder.enumerate_matches(index)
+            matches = compiled.premise_matches(working, delta)
             if rec.enabled:
                 enum_span.annotate(matches=len(matches))
         if not matches:
@@ -731,7 +688,7 @@ class StandardChase:
             # A denial match is final: the premise is positive, and facts
             # are never retracted, so the violation cannot disappear.
             # Report the canonically-first match so the failure is
-            # identical whichever worker found it.
+            # identical across kernels.
             binding = min(matches, key=_binding_order)
             raise ChaseFailure(
                 f"denial {dependency.describe()} fired at "
@@ -742,12 +699,7 @@ class StandardChase:
         null_map = _NullMap()
         rewrites = 0
         with rec.span("chase.enforce", dependency=index, matches=len(matches)):
-            ordered = sorted(matches, key=_binding_order)
-            track_events = sharder.wants_replica_events
-            if track_events:
-                mark = working.bump_generation()
-                sharder.record_generation()
-            for binding in ordered:
+            for binding in sorted(matches, key=_binding_order):
                 resolved = {
                     variable: null_map.find(term)
                     for variable, term in binding.items()
@@ -766,13 +718,9 @@ class StandardChase:
                     index, dependency, chosen, resolved, working, factory,
                     stats, null_map,
                 )
-            if track_events:
-                sharder.record_new_facts(working.facts_since(mark))
             if len(null_map):
-                resolution = null_map.resolution()
-                rewrites = working.apply_null_map(resolution)
+                rewrites = working.apply_null_map(null_map.resolution())
                 stats.null_rewrites += rewrites
-                sharder.record_null_map(resolution)
         return rewrites
 
     def _enforce_disjunct(
@@ -828,7 +776,7 @@ class StandardChase:
         working: "ColumnarInstance",
         factory: NullFactory,
         stats: ChaseStats,
-        sharder: MatchSharder,
+        delta_rows: Optional[RowDelta],
         fired_triggers: "_TriggerMemory",
         rec,
     ) -> int:
@@ -842,7 +790,7 @@ class StandardChase:
         """
         compiled = self.compiled[index]
         with rec.span("chase.enumerate", dependency=index) as enum_span:
-            matches = sharder.enumerate_matches(index)
+            matches = compiled.premise_matches_encoded(working, delta_rows)
             if rec.enabled:
                 enum_span.annotate(matches=len(matches))
         if not matches:
@@ -867,12 +815,7 @@ class StandardChase:
         oblivious = self.config.policy == "oblivious"
         rewrites = 0
         with rec.span("chase.enforce", dependency=index, matches=len(matches)):
-            ordered = sorted(matches, key=row_order)
-            track_events = sharder.wants_replica_events
-            if track_events:
-                mark = working.bump_generation()
-                sharder.record_generation()
-            for row in ordered:
+            for row in sorted(matches, key=row_order):
                 resolved = (
                     tuple(find(code) if code < 0 else code for code in row)
                     if parent
@@ -896,15 +839,9 @@ class StandardChase:
                     index, dependency, chosen_index, resolved, working,
                     factory, stats, null_map,
                 )
-            if track_events:
-                sharder.record_new_facts(
-                    working.export_rows(working.rows_since(mark))
-                )
             if len(null_map):
-                resolution = null_map.resolution()
-                rewrites = working.apply_null_map_encoded(resolution)
+                rewrites = working.apply_null_map_encoded(null_map.resolution())
                 stats.null_rewrites += rewrites
-                sharder.record_null_map(resolution)
         return rewrites
 
     def _enforce_disjunct_encoded(

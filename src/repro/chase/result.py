@@ -47,7 +47,7 @@ class ChaseStats:
     engine never enumerates them."""
 
     enumerations_skipped: int = 0
-    """Enumerate phases skipped without calling the sharder — dead
+    """Enumerate phases skipped without running the premise join — dead
     dependencies plus delta rounds whose new facts cannot touch the
     premise."""
 
@@ -98,11 +98,6 @@ class ChaseResult:
     failure_reason: str = ""
     branch_selection: Optional[Dict[str, int]] = None
     scenarios_tried: int = 0
-    sharding: str = "serial"
-    """How the enumerate phase was sharded (``serial`` or ``process:N``
-    — see :mod:`repro.chase.parallel`); ``serial`` too when a process
-    spec fell back because the caller could not fork."""
-
     scenarios_pruned: int = 0
     """How many of the ``scenarios_tried`` selections the greedy ded
     sweep answered from a nogood instead of chasing them (see
@@ -111,8 +106,8 @@ class ChaseResult:
     branch_timings: Optional[List[Dict[str, object]]] = None
     """Per derived-scenario timings of the greedy ded sweep, in
     canonical selection order up to the winner: ``index``, ``selection``,
-    ``status``, ``seconds``, the ``worker`` that chased it and whether
-    it was ``pruned`` (answered from a nogood, not chased)."""
+    ``status``, ``seconds`` and whether it was ``pruned`` (answered from
+    a nogood, not chased)."""
 
     guards: str = "enforced"
     """``enforced`` when the run kept its step budget and bounded

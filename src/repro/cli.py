@@ -23,12 +23,10 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from repro.chase.parallel import parse_parallelism
 from repro.core.analysis import predict_deds
 from repro.core.rewriter import rewrite
 from repro.dsl.parser import ParsedDocument, parse_scenario
 from repro.dsl.serializer import serialize_scenario
-from repro.errors import ChaseError
 from repro.logic.pretty import render_dependencies
 from repro.pipeline import run_scenario
 from repro.relational.csv_io import load_instance
@@ -36,16 +34,6 @@ from repro.relational.instance import Instance
 from repro.reporting import Table
 
 __all__ = ["main", "build_argument_parser"]
-
-
-def _parallelism_spec(text: str) -> str:
-    """Argparse ``type=`` for parallelism specs: reject a bad spec with
-    a one-line usage error, keep a good one as typed."""
-    try:
-        parse_parallelism(text)
-    except ChaseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def build_argument_parser() -> argparse.ArgumentParser:
@@ -103,12 +91,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="budget for the greedy ded chase",
     )
     chase_cmd.add_argument(
-        "--parallelism", default="serial", metavar="MODE",
-        type=_parallelism_spec,
-        help="shard premise-match enumeration: serial (default) or "
-             "process[:N] / N forked workers",
-    )
-    chase_cmd.add_argument(
         "--kernel", default="columnar", choices=("columnar", "reference"),
         metavar="KERNEL",
         help="working-instance storage: columnar (interned struct-of-"
@@ -147,13 +129,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (1 = serial; >1 uses a multiprocessing pool)",
-    )
-    batch.add_argument(
-        "--parallelism", default="serial", metavar="MODE",
-        type=_parallelism_spec,
-        help="intra-chase sharding per task (serial, process[:N] or N); "
-             "capped at the cpu count; serial under --jobs > 1, whose "
-             "pool workers cannot fork",
     )
     batch.add_argument(
         "--timeout", type=float, default=None,
@@ -330,14 +305,8 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     source = _source_instance(document, args.csv)
     trace_config = TraceConfig(enabled=True) if args.trace is not None else None
     config = (
-        ChaseConfig(
-            parallelism=args.parallelism,
-            kernel=args.kernel,
-            trace=trace_config,
-        )
-        if args.parallelism != "serial"
-        or args.kernel != "columnar"
-        or trace_config is not None
+        ChaseConfig(kernel=args.kernel, trace=trace_config)
+        if args.kernel != "columnar" or trace_config is not None
         else None
     )
     begin = time.perf_counter()
@@ -361,7 +330,6 @@ def _cmd_chase(args: argparse.Namespace) -> int:
         )
     print(f"rewriting: {outcome.rewrite!r}")
     print(f"chase:     {outcome.chase}")
-    print(f"sharding:  {outcome.chase.sharding}")
     if outcome.chase.branch_selection:
         print(f"branches:  {outcome.chase.branch_selection} "
               f"(after {outcome.chase.scenarios_tried} scenarios, "
@@ -421,7 +389,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     options = BatchOptions(
         jobs=args.jobs,
-        parallelism=args.parallelism,
         timeout=args.timeout,
         verify=not args.no_verify,
         max_scenarios=args.max_scenarios,

@@ -7,10 +7,9 @@ counts, rewrite-cache hit/miss tallies, ded-search branch timings — under
 one namespace:
 
 * ``chase.*``   — semantic chase counters; **bit-identical across
-  the serial and process execution tiers** (the determinism suite
-  asserts this).
-* ``plan.*``    — plan-cache compiles/recompiles; may legitimately
-  differ across tiers (forked workers compile in their own copy).
+  repeated runs and across the columnar and reference kernels** (the
+  determinism suite asserts this).
+* ``plan.*``    — plan-cache compiles/recompiles.
 * ``instance.*`` — storage-side counters (index builds).
 * ``datalog.*`` — semi-naive materialization passes and derived facts.
 * ``cache.*``   — rewrite-cache behaviour.

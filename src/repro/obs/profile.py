@@ -68,7 +68,7 @@ def profile_trace(trace: TraceFile) -> ProfileReport:
     """Aggregate the spans of a parsed trace into per-name phases."""
     spans = trace.spans
     # Time attributed to children, per parent span id.  Only same-worker
-    # children subtract from self time: a forked worker's span runs
+    # children subtract from self time: another worker's span runs
     # concurrently with its parent, so its duration is not time the
     # parent itself lost.
     child_time: Dict[object, float] = {}

@@ -8,7 +8,7 @@ just call through.
 
 Configuration travels as :class:`TraceConfig`, a frozen, picklable
 dataclass that rides on :class:`~repro.chase.engine.ChaseConfig` and
-:class:`~repro.runtime.executor.BatchOptions` — pool and fork workers
+:class:`~repro.runtime.executor.BatchOptions` — pool workers
 rebuild their own recorder from it and ship the result home as a
 *payload* (:meth:`FlightRecorder.to_payload`), which the parent merges
 deterministically (:meth:`FlightRecorder.merge_payload`).
@@ -108,7 +108,7 @@ class FlightRecorder:
         span, counters/histograms add, gauges take the incoming value.
 
         Deterministic as long as the caller merges workers in a fixed
-        order (connection order for the sharder) — which it does.
+        order (task order for a batch run) — which it does.
         """
         if not payload:
             return

@@ -13,8 +13,9 @@ and merges across processes by re-identifying ids.
 
 Times are raw :func:`time.perf_counter` readings; only differences are
 meaningful, and the JSONL writer rebases them against the trace origin.
-On Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, which forked workers
-share, so merged parent/child traces stay on one coherent timeline
+On Linux ``perf_counter`` is ``CLOCK_MONOTONIC``, which batch pool
+workers share with their parent, so merged traces stay on one coherent
+timeline
 (elsewhere durations remain exact and only cross-process alignment is
 approximate).
 
@@ -100,8 +101,8 @@ class Tracer:
 
     Not thread-safe: one tracer belongs to one thread of control.
     Worker processes record into their own tracer and the parent
-    merges the finished records (:meth:`merge_records`), which
-    is how the parallel chase ships worker spans home.
+    merges the finished records (:meth:`merge_records`), which is how
+    a pooled batch run gathers its tasks' spans into one trace.
     """
 
     enabled = True
@@ -204,7 +205,7 @@ class Tracer:
         Ids are re-assigned (the two tracers numbered independently);
         parentless spans are attached under ``parent`` (default: the
         caller's currently-open span).  ``worker`` relabels spans that
-        carried the generic ``main`` label — a branch chased in a fork
+        carried the generic ``main`` label — a task run in a pool worker
         recorded itself as its own main — while spans that already carry
         a specific worker label keep it.  Merge order is the record
         order, so merging is deterministic whenever the caller iterates

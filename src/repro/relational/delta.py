@@ -54,7 +54,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.logic.atoms import Atom, Conjunction
 from repro.logic.terms import Term, Variable
 from repro.relational.instance import Instance
-from repro.relational.kernel import ColumnarInstance, RowMask
+from repro.relational.kernel import RowMask
 from repro.relational import query as _query
 from repro.relational.query import (
     Binding,
@@ -277,59 +277,6 @@ class DeltaPlans:
                     out.append(binding)
         return out
 
-    def anchor_matches(
-        self,
-        instance: Instance,
-        anchor_index: int,
-        restrict: Set[Atom],
-        seed: Optional[Binding] = None,
-    ) -> List[Binding]:
-        """Raw bindings of the plan anchored at one atom, the anchor
-        restricted to ``restrict``.
-
-        This is one shard of :meth:`delta_matches`: the union over all
-        anchors (whose relation gained facts) of the union over a
-        partition of the delta equals the full delta-match set.  No
-        cross-anchor deduplication happens here — the caller merging
-        shards owns it — which is what lets the parallel chase hand each
-        (anchor, delta-chunk) pair to a different worker.
-        """
-        plan = self._cache.plan(
-            (self._key, "anchor", anchor_index),
-            self.body,
-            self.bound,
-            instance,
-            first_atom=anchor_index,
-        )
-        return list(plan.bindings(instance, seed, delta=restrict))
-
-    def warm(self, instance: Instance) -> None:
-        """Compile every anchored plan and build the indexes it probes.
-
-        The parallel chase calls this on the parent *before* forking its
-        replica workers: plans and hash indexes are inherited
-        copy-on-write, so N workers don't each rebuild the same indexes
-        that the serial chase builds once.  Over the columnar kernel the
-        encoded plans are lowered here too, which interns every literal
-        the body mentions — forked workers then never grow the pool.
-        """
-        columnar = isinstance(instance, ColumnarInstance)
-        for anchor_index in range(len(self.body.atoms)):
-            plan = self._cache.plan(
-                (self._key, "anchor", anchor_index),
-                self.body,
-                self.bound,
-                instance,
-                first_atom=anchor_index,
-            )
-            if columnar:
-                encoded = plan.encoded(instance.pool)
-                for step in encoded.steps:
-                    instance.encoded_index(step.relation, step.positions)
-            else:
-                for step in plan.steps:
-                    instance.index(step.relation, step.positions)
-
     # -- encoded evaluation (columnar kernel fast path) --------------------
 
     def varlist(self, store) -> Tuple[Variable, ...]:
@@ -384,27 +331,6 @@ class DeltaPlans:
                     if row not in seen:
                         add(row)
                         append(row)
-        return out
-
-    def anchor_matches_encoded(
-        self, store, anchor_index: int, restrict
-    ) -> List[Tuple[int, ...]]:
-        """One shard of :meth:`delta_matches_encoded` (no cross-anchor
-        dedup — the merging caller owns it, as in :meth:`anchor_matches`).
-
-        ``restrict`` is a row-id set or a pre-built :class:`RowMask`
-        (sharder chunks arrive as sets and are wrapped by the encoded
-        plan)."""
-        plan = self._cache.plan(
-            (self._key, "anchor", anchor_index),
-            self.body,
-            self.bound,
-            store,
-            first_atom=anchor_index,
-        )
-        out: List[Tuple[int, ...]] = []
-        for block in plan.encoded(store.pool).blocks(store, delta=restrict):
-            out += block
         return out
 
     def exists_encoded(

@@ -34,7 +34,7 @@ from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Null, Term
 from repro.relational.schema import Schema
 
-__all__ = ["Instance", "ProbeView"]
+__all__ = ["Instance"]
 
 _IndexKey = Tuple[str, Tuple[int, ...]]
 
@@ -410,123 +410,3 @@ class Instance:
 
     def __repr__(self) -> str:
         return f"Instance({len(self)} facts, {len(self.relations())} relations)"
-
-    def probe_view(self) -> "ProbeView":
-        """A read-only view of this instance for parallel enumeration."""
-        return ProbeView(self)
-
-
-class ProbeView:
-    """Read-only facade over an :class:`Instance` for chase workers.
-
-    The parallel chase's enumerate phase hands each forked worker process
-    a replica of the working instance.  Workers must never mutate it —
-    enforcement is the serial merge phase's job — so they receive this
-    view, which exposes exactly the query surface the compiled evaluator
-    and plan cache consume (hash indexes, sizes, key counts,
-    generation-window reads) and nothing that writes facts.
-
-    Lazy *internal* caching (index builds, key-count memos) still happens
-    on the underlying instance; those paths are idempotent and guarded by
-    the instance's index lock, so concurrent readers are safe.
-    """
-
-    __slots__ = ("_instance",)
-
-    def __init__(self, instance: Instance) -> None:
-        self._instance = instance
-
-    # -- the query surface (delegates) -------------------------------------
-
-    def index(
-        self, relation: str, positions: Sequence[int]
-    ) -> Mapping[Tuple[Term, ...], List[Atom]]:
-        return self._instance.index(relation, positions)
-
-    def size(self, relation: Optional[str] = None) -> int:
-        return self._instance.size(relation)
-
-    def key_count(self, relation: str, positions: Sequence[int]) -> int:
-        return self._instance.key_count(relation, positions)
-
-    def cached_key_count(
-        self, relation: str, positions: Sequence[int]
-    ) -> Optional[int]:
-        return self._instance.cached_key_count(relation, positions)
-
-    def facts(self, relation: str) -> FrozenSet[Atom]:
-        return self._instance.facts(relation)
-
-    def facts_since(
-        self, generation: int, relation: Optional[str] = None
-    ) -> List[Atom]:
-        return self._instance.facts_since(generation, relation)
-
-    def relations(self) -> List[str]:
-        return self._instance.relations()
-
-    @property
-    def current_generation(self) -> int:
-        return self._instance.current_generation
-
-    @property
-    def version(self) -> int:
-        return self._instance.version
-
-    def __contains__(self, fact: Atom) -> bool:
-        return fact in self._instance
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._instance)
-
-    def __len__(self) -> int:
-        return len(self._instance)
-
-    # -- the encoded surface (columnar kernel delegates) -------------------
-    #
-    # When the underlying store is a ColumnarInstance these expose the
-    # encoded probe surface to workers; over a set-based Instance they
-    # simply fail with AttributeError, which no caller reaches because
-    # plan dispatch picks the encoded path only for columnar stores.
-
-    @property
-    def pool(self):
-        return self._instance.pool
-
-    @property
-    def kernel_stats(self):
-        return self._instance.kernel_stats
-
-    def encoded_index(self, relation: str, positions: Sequence[int]):
-        return self._instance.encoded_index(relation, positions)
-
-    def columns(self, relation: str):
-        return self._instance.columns(relation)
-
-    def row_values(self, relation: str, row_id: int):
-        return self._instance.row_values(relation, row_id)
-
-    def live_row_ids(self, relation: str) -> List[int]:
-        return self._instance.live_row_ids(relation)
-
-    def rows_since(
-        self, generation: int, relation: Optional[str] = None
-    ) -> List[Tuple[str, int]]:
-        return self._instance.rows_since(generation, relation)
-
-    def export_rows(self, rows):
-        return self._instance.export_rows(rows)
-
-    def decode_term(self, code: int) -> Term:
-        return self._instance.decode_term(code)
-
-    def encode_term(self, term: Term) -> int:
-        # Interning is append-only and thread-safe; encoding through a
-        # read-only view does not mutate any fact state.
-        return self._instance.encode_term(term)
-
-    def row_id_of(self, fact: Atom) -> Optional[int]:
-        return self._instance.row_id_of(fact)
-
-    def __repr__(self) -> str:
-        return f"ProbeView({self._instance!r})"

@@ -2,9 +2,8 @@
 
 The set-based :class:`~repro.relational.instance.Instance` stores one
 ``Atom`` object per fact; every join probe hashes tuples of term
-objects, and the parallel chase pickles those objects across the worker
-pipe.  This module is the columnar replacement the ROADMAP's top item
-asked for:
+objects.  This module is the columnar replacement the chase and the
+compiled query plans run on:
 
 :class:`TermPool`
     A process-wide interning pool mapping constants to dense positive
@@ -14,9 +13,7 @@ asked for:
     the pool's dict.  The pool precomputes each constant's order key
     (``(0, 0, repr(term))``) at intern time, so sorting encoded rows
     reproduces the engine's canonical enforcement order exactly.  The
-    pool is append-only: forked chase replicas inherit it copy-on-write,
-    and the parent ships ``entries_since`` deltas if it ever grows
-    mid-run (see :meth:`TermPool.adopt_entries`).
+    pool is append-only, so a code never changes meaning once issued.
 
 :class:`ColumnarInstance`
     Facts as struct-of-arrays ``array('q')`` columns per relation, with
@@ -59,7 +56,7 @@ from typing import (
 from repro.errors import SchemaError
 from repro.logic.atoms import Atom, Comparison
 from repro.logic.terms import Constant, Null, Term, Variable
-from repro.relational.instance import Instance, ProbeView
+from repro.relational.instance import Instance
 from repro.relational.types import term_order_key
 
 __all__ = [
@@ -142,8 +139,7 @@ class TermPool:
         """The code of a term *without* interning; None when unknown.
 
         Membership probes use this so looking up an absent fact never
-        grows the pool (important for forked replicas, whose pools must
-        only grow through shipped deltas).
+        grows the pool.
         """
         if isinstance(term, Null):
             return -(term.id + 1)
@@ -163,35 +159,6 @@ class TermPool:
             return (1, -code - 1, "")
         return self._orders[code]  # type: ignore[return-value]
 
-    # -- snapshot / delta shipping (forked replicas) -----------------------
-
-    @property
-    def snapshot_mark(self) -> int:
-        """Current length, as a mark for :meth:`entries_since`."""
-        return len(self._terms)
-
-    def entries_since(self, mark: int) -> List[Term]:
-        """Constants interned since ``mark`` (parent -> replica delta)."""
-        return list(self._terms[mark:])  # type: ignore[arg-type]
-
-    def adopt_entries(self, mark: int, terms: Sequence[Term]) -> None:
-        """Append a parent's pool delta; ids must line up exactly.
-
-        A replica that interned anything on its own has diverged from
-        the parent's id space and can no longer ship compatible encoded
-        rows — that is a hard error, not a merge.
-        """
-        with self._lock:
-            if len(self._terms) != mark:
-                raise RuntimeError(
-                    f"intern pool diverged: expected {mark} entries, "
-                    f"have {len(self._terms)}"
-                )
-            for term in terms:
-                code = len(self._terms)
-                self._append(term)
-                self._ids[term] = code  # type: ignore[index]
-
 
 _GLOBAL_POOL = TermPool()
 
@@ -199,8 +166,8 @@ _GLOBAL_POOL = TermPool()
 def global_pool() -> TermPool:
     """The process-wide pool every :class:`ColumnarInstance` defaults to.
 
-    One shared id space is what lets plans, instances and forked chase
-    replicas exchange encoded rows without translation."""
+    One shared id space is what lets plans and instances exchange
+    encoded rows without translation."""
     return _GLOBAL_POOL
 
 
@@ -216,8 +183,7 @@ class CodeComparison:
     plans' seed and per-step filters, the block drivers and the chase's
     disjunct checks all come through here.  Operands are ``(is_slot,
     value)`` pairs like join-key parts: a slot of the row, or a literal
-    code interned when the plan compiles (so a pre-fork warm-up covers
-    it).  Semantics on codes, matching ``Comparison.evaluate`` with a
+    code interned when the plan compiles.  Semantics on codes, matching ``Comparison.evaluate`` with a
     ``TypingError`` read as False:
 
     * ``=`` / ``!=`` compare codes — the pool interns by term equality
@@ -295,11 +261,11 @@ class RowMask:
       it (fresh rows are appended in row-id order, so a generation
       window without resurrections is always one integer range);
     * one span-bounded membership pass for sparse windows (resurrected
-      rows, hash-partitioned shard chunks).
+      rows).
 
     Requires the sorted-bucket invariant :meth:`ColumnarInstance.
     encoded_index` maintains.  Masks iterate and size like the row-id
-    set they wrap, so sharders can partition them unchanged.
+    set they wrap.
     """
 
     __slots__ = ("lo", "hi", "contiguous", "_members")
@@ -654,9 +620,8 @@ class ColumnarInstance:
         """Bulk-insert encoded rows; returns how many were new.
 
         The batch counterpart of :meth:`add_encoded`, and the path every
-        bulk movement rides (engine seeding via :meth:`ingest`, forked
-        replicas replaying the coordinator's per-round fact events,
-        pickle rehydration).  One dedup pass assigns row ids; the
+        bulk movement rides (engine seeding via :meth:`ingest`, pickle
+        rehydration).  One dedup pass assigns row ids; the
         column stores then fill through C-level ``array.extend`` over
         ``map(itemgetter(i), ...)``, so the per-row interpreter cost is
         one dict probe instead of the whole ``add_encoded`` body.
@@ -933,14 +898,6 @@ class ColumnarInstance:
             self.decode_row(rel, row_id)
             for rel, row_id in self.rows_since(generation, relation)
         ]
-
-    def export_rows(
-        self, rows: Iterable[Tuple[str, int]]
-    ) -> List[Tuple[str, Tuple[int, ...]]]:
-        """(relation, encoded values) for row ids — the match-shipping
-        payload forked replicas replay via :meth:`add_encoded`."""
-        tables = self._tables
-        return [(rel, tables[rel].row_values(row_id)) for rel, row_id in rows]
 
     def generation_of(self, fact: Atom) -> int:
         found = self._try_row_id(fact)
@@ -1248,6 +1205,3 @@ class ColumnarInstance:
             f"ColumnarInstance({len(self)} facts, "
             f"{len(self.relations())} relations)"
         )
-
-    def probe_view(self) -> ProbeView:
-        return ProbeView(self)

@@ -56,7 +56,7 @@ from repro.errors import TypingError, UnsafeDependencyError
 from repro.logic.atoms import Atom, Comparison, Conjunction
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Term, Variable
-from repro.relational.instance import Instance, ProbeView
+from repro.relational.instance import Instance
 from repro.relational.kernel import (
     CodeComparison,
     ColumnarInstance,
@@ -77,23 +77,6 @@ __all__ = [
 ]
 
 Binding = Dict[Variable, Term]
-
-
-def _columnar_store(instance):
-    """The encoded probe surface behind ``instance``, or None.
-
-    Accepts a bare :class:`ColumnarInstance` or a :class:`ProbeView`
-    over one (the view delegates the encoded surface); everything else —
-    including a ProbeView over a set-based Instance — evaluates through
-    the decoded Atom pipeline.
-    """
-    if isinstance(instance, ColumnarInstance):
-        return instance
-    if isinstance(instance, ProbeView) and isinstance(
-        instance._instance, ColumnarInstance
-    ):
-        return instance
-    return None
 
 
 def _resolve(term: Term, binding: Binding) -> Optional[Term]:
@@ -817,9 +800,8 @@ class CompiledQuery:
         anchor of a delta-evaluation plan).  Consumers that mutate the
         instance while iterating must materialize first; the chase does.
         """
-        store = _columnar_store(instance)
-        if store is not None and not _REFERENCE_MODE:
-            return self._bindings_columnar(store, seed, delta)
+        if isinstance(instance, ColumnarInstance) and not _REFERENCE_MODE:
+            return self._bindings_columnar(instance, seed, delta)
         binding: Binding = dict(seed) if seed else {}
         if binding and not self._fresh.isdisjoint(binding):
             raise UnsafeDependencyError(
@@ -938,13 +920,12 @@ class CompiledQuery:
 
     def exists(self, instance: Instance, seed: Optional[Binding] = None) -> bool:
         """Whether at least one binding exists — stops at the first match."""
-        store = _columnar_store(instance)
-        if store is not None and not _REFERENCE_MODE:
-            plan = self.encoded(store.pool)
+        if isinstance(instance, ColumnarInstance) and not _REFERENCE_MODE:
+            plan = self.encoded(instance.pool)
             values = [0] * plan.width
-            for slot, code in self._seed_values(store, plan, seed):
+            for slot, code in self._seed_values(instance, plan, seed):
                 values[slot] = code
-            return plan.exists_values(store, values)
+            return plan.exists_values(instance, values)
         if self._single_probe:
             binding = seed or {}
             if binding and not self._fresh.isdisjoint(binding):

@@ -102,7 +102,6 @@ def batch_summary_table(report: "BatchReport") -> Table:
     table = Table(f"Batch run: {report.corpus}", ["metric", "value"])
     table.add("scenarios", summary.total)
     table.add("mode", f"{report.mode} (jobs={report.jobs})")
-    table.add("chase sharding", report.parallelism)
     table.add("succeeded", summary.succeeded)
     table.add("chase failures", summary.failed)
     table.add("nonterminated", summary.nonterminated)
@@ -180,7 +179,7 @@ def batch_family_table(records: Sequence["TaskRecord"]) -> Table:
 
 
 def batch_slowest_table(records: Sequence["TaskRecord"], top: int = 5) -> Table:
-    """The ``top`` slowest tasks — where a sharding PR should look first."""
+    """The ``top`` slowest tasks — where a performance change should look first."""
     table = Table(
         f"Slowest {top} tasks",
         ["task", "status", "total s", "chase s", "target facts"],

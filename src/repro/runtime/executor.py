@@ -14,23 +14,24 @@ Robustness over raw speed:
 * per-task timeouts via ``SIGALRM`` (skipped on platforms without it),
   recorded as ``timeout`` task records instead of killing the run;
 * a task that raises records ``error`` with the exception text;
-* if the worker pool cannot be created — or dies mid-run — the executor
-  degrades gracefully to serial execution and notes why.
+* if the worker pool cannot be created — or a worker dies mid-run —
+  the executor degrades gracefully to serial execution and notes why.
+  The pool is a :class:`concurrent.futures.ProcessPoolExecutor`, which
+  notices a dead worker and fails the outstanding tasks with
+  ``BrokenProcessPool`` (``multiprocessing.Pool.map`` would wait for
+  the lost task forever).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.chase.engine import ChaseConfig
-from repro.chase.parallel import effective_parallelism, parse_parallelism
 from repro.core.rewriter import rewrite
 from repro.obs.recorder import NULL_RECORDER, FlightRecorder
 from repro.pipeline import run_rewritten
@@ -54,12 +55,6 @@ class BatchOptions:
 
     jobs: int = 1
     """Worker processes; 1 means serial in-process execution."""
-    parallelism: str = "serial"
-    """Requested *intra-chase* sharding per task (``serial``,
-    ``process[:N]``).  Only an in-process (``jobs=1``) run forks shards:
-    pool workers are daemonic and may not fork, so pooled tasks chase
-    serial and the report's ``note`` says so.  :func:`run_batch` caps
-    it at ``os.cpu_count()``."""
     timeout: Optional[float] = None
     """Per-task wall-clock budget in seconds (needs ``SIGALRM``)."""
     verify: bool = True
@@ -89,9 +84,6 @@ class BatchReport:
     """``serial`` or ``pool``; serial runs note a degradation reason."""
     jobs: int
     note: str = ""
-    parallelism: str = "serial"
-    """Effective intra-chase sharding after the shared worker budget
-    (always ``serial`` for a pooled run)."""
     cache_stats: Optional[CacheStats] = None
     """Parent-process cache counters (serial runs only; pooled workers
     keep their own — use the per-record ``cache_hit`` flags, which are
@@ -99,11 +91,7 @@ class BatchReport:
 
     @property
     def summary(self) -> BatchSummary:
-        return summarize(
-            self.records,
-            wall_seconds=self.wall_seconds,
-            parallelism=self.parallelism,
-        )
+        return summarize(self.records, wall_seconds=self.wall_seconds)
 
 
 class _TaskTimeout(Exception):
@@ -173,12 +161,6 @@ def _execute(
         label=spec.label,
         family=spec.family,
         params=spec.params_dict(),
-        parallelism=options.parallelism,
-    )
-    chase_config = (
-        ChaseConfig(parallelism=options.parallelism)
-        if options.parallelism != "serial"
-        else None
     )
     recorder = FlightRecorder() if options.trace else NULL_RECORDER
     start = time.perf_counter()
@@ -231,7 +213,6 @@ def _execute(
                 rewritten,
                 instance,
                 verify=options.verify,
-                config=chase_config,
                 max_scenarios=options.max_scenarios,
                 recorder=recorder if recorder.enabled else None,
             )
@@ -321,25 +302,30 @@ def _run_pool(
     options: BatchOptions,
     jobs: int,
 ) -> List[TaskRecord]:
+    # Imported here: concurrent.futures.process pulls in logging,
+    # subprocess and multiprocessing.queues (about 0.6 MiB resident),
+    # which serial batches never need.
+    from concurrent.futures import ProcessPoolExecutor
+
     tasks = [(corpus_name, index, spec) for index, spec in enumerate(specs)]
     try:
-        context = _pool_context()
-        pool = context.Pool(
-            processes=jobs, initializer=_init_worker, initargs=(options,)
+        pool = ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=_pool_context(),
+            initializer=_init_worker,
+            initargs=(options,),
         )
     except (OSError, ValueError, AttributeError) as exc:
         raise _PoolUnavailable(f"worker pool unavailable: {exc}") from exc
     try:
         with pool:
-            # chunksize 1: specs have wildly different costs, so greedy
-            # load balancing beats amortized dispatch.
-            return pool.map(_run_task, tasks, chunksize=1)
-    except _PoolUnavailable:
-        raise
-    except Exception as exc:  # e.g. a worker died mid-run
-        raise _PoolUnavailable(f"worker pool failed: {exc}") from exc
-    finally:
-        pool.join()
+            # One task per submission: specs have wildly different
+            # costs, so greedy load balancing beats amortized dispatch.
+            return list(pool.map(_run_task, tasks))
+    except Exception as exc:  # e.g. BrokenProcessPool: a worker died
+        raise _PoolUnavailable(
+            f"worker pool failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -363,31 +349,18 @@ def run_batch(
     options = options or BatchOptions()
     specs = list(corpus)
     jobs = max(1, int(options.jobs))
-    cpu_count = os.cpu_count() or 1
 
     note = ""
     records: Optional[List[TaskRecord]] = None
     start = time.perf_counter()
     mode = "serial"
-    parallelism = "serial"
     if jobs > 1 and len(specs) > 1:
-        # Pool workers are daemonic and may not fork, so each task's
-        # chase runs serial; say so up front instead of letting every
-        # task fall back on its own.
-        if parse_parallelism(options.parallelism)[0] != "serial":
-            note = "pool workers cannot fork; intra-chase sharding runs serial"
-        pooled_options = replace(options, parallelism="serial")
         try:
-            records = _run_pool(corpus.name, specs, pooled_options, jobs)
+            records = _run_pool(corpus.name, specs, options, jobs)
             mode = "pool"
         except _PoolUnavailable as exc:
             note = f"{exc}; degraded to serial"
-            records = None
     if records is None:
-        parallelism = effective_parallelism(
-            options.parallelism, jobs=1, cpu_count=cpu_count
-        )
-        serial_options = replace(options, parallelism=parallelism)
         if cache is None and options.use_cache:
             cache = RewriteCache(
                 capacity=options.cache_capacity, directory=options.cache_dir
@@ -395,7 +368,7 @@ def run_batch(
         elif not options.use_cache:
             cache = None
         records = [
-            _execute(corpus.name, index, spec, serial_options, cache)
+            _execute(corpus.name, index, spec, options, cache)
             for index, spec in enumerate(specs)
         ]
         jobs_used = 1
@@ -410,6 +383,5 @@ def run_batch(
         mode=mode,
         jobs=jobs_used,
         note=note,
-        parallelism=parallelism,
         cache_stats=cache.stats if cache is not None else None,
     )

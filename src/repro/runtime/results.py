@@ -13,7 +13,7 @@ to disk and standard tooling (``jq``, pandas) can consume them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
@@ -51,14 +51,10 @@ class TaskRecord:
     ok: bool = False
     verified: Optional[bool] = None
     error: str = ""
-    parallelism: str = "serial"
-    """Effective intra-chase sharding for this task (``serial`` or
-    ``process:N``) after the shared worker budget; ``serial`` in a
-    pooled run, whose workers may not fork."""
     branch_timings: Optional[List[Dict[str, object]]] = None
     """Per derived-scenario timings from the greedy ded sweep (canonical
     selection order up to the winner): ``index``, ``selection``,
-    ``status``, ``seconds``, ``worker``, ``pruned``."""
+    ``status``, ``seconds``, ``pruned``."""
 
     cache_hit: bool = False
     build_seconds: float = 0.0
@@ -106,7 +102,11 @@ class TaskRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TaskRecord":
-        return cls(**json.loads(line))
+        """Parse one JSONL line.  Keys that are not fields are ignored,
+        so files written before a field was removed still load."""
+        known = {f.name for f in fields(cls)}
+        data = json.loads(line)
+        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 def write_jsonl(records: Iterable[TaskRecord], path) -> int:
@@ -150,8 +150,6 @@ class BatchSummary:
     chase_seconds: float = 0.0
     task_seconds: float = 0.0
     wall_seconds: float = 0.0
-    parallelism: str = "serial"
-    """Intra-chase sharding mode the run's tasks used."""
     scenarios_tried: int = 0
     """Greedy ded sweep selections summed over the run's tasks."""
     scenarios_pruned: int = 0
@@ -197,12 +195,10 @@ class BatchSummary:
 
 
 def summarize(
-    records: Iterable[TaskRecord],
-    wall_seconds: float = 0.0,
-    parallelism: str = "serial",
+    records: Iterable[TaskRecord], wall_seconds: float = 0.0
 ) -> BatchSummary:
     """Fold task records into one :class:`BatchSummary`."""
-    summary = BatchSummary(wall_seconds=wall_seconds, parallelism=parallelism)
+    summary = BatchSummary(wall_seconds=wall_seconds)
     phase_samples: Dict[str, List[float]] = {
         "build": [],
         "rewrite": [],

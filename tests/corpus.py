@@ -53,7 +53,7 @@ x, y, z, w = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
 
 def dense_pair_instance(rows: int = 60) -> Instance:
-    """Enough facts to clear the sharders' MIN_SHARD_FACTS threshold."""
+    """A source dense enough that joins over it fan out."""
     instance = Instance()
     for i in range(rows):
         instance.add(Atom("S", (Constant(i), Constant(i % 7))))
@@ -175,7 +175,7 @@ def _egd_constant_clash() -> ChaseSetup:
 
 def _cross_round_feed() -> ChaseSetup:
     # Dep 0 enforces facts that feed dep 1's premise *within* later
-    # delta rounds (regression guard for replica delta bookkeeping).
+    # delta rounds (regression guard for delta bookkeeping).
     deps = (
         tgd(
             Conjunction(atoms=(Atom("P", (x, y)), Atom("Q", (y, z)))),
@@ -396,7 +396,7 @@ def _expect_constant_clash(result) -> None:
 
 def _expect_multi_round(result) -> None:
     # The recursion must actually feed later delta rounds, or the case
-    # no longer guards replica/delta bookkeeping.
+    # no longer guards delta bookkeeping.
     assert result.ok and result.stats.rounds > 3, result.stats.rounds
 
 

@@ -63,9 +63,9 @@ class TestRowMask:
         assert empty.restrict([1, 2]) == ()
         assert len(empty) == 0 and not empty
 
-    def test_container_protocol_for_sharders(self):
-        # The parallel sharders partition a round's delta by iterating
-        # it; masks must behave like the sets they replaced.
+    def test_container_protocol(self):
+        # Masks stand in for a round's row-id sets wherever the engine
+        # sizes, tests or iterates a delta; they must behave like them.
         mask = RowMask({7, 3, 11})
         assert sorted(mask) == [3, 7, 11]
         assert len(mask) == 3

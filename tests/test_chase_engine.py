@@ -1,5 +1,7 @@
 """Tests for the standard chase: tgds, egds, denials, mixed, policies."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.chase.engine import ChaseConfig, StandardChase, chase
@@ -17,6 +19,8 @@ from repro.logic.terms import Constant, Null, Variable
 from repro.relational.instance import Instance
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
+
+REPO_ROOT = str(Path(__file__).resolve().parent.parent)
 
 
 def c(v):
@@ -386,3 +390,43 @@ class TestTriggerMemory:
             config=ChaseConfig(oblivious_trigger_limit=0),
         )
         assert result.ok and result.target.size("T") == 40
+
+
+class TestStableBloomProbes:
+    def test_probes_independent_of_hash_randomization(self):
+        # Which triggers collide in the Bloom spill must be identical
+        # across interpreter runs, or two oblivious chases of the same
+        # input could diverge once spilling starts.
+        import subprocess
+        import sys
+
+        snippet = (
+            "import sys; sys.path.insert(0, 'src');"
+            "from repro.chase.engine import _TriggerMemory;"
+            "from repro.logic.terms import Constant, Null;"
+            "t = (3, (Constant('abc'), Null(7, 'hint'), Constant(42)));"
+            "m = _TriggerMemory(0);"
+            "print(m._probes(t))"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", snippet],
+                env={"PYTHONHASHSEED": seed, "PATH": ""},
+                cwd=REPO_ROOT,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "12345")
+        }
+        assert len(outputs) == 1
+
+    def test_null_hint_excluded_like_equality(self):
+        from repro.chase.engine import _TriggerMemory
+        from repro.logic.terms import Null
+
+        with_hint = (0, (Null(5, "a"),))
+        other_hint = (0, (Null(5, "b"),))
+        assert _TriggerMemory._stable_digest(with_hint) == (
+            _TriggerMemory._stable_digest(other_hint)
+        )

@@ -11,24 +11,21 @@ it in the library.
 
 The suite sweeps the disjunctive and failing chase cases of
 ``tests/corpus.py``, the flag-view family (``flagged_case``) and the
-partition family (``partition_case``) through the columnar kernel,
-``reference_evaluator()`` mode and ``process:2`` sharding.  Cases that
-must prune assert it, so the comparison never passes vacuously.
+partition family (``partition_case``) through the columnar kernel and
+``reference_evaluator()`` mode.  Cases that must prune assert it, so the
+comparison never passes vacuously.
 """
 
 import dataclasses
 import gc
 import itertools
-import multiprocessing
 import weakref
 
 import pytest
 
 from repro.analysis import analyze_dependencies
 from repro.chase.ded import GreedyDedChase
-from repro.chase.disjunctive import DisjunctiveChase
-from repro.chase.engine import ChaseConfig, StandardChase
-from repro.chase.parallel import MatchSharder, create_sharder
+from repro.chase.engine import StandardChase
 from repro.chase.result import ChaseStats
 from repro.core.compose import extend_source
 from repro.core.rewriter import rewrite
@@ -108,6 +105,10 @@ def _timeline(result):
     ]
 
 
+#: The keys of one ``branch_timings`` entry.
+TIMING_KEYS = {"index", "selection", "status", "seconds", "pruned"}
+
+
 def assert_matches_oracle(pruned, oracle, label=""):
     assert pruned.status == oracle.status, label
     assert pruned.target == oracle.target, label
@@ -121,7 +122,7 @@ def assert_matches_oracle(pruned, oracle, label=""):
     assert _timeline(pruned) == _timeline(oracle), label
     marked = [t["pruned"] for t in pruned.branch_timings]
     assert sum(marked) == pruned.scenarios_pruned, label
-    assert all(t["worker"] == "serial" for t in pruned.branch_timings)
+    assert all(set(t) == TIMING_KEYS for t in pruned.branch_timings), label
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +201,7 @@ SWEEP_CASES = {
     for case in chase_cases(require={DISJUNCTIVE}) + chase_cases(require={FAILING})
 }
 
-MODES = ["columnar", "reference", "process:2"]
-
-
-def _config(mode):
-    return ChaseConfig(parallelism="process:2") if mode == "process:2" else None
+MODES = ["columnar", "reference"]
 
 
 def _run_both(search, source, mode):
@@ -222,7 +219,7 @@ class TestOracleDifferential:
         ids=[case[0] for case in PIPELINE_CASES],
     )
     def test_generated_cases_match_the_oracle(self, label, build, min_pruned, mode):
-        search, source = _pipeline_setup(build(), _config(mode))
+        search, source = _pipeline_setup(build(), None)
         pruned, oracle = _run_both(search, source, mode)
         assert_matches_oracle(pruned, oracle, f"{label}/{mode}")
         assert pruned.scenarios_pruned >= min_pruned, label
@@ -235,7 +232,7 @@ class TestOracleDifferential:
         search = GreedyDedChase(
             list(setup.dependencies),
             setup.source_relations,
-            setup.config if mode != "process:2" else _config(mode),
+            setup.config,
         )
         pruned, oracle = _run_both(search, setup.instance, mode)
         case.check_baseline(oracle)
@@ -362,7 +359,7 @@ class TestSearchObservability:
 
 
 # ---------------------------------------------------------------------------
-# The sweep's other guarantees (serial sweep, sharding fallbacks)
+# The sweep's other guarantees (isolation, reruns, timings)
 # ---------------------------------------------------------------------------
 
 
@@ -406,98 +403,6 @@ class TestSweepIsolation:
             range(result.scenarios_tried)
         )
         for timing in result.branch_timings:
+            assert set(timing) == TIMING_KEYS
             assert timing["seconds"] >= 0
-            assert timing["worker"] == "serial"
             assert isinstance(timing["pruned"], bool)
-
-
-class TestSerialFallback:
-    """A sharding spec the caller cannot honour sweeps serially: the
-    result is bit-identical to a serial sweep and says ``serial``."""
-
-    def _assert_serial_fallback(self):
-        assert type(create_sharder("process:3")) is MatchSharder
-        deps = list(ded_sweep_dependencies(deds=3))
-        instance = ded_sweep_instance(deds=3)
-        relations = ded_sweep_relations(deds=3)
-        serial = GreedyDedChase(deps, relations).run(instance)
-        fallback = GreedyDedChase(
-            deps, relations, ChaseConfig(parallelism="process:3")
-        ).run(instance)
-        _compare_chases(serial, fallback, "fallback")
-        assert fallback.sharding == "serial"
-        assert _timeline(fallback) == _timeline(serial)
-
-    def test_daemonic_caller_falls_back_to_serial(self, monkeypatch):
-        class _Daemonic:
-            daemon = True
-
-        monkeypatch.setattr(
-            multiprocessing, "current_process", lambda: _Daemonic()
-        )
-        self._assert_serial_fallback()
-
-    def test_missing_fork_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        self._assert_serial_fallback()
-
-
-class TestExhaustiveChaseIgnoresParallelKnobs:
-    """The exhaustive disjunctive chase has no parallel tier: a config
-    asking for process sharding explores the same tree, in the same
-    order, as the default config."""
-
-    PARALLEL = ChaseConfig(parallelism="process:2")
-
-    def _ded_setup(self):
-        return (
-            list(ded_sweep_dependencies(deds=2, insert_branches=2)),
-            ded_sweep_relations(deds=2),
-            ded_sweep_instance(deds=2),
-        )
-
-    def test_model_set_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations).run(instance)
-        knobbed = DisjunctiveChase(deps, relations, self.PARALLEL).run(
-            instance
-        )
-        assert serial.satisfiable
-        assert len(serial.models) == len(knobbed.models)
-        for left, right in zip(serial.models, knobbed.models):
-            assert left == right  # bit-identical, including null ids
-            assert fingerprint_instance(left) == fingerprint_instance(right)
-        assert (serial.leaves, serial.failures, serial.branchings) == (
-            knobbed.leaves, knobbed.failures, knobbed.branchings
-        )
-
-    def test_first_only_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations).run(
-            instance, first_only=True
-        )
-        knobbed = DisjunctiveChase(deps, relations, self.PARALLEL).run(
-            instance, first_only=True
-        )
-        assert serial.models and serial.models == knobbed.models
-        assert serial.leaves == knobbed.leaves
-
-    def test_truncation_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations, max_leaves=3).run(instance)
-        knobbed = DisjunctiveChase(
-            deps, relations, self.PARALLEL, max_leaves=3
-        ).run(instance)
-        assert serial.truncated and knobbed.truncated
-        assert serial.leaves == knobbed.leaves == 3
-        assert serial.models == knobbed.models
-
-    def test_minimize_identical(self):
-        deps, relations, instance = self._ded_setup()
-        serial = DisjunctiveChase(deps, relations).run(instance, minimize=True)
-        knobbed = DisjunctiveChase(deps, relations, self.PARALLEL).run(
-            instance, minimize=True
-        )
-        assert serial.models == knobbed.models

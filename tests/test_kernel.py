@@ -1,6 +1,6 @@
 """Unit tests for the columnar instance kernel.
 
-:class:`TermPool` interning and fork-delta shipping, the
+:class:`TermPool` interning, the
 :class:`ColumnarInstance` storage invariants (dedup, tombstone
 resurrection, generation windows, incremental index maintenance), the
 bulk ``extend_encoded`` path, pickling across a (simulated) process
@@ -59,34 +59,6 @@ class TestTermPool:
         assert len(pool) == 0
         code = pool.encode(Constant("real"))
         assert pool.try_encode(Constant("real")) == code
-
-    def test_adopt_entries_keeps_fork_replicas_in_lockstep(self):
-        parent = TermPool()
-        parent.encode(Constant("a"))
-        parent.encode(Constant("b"))
-        # The replica's pool is a (simulated) copy-on-write snapshot.
-        replica = TermPool()
-        replica.encode(Constant("a"))
-        replica.encode(Constant("b"))
-        mark = parent.snapshot_mark
-        parent.encode(Constant("c"))
-        parent.encode(Constant("d"))
-        replica.adopt_entries(mark, parent.entries_since(mark))
-        for term in ("a", "b", "c", "d"):
-            assert replica.encode(Constant(term)) == parent.encode(
-                Constant(term)
-            )
-
-    def test_adopt_entries_rejects_a_diverged_replica(self):
-        parent = TermPool()
-        parent.encode(Constant("a"))
-        mark = parent.snapshot_mark
-        parent.encode(Constant("b"))
-        replica = TermPool()
-        replica.encode(Constant("a"))
-        replica.encode(Constant("rogue"))  # local intern = divergence
-        with pytest.raises(RuntimeError, match="diverged"):
-            replica.adopt_entries(mark, parent.entries_since(mark))
 
 
 class TestColumnarInstance:

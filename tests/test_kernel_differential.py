@@ -2,17 +2,14 @@
 
 The columnar instance kernel replaces the chase's storage layer
 wholesale — interned terms, struct-of-arrays columns, encoded join
-probes, encoded match shipping.  Its correctness contract is that none
-of that is observable: every scenario must chase to a *bit-identical*
-outcome whichever kernel runs it, under every execution strategy.
+probes.  Its correctness contract is that none of that is observable:
+every scenario must chase to a *bit-identical* outcome whichever kernel
+runs it.
 
-Three layers enforce the contract:
+Two layers enforce the contract:
 
 * a corpus-wide sweep (every scenario of the default ``mixed`` corpus)
-  comparing the columnar serial pipeline against the reference kernel;
-* the same comparison with the columnar side sharded (``process:2`` —
-  the encoded enumerate phase and forked replicas replaying encoded
-  fact/pool/null-map events);
+  comparing the columnar pipeline against the reference kernel;
 * a Hypothesis property driving :func:`random_scenario` shapes through
   both kernels (pinned regression seeds stay as ``@example`` lines).
 
@@ -43,7 +40,6 @@ REFERENCE = ChaseConfig(kernel="reference")
 #: Columnar execution strategies that must match the reference kernel.
 COLUMNAR_CONFIGS = [
     ("columnar-serial", ChaseConfig()),
-    ("columnar-process:2", ChaseConfig(parallelism="process:2")),
 ]
 
 

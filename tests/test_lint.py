@@ -335,5 +335,5 @@ class TestDeterminismLint:
         capsys.readouterr()
 
     def test_repo_merge_paths_are_clean(self):
-        # The CI gate: the real sharded-merge modules stay deterministic.
+        # The CI gate: the real merge-path modules stay deterministic.
         assert det.main([]) == 0

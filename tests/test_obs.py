@@ -309,7 +309,7 @@ class TestProfile:
         trace = self._trace(tmp_path, recorder)
         report = profile_trace(trace)
         by_name = {p.name: p for p in report.phases}
-        # The forked span ran concurrently: the parent keeps its time.
+        # The other worker's span ran concurrently: the parent keeps its time.
         assert by_name["root"].self_time == pytest.approx(10.0)
         assert sorted(report.workers) == ["fork-0", "main"]
 
@@ -338,11 +338,11 @@ class TestProfile:
 
 
 # ---------------------------------------------------------------------------
-# Trace determinism across parallel tiers
+# Trace determinism across kernels
 # ---------------------------------------------------------------------------
 
 
-def _traced_pipeline(parallelism, built=None):
+def _traced_pipeline(kernel, built=None):
     if built is None:
         scenario = build_scenario()
         source = generate_source_instance(
@@ -350,9 +350,7 @@ def _traced_pipeline(parallelism, built=None):
         )
     else:
         scenario, source = built.scenario, built.instance
-    config = ChaseConfig(
-        parallelism=parallelism, trace=TraceConfig(enabled=True)
-    )
+    config = ChaseConfig(kernel=kernel, trace=TraceConfig(enabled=True))
     outcome = run_scenario(scenario, source, config=config)
     assert outcome.ok
     assert outcome.trace is not None
@@ -360,18 +358,10 @@ def _traced_pipeline(parallelism, built=None):
 
 
 def _structure(payload):
-    """(name, parent name) sequence, worker-agnostic, worker spans cut.
-
-    ``*.worker`` spans are per-shard bookkeeping whose count depends on
-    the tier; everything else must be bit-identical across tiers.
-    """
+    """(name, parent name) sequence, worker-agnostic."""
     spans = payload["spans"]
     names = {span["id"]: span["name"] for span in spans}
-    return [
-        (span["name"], names.get(span["parent"]))
-        for span in spans
-        if not span["name"].endswith(".worker")
-    ]
+    return [(span["name"], names.get(span["parent"])) for span in spans]
 
 
 def _chase_counters(payload):
@@ -383,34 +373,29 @@ def _chase_counters(payload):
 
 
 class TestTraceDeterminism:
-    def test_span_structure_identical_across_tiers(self):
-        serial = _traced_pipeline("serial")
-        forked = _traced_pipeline("process:2")
-        assert _structure(serial) == _structure(forked)
+    def test_span_structure_identical_across_kernels(self):
+        columnar = _traced_pipeline("columnar")
+        reference = _traced_pipeline("reference")
+        assert _structure(columnar) == _structure(reference)
 
-    def test_chase_counters_identical_across_tiers(self):
-        serial = _traced_pipeline("serial")
-        forked = _traced_pipeline("process:2")
-        counters = _chase_counters(serial)
+    def test_chase_counters_identical_across_kernels(self):
+        columnar = _traced_pipeline("columnar")
+        reference = _traced_pipeline("reference")
+        counters = _chase_counters(columnar)
         assert counters  # the chase.* namespace is populated
-        assert counters == _chase_counters(forked)
+        assert counters == _chase_counters(reference)
 
-    def test_pruned_sweep_trace_identical_across_tiers(self):
+    def test_pruned_sweep_trace_identical_across_kernels(self):
         # A flagged case's sweep answers most selections from nogoods;
-        # the skipped runs are the same whichever tier enumerates.
+        # the skipped runs are the same whichever kernel chases.
         built = flagged_case(flags=3, products=10, name_pairs=2, seed=1)
-        serial = _traced_pipeline("serial", built)
-        forked = _traced_pipeline("process:2", built)
-        pruned = serial["metrics"]["counters"]["search.pruned"]
+        columnar = _traced_pipeline("columnar", built)
+        reference = _traced_pipeline("reference", built)
+        pruned = columnar["metrics"]["counters"]["search.pruned"]
         assert pruned > 0
-        assert forked["metrics"]["counters"]["search.pruned"] == pruned
-        assert _structure(serial) == _structure(forked)
-        assert _chase_counters(serial) == _chase_counters(forked)
-
-    def test_forked_worker_spans_reach_the_parent_trace(self):
-        payload = _traced_pipeline("process:2")
-        workers = {span["worker"] for span in payload["spans"]}
-        assert any(worker.startswith("fork-") for worker in workers)
+        assert reference["metrics"]["counters"]["search.pruned"] == pruned
+        assert _structure(columnar) == _structure(reference)
+        assert _chase_counters(columnar) == _chase_counters(reference)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Hypothesis drives :mod:`repro.scenarios.generators` with random seeds
 and shape parameters, and asserts the engine's central invariant: one
 generated scenario chases to the *same* result — fingerprint-identical
 targets, same status, same number of scenarios tried — whichever
-execution strategy runs it (serial or process-sharded).
+instance kernel runs it (the columnar default or the set-based
+reference kernel).
 A second property pins the DSL round-trip: a generated scenario
 serializes and re-parses fingerprint-identically, whatever the
 generator produced.
@@ -38,10 +39,10 @@ from repro.runtime.fingerprint import (
 )
 from repro.scenarios.generators import random_scenario
 
-# The execution strategies every scenario must agree with the serial
-# baseline across: the forked sharded enumerate phase.
+# The execution strategies every scenario must agree with the default
+# (columnar kernel) baseline across: the set-based reference kernel.
 MODE_CONFIGS = [
-    ("process-sharded", ChaseConfig(parallelism="process:2")),
+    ("reference-kernel", ChaseConfig(kernel="reference")),
 ]
 
 
@@ -143,10 +144,10 @@ def test_generated_scenarios_roundtrip_fingerprint_identically(
 @example(seed=3)
 def test_rerunning_one_mode_is_deterministic(seed):
     """The same config twice gives byte-identical targets — no hidden
-    dependence on worker scheduling or hash seeds."""
+    dependence on iteration order or hash seeds."""
     generated = random_scenario(seed=seed, instance_rows=8)
     rewritten = rewrite(generated.scenario)
-    config = ChaseConfig(parallelism="process:2")
+    config = ChaseConfig()
     first = run_rewritten(
         generated.scenario, rewritten, generated.instance,
         verify=False, config=config,

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -341,84 +345,104 @@ class TestResults:
         assert summary.by_family == {"random": 2, "flagged": 2}
         assert not summary.clean
 
-    def test_summarize_records_parallelism(self):
-        summary = summarize([], parallelism="process:2")
-        assert summary.parallelism == "process:2"
-        assert summary.as_dict()["parallelism"] == "process:2"
-
-
-class TestIntraChaseParallelism:
-    """BatchOptions.parallelism: budgeted, recorded, and JSONL-visible."""
-
-    def test_serial_run_honours_requested_parallelism(self, monkeypatch):
-        import repro.runtime.executor as executor_module
-
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 8)
-        corpus = get_corpus("smoke").limited(2)
-        report = run_batch(
-            corpus, BatchOptions(parallelism="process:2", use_cache=False)
-        )
-        assert report.parallelism == "process:2"
-        assert report.summary.parallelism == "process:2"
-        assert all(r.parallelism == "process:2" for r in report.records)
-        assert all(r.ok for r in report.records)
-
-    def test_pooled_run_falls_back_to_serial(self):
-        # Daemonic pool workers cannot fork: a pooled run chases every
-        # task serially, with records bit-identical to a serial batch,
-        # and both the records and the note say so.
-        corpus = get_corpus("smoke").limited(4)
-        serial = run_batch(corpus, BatchOptions(use_cache=False))
-        pooled = run_batch(
-            corpus,
-            BatchOptions(
-                jobs=2,
-                parallelism="process:2",
-                use_cache=False,
-            ),
-        )
-        fields = (
-            "label", "status", "ok", "verified", "task_fingerprint",
-            "target_facts", "rounds", "scenarios_tried", "scenarios_pruned",
-            "nulls_created",
-        )
-        assert [
-            [getattr(r, f) for f in fields] for r in pooled.records
-        ] == [[getattr(r, f) for f in fields] for r in serial.records]
-        if pooled.mode == "pool":
-            assert pooled.parallelism == "serial"
-            assert all(r.parallelism == "serial" for r in pooled.records)
-            assert pooled.note == (
-                "pool workers cannot fork; intra-chase sharding runs serial"
-            )
-
-    def test_exhausted_budget_degrades_to_serial(self, monkeypatch):
-        import repro.runtime.executor as executor_module
-
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
-        corpus = get_corpus("smoke").limited(2)
-        report = run_batch(
-            corpus,
-            BatchOptions(jobs=2, parallelism="process:4", use_cache=False),
-        )
-        assert report.parallelism == "serial"
-
-    def test_parallelism_round_trips_through_jsonl(self, tmp_path):
-        record = TaskRecord(
-            "c", 0, "a()", "random", {}, parallelism="process:2"
-        )
+    def test_records_from_older_versions_still_load(self, tmp_path):
+        # A line written before a field was removed carries a key that
+        # is no longer a field; one written before a field was added
+        # lacks it.  Both load.
+        record = TaskRecord("c", 0, "a()", "random", {}, status="success")
+        line = json.loads(record.to_json())
+        line["parallelism"] = "process:2"
+        del line["scenarios_pruned"]
         path = tmp_path / "records.jsonl"
-        write_jsonl([record], path)
+        path.write_text(json.dumps(line) + "\n")
         (loaded,) = read_jsonl(path)
-        assert loaded.parallelism == "process:2"
-        # Pre-parallelism records (no field) still load.
-        import json
+        assert loaded == record
+        assert not hasattr(loaded, "parallelism")
 
-        old = dict(json.loads(record.to_json()))
-        del old["parallelism"]
-        path.write_text(json.dumps(old) + "\n")
-        (legacy,) = read_jsonl(path)
-        assert legacy.parallelism == "serial"
+
+#: The record fields a degraded batch must reproduce exactly.
+RECORD_FIELDS = (
+    "label", "status", "ok", "verified", "task_fingerprint",
+    "target_facts", "rounds", "scenarios_tried", "scenarios_pruned",
+    "nulls_created",
+)
+
+
+def _record_rows(report):
+    return [[getattr(r, f) for f in RECORD_FIELDS] for r in report.records]
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of hanging the suite, past ``seconds``."""
+
+    def _expired(_signum, _frame):
+        pytest.fail(f"batch did not return within {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestPoolDegradation:
+    """A pool that cannot start, or loses a worker mid-run, degrades to
+    a serial batch whose records equal a plain serial run's."""
+
+    CORPUS = get_corpus("smoke").limited(4)
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return run_batch(self.CORPUS, BatchOptions(use_cache=False))
+
+    def test_pooled_records_equal_serial(self, serial):
+        pooled = run_batch(self.CORPUS, BatchOptions(jobs=2, use_cache=False))
+        assert (pooled.mode, pooled.note) == ("pool", "")
+        assert _record_rows(pooled) == _record_rows(serial)
+
+    def test_pool_creation_failure_degrades_to_serial(self, serial, monkeypatch):
+        import repro.runtime.executor as executor_module
+
+        def _no_pool():
+            raise OSError("no semaphores available")
+
+        monkeypatch.setattr(executor_module, "_pool_context", _no_pool)
+        report = run_batch(self.CORPUS, BatchOptions(jobs=2, use_cache=False))
+        assert report.mode == "serial"
+        assert "worker pool unavailable" in report.note
+        assert "no semaphores available" in report.note
+        assert _record_rows(report) == _record_rows(serial)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods()
+        or not hasattr(signal, "SIGALRM"),
+        reason="needs fork (the patched task must reach the worker) and SIGALRM",
+    )
+    def test_dead_worker_degrades_to_serial(self, serial, monkeypatch):
+        import repro.runtime.executor as executor_module
+
+        # Forked workers inherit the patch; task 1 kills its worker.
+        # The serial rerun happens in this process and runs unharmed.
+        parent = os.getpid()
+        execute = executor_module._execute
+
+        def _dying(corpus_name, index, spec, options, cache):
+            if index == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return execute(corpus_name, index, spec, options, cache)
+
+        monkeypatch.setattr(executor_module, "_execute", _dying)
+        with _deadline(60):
+            report = run_batch(
+                self.CORPUS, BatchOptions(jobs=2, use_cache=False)
+            )
+        assert report.mode == "serial"
+        assert "worker pool failed" in report.note
+        assert "BrokenProcessPool" in report.note
+        assert _record_rows(report) == _record_rows(serial)
 
 
 class TestBatchCli:

@@ -37,6 +37,7 @@ from repro.pipeline import run_rewritten, run_scenario
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance
 from repro.relational.query import reference_evaluator
+from repro.runtime.corpus import get_corpus
 
 from corpus import (
     ded_sweep_dependencies,
@@ -230,3 +231,19 @@ class TestBoundaryDecodes:
         assert state["_pending"] is None
         assert isinstance(state["_target"], Instance)
         assert pickle.loads(pickle.dumps(result)).target == result.target
+
+
+class TestVerifierCap:
+    def test_violations_capped_to_the_uncapped_prefix(self):
+        # An empty target violates every premise match; the capped
+        # report keeps exactly the first violations of an uncapped one.
+        spec = list(get_corpus("smoke"))[0]
+        built = spec.build()
+        verifier = ScenarioVerifier(built.scenario, built.instance)
+        uncapped = verifier.verify(Instance())
+        capped = verifier.verify(Instance(), max_violations=3)
+        assert not capped.ok and len(uncapped.violations) > 3
+        assert [str(v) for v in capped.violations] == [
+            str(v) for v in uncapped.violations[:3]
+        ]
+        assert capped.premise_matches == uncapped.premise_matches

@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """AST lint: no iteration over unordered sets in deterministic merge paths.
 
-The parallel chase, the greedy ded sweep's nogoods and the
-flight-recorder merge all promise bit-identical output regardless of
-worker scheduling or pruning.  That
-promise dies the moment a merge path iterates a ``set`` directly —
+The greedy ded sweep's nogoods and the flight-recorder merge both
+promise bit-identical output regardless of pruning or of the order pool
+workers finish in.  That promise dies the moment a merge path iterates a ``set`` directly —
 Python set order depends on insertion history and hash seeding.  This
 tool walks the AST of the deterministic-merge modules and flags every
 ``for`` loop, comprehension or ``list``/``tuple`` call whose iterable
@@ -36,7 +35,6 @@ from typing import Dict, List, Set, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 DEFAULT_FILES = (
-    "src/repro/chase/parallel.py",
     "src/repro/chase/ded.py",
     "src/repro/obs/recorder.py",
 )
