@@ -104,46 +104,49 @@ def _comparison_query():
 
 #: Timed repetitions per mode; the gate uses the best run of each, so a
 #: single scheduler hiccup on a loaded CI box cannot fail the ratio.
-REPEATS = 3
+#: Block and row runs alternate, so a slow stretch of the host costs
+#: both modes one sample instead of every sample of one mode.
+REPEATS = 5
 
 
 def _timed_rows(plan, store, delta=None):
-    """Fully drain the encoded plan (block-wise); returns (rows,
-    best-of-:data:`REPEATS` seconds, probed, survivors) with the
-    counters isolated to one evaluation."""
+    """Fully drain the encoded plan (block-wise) once; returns (rows,
+    seconds, probed, survivors) with the counters isolated to this
+    evaluation."""
     stats = store.kernel_stats
-    seconds = None
-    for _ in range(REPEATS):
-        probed0, surv0 = stats.probe_rows, stats.probe_survivors
-        start = time.perf_counter()
-        rows = []
-        for block in plan.blocks(store, delta=delta):
-            rows += block
-        elapsed = time.perf_counter() - start
-        if seconds is None or elapsed < seconds:
-            seconds = elapsed
+    probed0, surv0 = stats.probe_rows, stats.probe_survivors
+    start = time.perf_counter()
+    rows = []
+    for block in plan.blocks(store, delta=delta):
+        rows += block
+    elapsed = time.perf_counter() - start
     return (
         rows,
-        seconds,
+        elapsed,
         stats.probe_rows - probed0,
         stats.probe_survivors - surv0,
     )
 
 
 def _race(plan, store, delta=None):
-    """Block vs row timing on one plan; asserts identical streams and
-    identical counters, returns the section payload."""
+    """Block vs row timing on one plan (best of :data:`REPEATS` each);
+    asserts identical streams and identical counters, returns the
+    section payload."""
     # Build the probed hash indexes up front: both timed runs must
     # measure probing, not the first run's lazy index construction.
     for step in plan.steps:
         store.encoded_index(step.relation, step.positions)
-    block_rows, block_seconds, block_probed, block_surv = _timed_rows(
-        plan, store, delta
-    )
-    with row_probe_mode():
-        row_rows, row_seconds, row_probed, row_surv = _timed_rows(
+    block_seconds = row_seconds = float("inf")
+    for _ in range(REPEATS):
+        block_rows, seconds, block_probed, block_surv = _timed_rows(
             plan, store, delta
         )
+        block_seconds = min(block_seconds, seconds)
+        with row_probe_mode():
+            row_rows, seconds, row_probed, row_surv = _timed_rows(
+                plan, store, delta
+            )
+        row_seconds = min(row_seconds, seconds)
     assert block_rows == row_rows
     assert (block_probed, block_surv) == (row_probed, row_surv)
     speedup = row_seconds / block_seconds if block_seconds else 0.0

@@ -20,8 +20,11 @@ from conftest import print_experiment_table, quick_mode, record_bench_json
 SIZES = [100, 500, 1000, 2000]
 QUICK_SIZES = [100, 500]
 # Each size's time is the best of this many runs: one GC pause or a
-# noisy neighbour inflates a single run, never all of them.
-REPEATS = 3
+# noisy neighbour inflates a single run, never all of them.  The runs
+# are interleaved across sizes (one pass over every size per repeat),
+# so a slow stretch of the host hits one sample of each size rather
+# than every sample of the size that happened to run during it.
+REPEATS = 5
 
 
 @pytest.mark.parametrize("products", SIZES)
@@ -45,19 +48,27 @@ def test_report_e2(benchmark, running_rewritten_no_key):
         ["products", "target facts", "nulls", "rounds", "time (s)", "facts/s"],
     )
     sizes = QUICK_SIZES if quick_mode() else SIZES
-    times = {}
-    for products in sizes:
-        source = generate_source_instance(products=products, stores=10, seed=2)
-        engine = StandardChase(
+    sources = {
+        products: generate_source_instance(products=products, stores=10, seed=2)
+        for products in sizes
+    }
+    engines = {
+        products: StandardChase(
             running_rewritten_no_key.dependencies,
             running_rewritten_no_key.source_relations(),
         )
-        elapsed = float("inf")
-        for _ in range(REPEATS):
+        for products in sizes
+    }
+    times = {products: float("inf") for products in sizes}
+    results = {}
+    for _ in range(REPEATS):
+        for products in sizes:
             start = time.perf_counter()
-            result = engine.run(source)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        times[products] = elapsed
+            results[products] = engines[products].run(sources[products])
+            elapsed = time.perf_counter() - start
+            times[products] = min(times[products], elapsed)
+    for products in sizes:
+        result, elapsed = results[products], times[products]
         table.add(
             products,
             len(result.target),

@@ -103,8 +103,8 @@ class ChaseConfig:
     kernel: str = "columnar"
     """Which instance kernel the working instance uses: ``columnar``
     (default — interned terms over struct-of-arrays storage, encoded
-    join probes and match shipping) or ``reference`` (the set-based
-    :class:`~repro.relational.instance.Instance`).  Both produce
+    join probes and encoded premise matches) or ``reference`` (the
+    set-based :class:`~repro.relational.instance.Instance`).  Both produce
     bit-identical results — the differential suite asserts it — so the
     reference kernel exists for exactly that comparison (and as the
     fallback while :func:`repro.relational.query.reference_evaluator`

@@ -77,6 +77,22 @@ class TestCli:
         path.write_text(text)
         assert main(["chase", str(path)]) == 1
 
+    @pytest.mark.parametrize("spec", ["serial", "process:2"])
+    @pytest.mark.parametrize("command", ["chase", "batch"])
+    def test_parallelism_is_no_longer_an_option(
+        self, scenario_file, capsys, command, spec
+    ):
+        # The chase always runs serially: an old command line that still
+        # passes --parallelism gets a usage error, not a traceback.
+        target = str(scenario_file) if command == "chase" else "smoke"
+        with pytest.raises(SystemExit) as info:
+            main([command, target, "--parallelism", spec])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [message] = [line for line in err.splitlines() if "error:" in line]
+        assert "--parallelism" in message
+
 
 class TestReporting:
     def test_format_table_alignment(self):

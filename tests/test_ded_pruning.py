@@ -11,7 +11,8 @@ it in the library.
 
 The suite sweeps the disjunctive and failing chase cases of
 ``tests/corpus.py``, the flag-view family (``flagged_case``) and the
-partition family (``partition_case``) through the columnar kernel and
+partition family (``partition_case``) through the columnar kernel, the
+set-based reference kernel, a traced columnar run and
 ``reference_evaluator()`` mode.  Cases that must prune assert it, so the
 comparison never passes vacuously.
 """
@@ -25,11 +26,11 @@ import pytest
 
 from repro.analysis import analyze_dependencies
 from repro.chase.ded import GreedyDedChase
-from repro.chase.engine import StandardChase
+from repro.chase.engine import ChaseConfig, StandardChase
 from repro.chase.result import ChaseStats
 from repro.core.compose import extend_source
 from repro.core.rewriter import rewrite
-from repro.obs.recorder import FlightRecorder
+from repro.obs.recorder import FlightRecorder, TraceConfig
 from repro.relational.query import reference_evaluator
 from repro.runtime.fingerprint import fingerprint_instance
 from repro.scenarios.generators import flagged_case, partition_case
@@ -201,14 +202,30 @@ SWEEP_CASES = {
     for case in chase_cases(require={DISJUNCTIVE}) + chase_cases(require={FAILING})
 }
 
-MODES = ["columnar", "reference"]
+#: How each mode changes the search's config; ``reference`` instead
+#: runs the default config under ``reference_evaluator()``.
+MODE_CONFIGS = {
+    "columnar": {},
+    "reference": {},
+    "reference-kernel": {"kernel": "reference"},
+    "traced": {"trace": TraceConfig(enabled=True)},
+}
+MODES = list(MODE_CONFIGS)
+
+
+def _mode_config(config, mode):
+    return dataclasses.replace(config or ChaseConfig(), **MODE_CONFIGS[mode])
 
 
 def _run_both(search, source, mode):
     if mode == "reference":
         with reference_evaluator():
             return search.run(source), unpruned_sweep(search, source)
-    return search.run(source), unpruned_sweep(search, source)
+    pruned = search.run(source)
+    # A traced sweep must actually have recorded, or the mode compares
+    # two uninstrumented runs.
+    assert (pruned.trace is not None) == (mode == "traced"), mode
+    return pruned, unpruned_sweep(search, source)
 
 
 class TestOracleDifferential:
@@ -219,7 +236,7 @@ class TestOracleDifferential:
         ids=[case[0] for case in PIPELINE_CASES],
     )
     def test_generated_cases_match_the_oracle(self, label, build, min_pruned, mode):
-        search, source = _pipeline_setup(build(), None)
+        search, source = _pipeline_setup(build(), _mode_config(None, mode))
         pruned, oracle = _run_both(search, source, mode)
         assert_matches_oracle(pruned, oracle, f"{label}/{mode}")
         assert pruned.scenarios_pruned >= min_pruned, label
@@ -232,7 +249,7 @@ class TestOracleDifferential:
         search = GreedyDedChase(
             list(setup.dependencies),
             setup.source_relations,
-            setup.config,
+            _mode_config(setup.config, mode),
         )
         pruned, oracle = _run_both(search, setup.instance, mode)
         case.check_baseline(oracle)

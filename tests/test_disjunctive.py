@@ -1,12 +1,19 @@
 """Tests for the full disjunctive chase (universal model sets)."""
 
-
-from repro.chase.disjunctive import disjunctive_chase
+from repro.chase.disjunctive import DisjunctiveChase, disjunctive_chase
+from repro.chase.engine import ChaseConfig
 from repro.chase.universal import satisfies
 from repro.logic.atoms import Atom, Conjunction, Equality
 from repro.logic.dependencies import Disjunct, ded, denial, tgd
 from repro.logic.terms import Constant, Variable
 from repro.relational.instance import Instance
+from repro.runtime.fingerprint import fingerprint_instance
+
+from corpus import (
+    ded_sweep_dependencies,
+    ded_sweep_instance,
+    ded_sweep_relations,
+)
 
 x, y = Variable("x"), Variable("y")
 
@@ -152,3 +159,65 @@ class TestGreedyVsExhaustiveAgreement:
             )
             assert exhaustive.satisfiable is expected
             assert greedy.ok is expected
+
+
+class TestExhaustiveChaseAcrossKernels:
+    """The exhaustive disjunctive chase explores the same tree, in the
+    same order, whichever instance kernel its per-node chases use."""
+
+    REFERENCE = ChaseConfig(kernel="reference")
+
+    def _ded_setup(self):
+        return (
+            list(ded_sweep_dependencies(deds=2, insert_branches=2)),
+            ded_sweep_relations(deds=2),
+            ded_sweep_instance(deds=2),
+        )
+
+    def test_model_set_identical(self):
+        deps, relations, instance = self._ded_setup()
+        columnar = DisjunctiveChase(deps, relations).run(instance)
+        reference = DisjunctiveChase(deps, relations, self.REFERENCE).run(
+            instance
+        )
+        assert columnar.satisfiable
+        assert len(columnar.models) == len(reference.models)
+        for left, right in zip(columnar.models, reference.models):
+            assert left == right  # bit-identical, including null ids
+            assert fingerprint_instance(left) == fingerprint_instance(right)
+        assert (columnar.leaves, columnar.failures, columnar.branchings) == (
+            reference.leaves, reference.failures, reference.branchings
+        )
+
+    def test_first_only_identical(self):
+        deps, relations, instance = self._ded_setup()
+        columnar = DisjunctiveChase(deps, relations).run(
+            instance, first_only=True
+        )
+        reference = DisjunctiveChase(deps, relations, self.REFERENCE).run(
+            instance, first_only=True
+        )
+        assert columnar.models and columnar.models == reference.models
+        assert columnar.leaves == reference.leaves
+
+    def test_truncation_identical(self):
+        deps, relations, instance = self._ded_setup()
+        columnar = DisjunctiveChase(deps, relations, max_leaves=3).run(
+            instance
+        )
+        reference = DisjunctiveChase(
+            deps, relations, self.REFERENCE, max_leaves=3
+        ).run(instance)
+        assert columnar.truncated and reference.truncated
+        assert columnar.leaves == reference.leaves == 3
+        assert columnar.models == reference.models
+
+    def test_minimize_identical(self):
+        deps, relations, instance = self._ded_setup()
+        columnar = DisjunctiveChase(deps, relations).run(
+            instance, minimize=True
+        )
+        reference = DisjunctiveChase(deps, relations, self.REFERENCE).run(
+            instance, minimize=True
+        )
+        assert columnar.models == reference.models
