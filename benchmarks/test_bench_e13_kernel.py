@@ -7,8 +7,8 @@ kernel's primitive operations in isolation so regressions show up
 before they blur into end-to-end chase timings:
 
 * **intern** — terms/second into a fresh :class:`TermPool`;
-* **append** — bulk encoded-row inserts (``extend_encoded``) vs the
-  reference kernel's atom-object inserts on identical data (the
+* **append** — bulk encoded-row inserts (``extend_encoded``) vs
+  set-based ``Instance`` inserts of atom objects on identical data (the
   headline: encoded must stay ≥3x faster, asserted at 2.5x for CI
   headroom), with the per-row ``add_encoded`` rate tracked alongside;
 * **facts_since** — reading one generation window off the insertion
@@ -67,11 +67,11 @@ def test_bench_e13_kernel():
     table.add("intern", "ns/op", round(payload["intern"]["ns_per_op"], 1))
 
     # -- append: atom objects vs encoded rows --------------------------
-    # Identical data down both kernels' bulk-insert APIs, payload
-    # pre-built outside the timed region: atoms for the reference
-    # set-based Instance (``add_all`` is a plain ``add`` loop), code
+    # Identical data down both stores' bulk-insert APIs, payload
+    # pre-built outside the timed region: atoms for set-based
+    # ``Instance`` inserts (``add_all`` is a plain ``add`` loop), code
     # tuples for the columnar kernel's ``extend_encoded`` — the path
-    # engine seeding, replica fact replay and pickle rehydration ride.
+    # engine seeding, result stripping and pickle rehydration ride.
     atoms = [
         Atom("R", (Constant(i // GROUP), Constant(i), Constant(i % 17)))
         for i in range(rows_n)

@@ -18,8 +18,8 @@ Satisfaction probing is a **hash anti-join**: the conclusion relation's
 hash index (on the positions the premise binds) is the build side, the
 premise matches are the probe side, and a match is *unsatisfied* exactly
 when its key misses the index.  Because
-:meth:`repro.relational.instance.Instance.index` maintains live indexes
-incrementally on insertion, facts created by enforcing one match are
+:meth:`repro.relational.kernel.ColumnarInstance.encoded_index` maintains
+live indexes incrementally on insertion, facts created by enforcing one match are
 visible to the next match's probe — preserving the restricted chase's
 semantics while each probe costs O(1) instead of a fresh join.
 
@@ -33,14 +33,13 @@ scenarios of a selection sweep.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ChaseError, TypingError
-from repro.logic.atoms import Atom, Conjunction
+from repro.logic.atoms import Conjunction
 from repro.logic.dependencies import Dependency
 from repro.logic.terms import Term, Variable
 from repro.relational.delta import DeltaPlans, PlanCache, RowDelta
-from repro.relational.instance import Instance
 from repro.relational.kernel import CodeComparison, TermPool
 from repro.relational.query import Binding
 
@@ -49,8 +48,8 @@ __all__ = ["CompiledDependency", "compile_dependencies"]
 
 def _resolve(term: Term, binding: Binding) -> Term:
     """Strict resolution: an unbound variable in a disjunct equality or
-    comparison is a malformed dependency and must fail loudly (matching
-    the engine's historical behaviour and ``DisjunctiveChase``)."""
+    comparison is a malformed dependency and must fail loudly (the
+    disjunctive chase resolves decoded bindings through this)."""
     if isinstance(term, Variable):
         value = binding.get(term)
         if value is None:
@@ -201,14 +200,6 @@ class CompiledDependency:
 
     # -- premise -----------------------------------------------------------
 
-    def premise_matches(
-        self, working: Instance, delta: Optional[Set[Atom]]
-    ) -> List[Binding]:
-        """All premise bindings, optionally restricted to ``delta`` facts."""
-        if delta is None:
-            return self._premise.matches(working)
-        return self._premise.delta_matches(working, delta)
-
     def premise_matches_encoded(
         self, working, delta_rows: Optional[RowDelta]
     ) -> List[Tuple[int, ...]]:
@@ -245,38 +236,17 @@ class CompiledDependency:
 
     # -- satisfaction ------------------------------------------------------
 
-    def disjunct_satisfied(
-        self, disjunct_index: int, binding: Binding, working: Instance
-    ) -> bool:
-        """Whether one conclusion disjunct already holds under ``binding``."""
-        disjunct = self.dependency.disjuncts[disjunct_index]
-        for equality in disjunct.equalities:
-            if _resolve(equality.left, binding) != _resolve(equality.right, binding):
-                return False
-        for comparison in disjunct.comparisons:
-            if not _ground_check(comparison, binding):
-                return False
-        if not disjunct.atoms:
-            return True
-        return self._satisfaction[disjunct_index].exists(working, binding)
-
-    def satisfied(self, binding: Binding, working: Instance) -> bool:
-        """Whether *any* conclusion disjunct holds under ``binding``."""
-        return any(
-            self.disjunct_satisfied(i, binding, working)
-            for i in range(len(self.dependency.disjuncts))
-        )
-
     def disjunct_satisfied_encoded(
         self, disjunct_index: int, row: Tuple[int, ...], working
     ) -> bool:
-        """Encoded :meth:`disjunct_satisfied` over a premise code row.
+        """Whether one conclusion disjunct already holds for a premise
+        code row.
 
         Equality is code equality (the pool interns by term equality),
         comparisons are the kernel's :class:`CodeComparison` tests on
-        codes, and the atom probe is the same
-        hash anti-join over the incrementally-maintained *encoded*
-        index — facts enforced for one match stay visible to the next."""
+        codes, and the atom probe is a hash anti-join over the
+        incrementally-maintained encoded index — facts enforced for one
+        match stay visible to the next."""
         kernel = self.disjunct_kernel(disjunct_index, working.pool)
         for left_get, right_get in kernel.equalities:
             if left_get(row) != right_get(row):
@@ -291,7 +261,7 @@ class CompiledDependency:
         )
 
     def satisfied_encoded(self, row: Tuple[int, ...], working) -> bool:
-        """Encoded :meth:`satisfied` over a premise code row."""
+        """Whether *any* conclusion disjunct holds for a premise code row."""
         return any(
             self.disjunct_satisfied_encoded(i, row, working)
             for i in range(len(self.dependency.disjuncts))

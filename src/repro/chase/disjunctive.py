@@ -27,13 +27,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.chase.engine import (
-    ChaseConfig,
-    StandardChase,
-    _binding_order,
-    _ground_check,
-    _resolve,
-)
+from repro.chase.compiled import _ground_check, _resolve
+from repro.chase.engine import ChaseConfig, StandardChase, _binding_order
 from repro.obs.recorder import resolve_recorder
 from repro.logic.atoms import Atom, Conjunction
 from repro.logic.dependencies import Dependency, Disjunct

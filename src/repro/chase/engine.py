@@ -21,14 +21,16 @@ null rewriting forces a full re-evaluation round — simple and sound.
 Each dependency's round is an explicit two-phase pipeline:
 
 * **enumerate** — find every premise match: a read-only join over the
-  working instance through the dependency's compiled premise plans
-  (:meth:`~repro.chase.compiled.CompiledDependency.premise_matches` and
-  its encoded twin).
+  working :class:`~repro.relational.kernel.ColumnarInstance` through the
+  dependency's compiled premise plans
+  (:meth:`~repro.chase.compiled.CompiledDependency.premise_matches_encoded`),
+  as code rows.
 * **enforce** — sort the matches into canonical order, then probe
   satisfaction and fire tgd/egd steps one match at a time.  Because
   enforcement order is canonical, null invention and ``_NullMap`` unions
-  are bit-identical across kernels, whatever order the join produced
-  the matches in.
+  do not depend on the order the join produced the matches in — which
+  is what lets the set-based oracle under ``tests/`` reproduce every
+  null id.
 
 Both phases run in the calling process: the columnar enumerate join is
 memory-bound, and forked shards of it did not beat one process on two
@@ -48,21 +50,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.errors import ChaseError, ChaseFailure, ChaseNonTermination
 from repro.analysis.firing import dead_dependency_indices
 from repro.analysis.termination import TerminationReport
-from repro.chase.compiled import (
-    CompiledDependency,
-    compile_dependencies,
-    _ground_check,
-    _resolve,
-)
+from repro.chase.compiled import CompiledDependency, compile_dependencies
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
 from repro.obs.recorder import TraceConfig, resolve_recorder
-from repro.logic.atoms import Atom
-from repro.logic.dependencies import Dependency, Disjunct
+from repro.logic.dependencies import Dependency
 from repro.logic.terms import Null, NullFactory, Term, Variable
-from repro.relational import query as _query
-from repro.relational.delta import RowDelta, group_rows, mask_rows
+from repro.relational.delta import group_rows, mask_rows
 from repro.relational.instance import Instance
-from repro.relational.kernel import ColumnarInstance
+from repro.relational.kernel import ColumnarInstance, RowMask
 from repro.relational.types import term_order_key
 
 __all__ = ["ChaseConfig", "StandardChase", "chase"]
@@ -100,82 +95,20 @@ class ChaseConfig:
     bounded trigger memory, proof or not (the differential suite uses
     this to assert guarded and unguarded runs are bit-identical)."""
 
-    kernel: str = "columnar"
-    """Which instance kernel the working instance uses: ``columnar``
-    (default — interned terms over struct-of-arrays storage, encoded
-    join probes and encoded premise matches) or ``reference`` (the
-    set-based :class:`~repro.relational.instance.Instance`).  Both produce
-    bit-identical results — the differential suite asserts it — so the
-    reference kernel exists for exactly that comparison (and as the
-    fallback while :func:`repro.relational.query.reference_evaluator`
-    mode is active, which bypasses compiled plans entirely)."""
-
 
 class _NullMap:
-    """Union-find over labeled nulls, with constants as sinks."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[Null, Term] = {}
-
-    def find(self, term: Term) -> Term:
-        seen: List[Null] = []
-        while isinstance(term, Null) and term in self._parent:
-            seen.append(term)
-            term = self._parent[term]
-        for null in seen[:-1]:  # path compression
-            self._parent[null] = term
-        return term
-
-    def union(self, left: Term, right: Term, context: str) -> bool:
-        """Merge the classes of two terms; returns True when a change happened.
-
-        Raises :class:`ChaseFailure` when both resolve to distinct
-        constants — the classical hard egd failure.
-        """
-        left_root, right_root = self.find(left), self.find(right)
-        if left_root == right_root:
-            return False
-        left_null = isinstance(left_root, Null)
-        right_null = isinstance(right_root, Null)
-        if not left_null and not right_null:
-            raise ChaseFailure(
-                f"{context}: cannot equate distinct constants "
-                f"{left_root} and {right_root}"
-            )
-        if left_null and right_null:
-            # Deterministic orientation: larger id points to smaller.
-            if left_root.id < right_root.id:  # type: ignore[union-attr]
-                self._parent[right_root] = left_root  # type: ignore[index]
-            else:
-                self._parent[left_root] = right_root  # type: ignore[index]
-        elif left_null:
-            self._parent[left_root] = right_root  # type: ignore[index]
-        else:
-            self._parent[right_root] = left_root  # type: ignore[index]
-        return True
-
-    def resolution(self) -> Dict[Null, Term]:
-        return {null: self.find(null) for null in self._parent}
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-
-class _EncodedNullMap:
-    """Union-find over encoded terms (the columnar kernel's `_NullMap`).
+    """Union-find over encoded terms, with constants as sinks.
 
     Codes are ints: nulls negative (``-(id + 1)``), constants positive.
-    Orientation matches :class:`_NullMap` exactly — the *smaller null
-    id* wins a null/null union, and null ids decrease as codes decrease,
-    so the larger code is the smaller id's... inverse: code ``-(id+1)``
-    means smaller id ⇔ larger code.  Failure messages decode through the
-    working instance so they are byte-identical to the reference
-    kernel's.
+    A null/null union keeps the null with the *smaller id* as the root.
+    Because a null's code is ``-(id + 1)``, the smaller id is the
+    *larger* code.  Failure messages decode the clashing constants
+    through the working instance.
     """
 
     __slots__ = ("_parent", "_decode")
 
-    def __init__(self, working: "ColumnarInstance") -> None:
+    def __init__(self, working: ColumnarInstance) -> None:
         self._parent: Dict[int, int] = {}
         self._decode = working.decode_term
 
@@ -190,6 +123,11 @@ class _EncodedNullMap:
         return code
 
     def union(self, left: int, right: int, context: str) -> bool:
+        """Merge the classes of two codes; returns True when a change happened.
+
+        Raises :class:`ChaseFailure` when both resolve to distinct
+        constants — the classical hard egd failure.
+        """
         left_root, right_root = self.find(left), self.find(right)
         if left_root == right_root:
             return False
@@ -201,7 +139,7 @@ class _EncodedNullMap:
                 f"{self._decode(left_root)} and {self._decode(right_root)}"
             )
         if left_null and right_null:
-            # id(left) < id(right) ⇔ left_root > right_root.
+            # The smaller null id — the larger code — becomes the root.
             if left_root > right_root:
                 self._parent[right_root] = left_root
             else:
@@ -336,16 +274,11 @@ def _seed(working, source_instance, target_instance) -> str:
     code rows (the pipeline hands over the semantic database's store —
     no decode/re-encode).  ``bulk``: a decoded input encodes one
     relation at a time through :meth:`ColumnarInstance.add_all`.
-    ``reference``: the set-based working store takes fact by fact.
     """
-    inputs = [i for i in (source_instance, target_instance) if i is not None]
-    if not isinstance(working, ColumnarInstance):
-        for instance in inputs:
-            for fact in instance:
-                working.add(fact)
-        return "reference"
     path = "ingest"
-    for instance in inputs:
+    for instance in (source_instance, target_instance):
+        if instance is None:
+            continue
         if isinstance(instance, ColumnarInstance):
             working.ingest(instance)
         else:
@@ -453,15 +386,8 @@ class StandardChase:
         rec = resolve_recorder(recorder, self.config.trace)
         owned_rec = recorder is None and rec.enabled
         plan_mark = self._plan_counters() if rec.enabled else (0, 0, 0)
-        # Reference-evaluator mode bypasses compiled plans, which the
-        # encoded pipeline rides — fall back to the reference kernel.
-        if self.config.kernel == "columnar" and not _query.reference_mode_active():
-            working: Instance = ColumnarInstance()  # type: ignore[assignment]
-        else:
-            working = Instance()
-        kernel_mark = (
-            len(working.pool) if isinstance(working, ColumnarInstance) else 0
-        )
+        working = ColumnarInstance()
+        kernel_mark = len(working.pool)
         with rec.span("chase.seed") as seed_span:
             path = _seed(working, source_instance, target_instance)
             if rec.enabled:
@@ -525,15 +451,15 @@ class StandardChase:
         self,
         rec,
         stats: ChaseStats,
-        working: Instance,
+        working: ColumnarInstance,
         plan_mark: Tuple[int, int, int],
-        kernel_mark: int = 0,
+        kernel_mark: int,
     ) -> None:
         """Fold this run's statistics into the recorder.
 
-        ``chase.*`` counters mirror :class:`ChaseStats` and are
-        bit-identical across kernels; ``plan.*`` / ``instance.*``
-        describe this process's caches.
+        ``chase.*`` counters mirror :class:`ChaseStats`; ``plan.*``,
+        ``instance.*`` and ``kernel.*`` describe this process's caches
+        and the working store.
         Plan counters are *deltas* against the run's start because the
         greedy ded search reuses one compiled plan set across every
         derived scenario.
@@ -553,20 +479,19 @@ class StandardChase:
         rec.count("plan.recompiles", recompiles - plan_mark[1])
         rec.count("plan.served", served - plan_mark[2])
         rec.count("instance.index_builds", working.index_builds)
-        if isinstance(working, ColumnarInstance):
-            kernel_stats = working.kernel_stats
-            rec.count("kernel.interned_terms", len(working.pool) - kernel_mark)
-            rec.count("kernel.encoded_appends", kernel_stats.encoded_appends)
-            rec.count("kernel.probe_rows", kernel_stats.probe_rows)
-            rec.count("kernel.probe_survivors", kernel_stats.probe_survivors)
-            rec.count("kernel.decoded_rows", kernel_stats.decoded_rows)
-            rec.gauge("instance.intern_size", len(working.pool))
+        kernel_stats = working.kernel_stats
+        rec.count("kernel.interned_terms", len(working.pool) - kernel_mark)
+        rec.count("kernel.encoded_appends", kernel_stats.encoded_appends)
+        rec.count("kernel.probe_rows", kernel_stats.probe_rows)
+        rec.count("kernel.probe_survivors", kernel_stats.probe_survivors)
+        rec.count("kernel.decoded_rows", kernel_stats.decoded_rows)
+        rec.gauge("instance.intern_size", len(working.pool))
 
     # -- internals ----------------------------------------------------------------
 
     def _chase_rounds(
         self,
-        working: Instance,
+        working: ColumnarInstance,
         factory: NullFactory,
         stats: ChaseStats,
         rec,
@@ -584,15 +509,10 @@ class StandardChase:
         base = set(working.relations())
         dead = frozenset(dead_dependency_indices(self.dependencies, base))
         stats.dependencies_pruned = len(dead)
-        # The delta has two shapes, one per kernel: a set of atoms for
-        # the reference kernel, a relation -> row-id-set dict for the
-        # columnar kernel (no Atom objects on the hot path).  ``None``
-        # means "evaluate everything" in both.
-        encoded = isinstance(working, ColumnarInstance)
-        apply_dependency = (
-            self._apply_dependency_encoded if encoded else self._apply_dependency
-        )
-        delta = None
+        # The round delta: relation -> RowMask of the rows the previous
+        # round inserted (no Atom objects on the hot path), or ``None``
+        # for "evaluate everything".
+        delta: Optional[Dict[str, RowMask]] = None
         while True:
             stats.rounds += 1
             if not self._unguarded and stats.rounds > self.config.max_rounds:
@@ -600,12 +520,7 @@ class StandardChase:
                     f"exceeded {self.config.max_rounds} chase rounds"
                 )
             generation = working.bump_generation()
-            if delta is None:
-                delta_relations = None
-            elif encoded:
-                delta_relations = set(delta)
-            else:
-                delta_relations = {fact.relation for fact in delta}
+            delta_relations = None if delta is None else set(delta)
             rewrites_this_round = 0
             with rec.span(
                 "chase.round", round=stats.rounds, full=delta is None
@@ -626,18 +541,13 @@ class StandardChase:
                     ):
                         stats.enumerations_skipped += 1
                         continue
-                    rewrites_this_round += apply_dependency(
+                    rewrites_this_round += self._chase_dependency(
                         index, dependency, working, factory, stats, delta,
                         fired_triggers, rec,
                     )
-                if encoded:
-                    new_rows = working.rows_since(generation)
-                    new_count = len(new_rows)
-                else:
-                    new_facts = set(working.facts_since(generation))
-                    new_count = len(new_facts)
+                new_rows = working.rows_since(generation)
                 if rec.enabled:
-                    round_span.annotate(new_facts=new_count)
+                    round_span.annotate(new_facts=len(new_rows))
             if (
                 not self._unguarded
                 and self.config.max_facts is not None
@@ -646,7 +556,7 @@ class StandardChase:
                 raise ChaseNonTermination(
                     f"exceeded {self.config.max_facts} facts"
                 )
-            if new_count == 0 and rewrites_this_round == 0:
+            if not new_rows and rewrites_this_round == 0:
                 return
             # Null rewrites change fact identity, so the delta bookkeeping
             # is unreliable: fall back to a full round.  Masks are built
@@ -654,139 +564,29 @@ class StandardChase:
             # this round (span/contiguity precomputed once per relation).
             if rewrites_this_round:
                 delta = None
-            elif encoded:
-                delta = mask_rows(group_rows(new_rows))
             else:
-                delta = new_facts
+                delta = mask_rows(group_rows(new_rows))
 
-    def _apply_dependency(
+    def _chase_dependency(
         self,
         index: int,
         dependency: Dependency,
-        working: Instance,
+        working: ColumnarInstance,
         factory: NullFactory,
         stats: ChaseStats,
-        delta: Optional[Set[Atom]],
+        delta_rows: Optional[Dict[str, RowMask]],
         fired_triggers: "_TriggerMemory",
         rec,
     ) -> int:
         """Process one dependency for one round; returns #null-rewrites.
 
         Phase 1 (*enumerate*) finds every premise match, restricted to
-        the round's ``delta`` facts (``None``: a full round).  Phase 2
-        (*enforce*) replays the matches in canonical order.
-        """
-        compiled = self.compiled[index]
-        with rec.span("chase.enumerate", dependency=index) as enum_span:
-            matches = compiled.premise_matches(working, delta)
-            if rec.enabled:
-                enum_span.annotate(matches=len(matches))
-        if not matches:
-            return 0
-        stats.premise_matches += len(matches)
-        if not dependency.disjuncts:  # denial
-            # A denial match is final: the premise is positive, and facts
-            # are never retracted, so the violation cannot disappear.
-            # Report the canonically-first match so the failure is
-            # identical across kernels.
-            binding = min(matches, key=_binding_order)
-            raise ChaseFailure(
-                f"denial {dependency.describe()} fired at "
-                f"{_render_binding(binding)}",
-                culprit=dependency,
-            )
-        chosen = dependency.disjuncts[self.branch_choice.get(index, 0)]
-        null_map = _NullMap()
-        rewrites = 0
-        with rec.span("chase.enforce", dependency=index, matches=len(matches)):
-            for binding in sorted(matches, key=_binding_order):
-                resolved = {
-                    variable: null_map.find(term)
-                    for variable, term in binding.items()
-                }
-                trigger = (
-                    index,
-                    tuple(resolved[v] for v in sorted(resolved)),
-                )
-                if self.config.policy == "oblivious":
-                    if trigger in fired_triggers:
-                        continue
-                    fired_triggers.add(trigger)
-                elif compiled.satisfied(resolved, working):
-                    continue
-                self._enforce_disjunct(
-                    index, dependency, chosen, resolved, working, factory,
-                    stats, null_map,
-                )
-            if len(null_map):
-                rewrites = working.apply_null_map(null_map.resolution())
-                stats.null_rewrites += rewrites
-        return rewrites
-
-    def _enforce_disjunct(
-        self,
-        index: int,
-        dependency: Dependency,
-        disjunct: Disjunct,
-        binding: Dict[Variable, Term],
-        working: Instance,
-        factory: NullFactory,
-        stats: ChaseStats,
-        null_map: _NullMap,
-    ) -> None:
-        self._enforced.add(index)
-        # 1. Comparisons are checks: failing means this (only) branch is
-        #    impossible, i.e. the scenario fails here.
-        for comparison in disjunct.comparisons:
-            if not _ground_check(comparison, binding):
-                raise ChaseFailure(
-                    f"{dependency.describe()}: required comparison "
-                    f"{comparison} fails at {_render_binding(binding)}",
-                    culprit=dependency,
-                )
-        # 2. Equalities unify.
-        for equality in disjunct.equalities:
-            left = _resolve(equality.left, binding)
-            right = _resolve(equality.right, binding)
-            if null_map.union(left, right, dependency.describe()):
-                stats.egd_unifications += 1
-        # 3. Atoms instantiate with fresh nulls for existentials.
-        if disjunct.atoms:
-            extended = dict(binding)
-            for atom in disjunct.atoms:
-                for variable in atom.variables():
-                    if variable not in extended:
-                        extended[variable] = factory.fresh(hint=variable.name)
-                        stats.nulls_created += 1
-            for atom in disjunct.atoms:
-                fact = Atom(
-                    atom.relation,
-                    tuple(_resolve(t, extended) for t in atom.terms),
-                )
-                if working.add(fact):
-                    stats.facts_created += 1
-            stats.tgd_fires += 1
-
-    # -- encoded pipeline (columnar kernel) --------------------------------
-
-    def _apply_dependency_encoded(
-        self,
-        index: int,
-        dependency: Dependency,
-        working: "ColumnarInstance",
-        factory: NullFactory,
-        stats: ChaseStats,
-        delta_rows: Optional[RowDelta],
-        fired_triggers: "_TriggerMemory",
-        rec,
-    ) -> int:
-        """:meth:`_apply_dependency` over encoded premise rows.
-
-        Matches are code tuples aligned to the dependency's
-        ``premise_varlist`` (name-sorted, like the canonical binding
-        order), sorted by the pool's cached per-code order keys — the
-        same total order :func:`_binding_order` produces — so null
-        invention and unions are bit-identical to the reference kernel.
+        the round's ``delta_rows`` (``None``: a full round).  Matches are
+        code tuples aligned to the dependency's ``premise_varlist``
+        (name-sorted).  Phase 2 (*enforce*) replays them sorted by the
+        pool's cached per-code order keys — the same total order
+        :func:`_binding_order` gives decoded bindings — so null
+        invention and unions do not depend on the join's output order.
         """
         compiled = self.compiled[index]
         with rec.span("chase.enumerate", dependency=index) as enum_span:
@@ -801,6 +601,9 @@ class StandardChase:
         varlist = compiled.premise_varlist
         decode = working.decode_term
         if not dependency.disjuncts:  # denial
+            # A denial match is final: the premise is positive, and facts
+            # are never retracted, so the violation cannot disappear.
+            # Report the canonically-first match.
             row = min(matches, key=row_order)
             binding = {v: decode(code) for v, code in zip(varlist, row)}
             raise ChaseFailure(
@@ -809,7 +612,7 @@ class StandardChase:
                 culprit=dependency,
             )
         chosen_index = self.branch_choice.get(index, 0)
-        null_map = _EncodedNullMap(working)
+        null_map = _NullMap(working)
         find = null_map.find
         parent = null_map._parent
         oblivious = self.config.policy == "oblivious"
@@ -822,8 +625,8 @@ class StandardChase:
                     else row
                 )
                 if oblivious:
-                    # The trigger memory is shared with the reference
-                    # kernel's digests, so decode the resolved row (hint
+                    # Triggers are remembered decoded: the Bloom tier's
+                    # stable digests are defined on terms (hint
                     # differences don't matter: triggers hash nulls by
                     # id, and tuples compare by term equality).
                     trigger = (
@@ -835,7 +638,7 @@ class StandardChase:
                     fired_triggers.add(trigger)
                 elif compiled.satisfied_encoded(resolved, working):
                     continue
-                self._enforce_disjunct_encoded(
+                self._enforce_row(
                     index, dependency, chosen_index, resolved, working,
                     factory, stats, null_map,
                 )
@@ -844,17 +647,20 @@ class StandardChase:
                 stats.null_rewrites += rewrites
         return rewrites
 
-    def _enforce_disjunct_encoded(
+    def _enforce_row(
         self,
         index: int,
         dependency: Dependency,
         chosen_index: int,
         row: Tuple[int, ...],
-        working: "ColumnarInstance",
+        working: ColumnarInstance,
         factory: NullFactory,
         stats: ChaseStats,
-        null_map: _EncodedNullMap,
+        null_map: _NullMap,
     ) -> None:
+        """Enforce the chosen disjunct of ``dependency`` for one premise
+        row: check its comparisons, unify its equalities, add its atoms
+        with fresh nulls for the existentials."""
         self._enforced.add(index)
         kernel = self.compiled[index].disjunct_kernel(chosen_index, working.pool)
         # 1. Comparisons are checks: failing means this (only) branch is
@@ -899,26 +705,12 @@ class StandardChase:
             stats.tgd_fires += 1
 
 
-def _term_order(term: Term) -> Tuple:
-    """Canonical, shift-equivariant sort key for a ground term.
-
-    Nulls order numerically by id (never lexicographically: ``N10`` must
-    sort after ``N9``), constants by their representation.  Because the
-    key is *numeric* in the null id, uniformly shifting every fresh null
-    id — which the speculative disjunctive chase does when it commits a
-    prefetched subtree — preserves the relative order of all terms, so
-    enforcement order (and hence every invented null) is identical
-    whether a node was chased speculatively or in place.
-
-    The single definition lives in :func:`repro.relational.types.term_order_key`
-    so the columnar kernel's per-code order cache provably sorts encoded
-    rows the same way.
-    """
-    return term_order_key(term)
-
-
 def _binding_order(binding: Dict[Variable, Term]) -> Tuple:
-    return tuple(sorted((v.name, _term_order(t)) for v, t in binding.items()))
+    """Canonical sort key of a decoded binding: variable names, then
+    :func:`~repro.relational.types.term_order_key` (nulls by numeric id,
+    constants by representation) — the order the pool's per-code keys
+    give encoded rows."""
+    return tuple(sorted((v.name, term_order_key(t)) for v, t in binding.items()))
 
 
 def _render_binding(binding: Dict[Variable, Term]) -> str:

@@ -130,7 +130,7 @@ class ChaseResult:
         return self.status is ChaseStatus.SUCCESS
 
     def defer_target(
-        self, store, source_relations: Iterable[str], recorder=None
+        self, store: ColumnarInstance, source_relations: Iterable[str], recorder=None
     ) -> "ChaseResult":
         """Make ``target`` decode lazily out of ``store`` (the engine's
         working instance), leaving out ``source_relations``.  The decode
@@ -141,14 +141,11 @@ class ChaseResult:
 
     def encoded_target(
         self, keep: Callable[[str], bool] = lambda relation: True
-    ) -> Optional[ColumnarInstance]:
+    ) -> ColumnarInstance:
         """The target relations passing ``keep``, copied encoded out of
-        the run's columnar store; ``None`` once ``target`` is decoded or
-        when the run did not use the columnar kernel."""
-        pending = self._pending
-        if pending is None or not isinstance(pending[0], ColumnarInstance):
-            return None
-        store, source_relations, _recorder = pending
+        the run's columnar store.  Read it before ``target``: decoding
+        drops the store."""
+        store, source_relations, _recorder = self._pending
         return store.restricted_to(
             relation
             for relation in store.relations()
@@ -158,18 +155,12 @@ class ChaseResult:
     def _decode_target(self) -> Instance:
         store, source_relations, recorder = self._pending
         relations = [r for r in store.relations() if r not in source_relations]
-        if isinstance(store, ColumnarInstance):
-            before = store.kernel_stats.decoded_rows
-            target = store.to_instance(relations=relations)
-            if recorder is not None:
-                recorder.count(
-                    "kernel.decoded_rows",
-                    store.kernel_stats.decoded_rows - before,
-                )
-        else:
-            target = Instance()
-            for relation in relations:
-                target.add_all(store.facts(relation))
+        before = store.kernel_stats.decoded_rows
+        target = store.to_instance(relations=relations)
+        if recorder is not None:
+            recorder.count(
+                "kernel.decoded_rows", store.kernel_stats.decoded_rows - before
+            )
         self._target = target
         self._pending = None
         return target

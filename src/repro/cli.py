@@ -91,12 +91,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="budget for the greedy ded chase",
     )
     chase_cmd.add_argument(
-        "--kernel", default="columnar", choices=("columnar", "reference"),
-        metavar="KERNEL",
-        help="working-instance storage: columnar (interned struct-of-"
-             "arrays, default) or reference (set-based Instance)",
-    )
-    chase_cmd.add_argument(
         "--no-verify", action="store_true", help="skip the soundness check"
     )
     chase_cmd.add_argument(
@@ -304,11 +298,7 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     document = _load(args.scenario)
     source = _source_instance(document, args.csv)
     trace_config = TraceConfig(enabled=True) if args.trace is not None else None
-    config = (
-        ChaseConfig(kernel=args.kernel, trace=trace_config)
-        if args.kernel != "columnar" or trace_config is not None
-        else None
-    )
+    config = ChaseConfig(trace=trace_config) if trace_config is not None else None
     begin = time.perf_counter()
     outcome = run_scenario(
         document.scenario,

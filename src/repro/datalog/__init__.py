@@ -14,7 +14,6 @@ from repro.datalog.evaluate import (
     SemanticDatabase,
     evaluate_view,
     materialize,
-    materialize_naive,
     view_extent,
 )
 from repro.datalog.program import Rule, ViewProgram
@@ -38,7 +37,6 @@ __all__ = [
     "strata",
     "stratified_components",
     "materialize",
-    "materialize_naive",
     "evaluate_view",
     "view_extent",
 ]

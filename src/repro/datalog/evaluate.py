@@ -34,10 +34,10 @@ positive rules; strata whose rules negate a predicate that gained facts
 are soundly rebuilt from scratch (negation is not monotone under
 insertion), as are all strata above them.
 
-``materialize_naive`` retains the obviously-correct reference: evaluate
-every rule of every component against the full instance, repeatedly,
-until nothing changes.  The differential suite proves the semi-naive
-engine equivalent to it across the scenario corpus.
+The fixpoint runs on encoded rows of a
+:class:`~repro.relational.kernel.ColumnarInstance`.  Its test oracle —
+the naive set-based fixpoint that re-evaluates every rule until nothing
+changes — lives in ``tests/kernel_oracle.py``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.datalog.program import Rule, ViewProgram
 from repro.datalog.stratify import stratified_components
 from repro.errors import DatalogError
 from repro.logic.atoms import Atom
-from repro.logic.terms import Term, Variable
+from repro.logic.terms import Variable
 from repro.obs.recorder import NULL_RECORDER
 from repro.relational.delta import (
     DeltaPlans,
@@ -59,33 +59,13 @@ from repro.relational.delta import (
 )
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance
-from repro.relational.query import (
-    evaluate as evaluate_body,
-    reference_mode_active,
-)
 
 __all__ = [
     "materialize",
-    "materialize_naive",
     "SemanticDatabase",
     "evaluate_view",
     "view_extent",
 ]
-
-
-def _head_fact(rule: Rule, binding: Dict[Variable, Term]) -> Atom:
-    terms = []
-    for term in rule.head.terms:
-        if isinstance(term, Variable):
-            value = binding.get(term)
-            if value is None:
-                raise DatalogError(
-                    f"unbound head variable {term} in rule {rule}"
-                )
-            terms.append(value)
-        else:
-            terms.append(term)
-    return Atom(rule.head.relation, tuple(terms))
 
 
 class _EncodedHead:
@@ -93,8 +73,8 @@ class _EncodedHead:
 
     Per-term (kind, value) pairs: kind 0 reads a slot of the body's
     encoded result row, kind 1 is an interned constant code, kind 2 is
-    an unbound head variable — which, like the decoded path, only
-    raises when the rule actually fires.
+    an unbound head variable — which only raises when the rule actually
+    fires.
     """
 
     __slots__ = ("rule", "relation", "template")
@@ -129,7 +109,7 @@ class _EncodedHead:
 class SemanticDatabase:
     """An incrementally-maintained semantic database ``I ∪ Υ(I)``.
 
-    Holds one working :class:`Instance` containing the base facts plus
+    Holds one working :class:`ColumnarInstance` containing the base facts plus
     every view extent, kept at fixpoint.  Feed base facts with
     :meth:`add_facts` and call :meth:`refresh`; only the consequences of
     the new facts are recomputed (semi-naive delta passes seeded with
@@ -161,21 +141,11 @@ class SemanticDatabase:
         self,
         program: Optional[ViewProgram],
         base: Optional[Iterable[Atom]] = None,
-        kernel: str = "columnar",
     ) -> None:
         """``program`` may be ``None`` for a view-less semantic schema —
-        the database then degenerates to a plain fact store.
-
-        ``kernel`` picks the working store: ``"columnar"`` (the
-        default) runs the fixpoint over encoded rows; anything else —
-        or an active reference-evaluator context — keeps the set-based
-        :class:`Instance`.
-        """
+        the database then degenerates to a plain fact store."""
         self.program = program
-        if kernel == "columnar" and not reference_mode_active():
-            self._working = ColumnarInstance()
-        else:
-            self._working = Instance()
+        self._working = ColumnarInstance()
         self._cache = PlanCache()
         self._plans: Dict[int, DeltaPlans] = {}
         self._encoded_heads: Dict[int, _EncodedHead] = {}
@@ -221,15 +191,11 @@ class SemanticDatabase:
 
         The bulk twin of :meth:`add_facts`: rows move as code tuples
         (:meth:`ColumnarInstance.ingest`), and only rows landing in view
-        relations decode, to keep the ``_seeded`` bookkeeping.  A
-        reference-kernel database takes the decoded path.  Views
+        relations decode, to keep the ``_seeded`` bookkeeping.  Views
         refresh lazily; returns how many rows were new."""
-        working = self._working
-        if not isinstance(working, ColumnarInstance):
-            return self.add_facts(instance)
         for view in self._view_names.intersection(instance.relations()):
             self._seeded.update(instance.facts(view))
-        return working.ingest(instance)
+        return self._working.ingest(instance)
 
     # -- maintenance -------------------------------------------------------
 
@@ -248,14 +214,10 @@ class SemanticDatabase:
     def refresh(self) -> "SemanticDatabase":
         """Re-establish ``Υ(I)`` after insertions; no-op when synced."""
         working = self._working
-        if isinstance(working, ColumnarInstance):
-            # The refresh trigger only needs relations and a count —
-            # stay on (relation, row id) pairs, no decode.
-            pending = working.rows_since(self._synced_generation)
-            pending_relations = {relation for relation, _ in pending}
-        else:
-            pending = working.facts_since(self._synced_generation)
-            pending_relations = {fact.relation for fact in pending}
+        # The refresh trigger only needs relations and a count — stay on
+        # (relation, row id) pairs, no decode.
+        pending = working.rows_since(self._synced_generation)
+        pending_relations = {relation for relation, _ in pending}
         if not pending and not self._fresh:
             return self
         rec = self._recorder
@@ -315,7 +277,6 @@ class SemanticDatabase:
         inserted since the last refresh, so the pass costs O(|Δ|).
         """
         working = self._working
-        encoded = isinstance(working, ColumnarInstance)
         rules = self._component_rules[position]
         base_key = position << 20
         if full:
@@ -327,24 +288,16 @@ class SemanticDatabase:
             window = GenerationWindow(working, since=self._synced_generation)
         rec = self._recorder
         while True:
-            if encoded:
-                rows = window.advance_rows()
-                if not rows:
-                    return
-                # One mask per relation per pass, shared by every rule
-                # this component fires against the window.
-                delta = mask_rows(group_rows(rows))
-                delta_relations = set(delta)
-                delta_count = len(rows)
-            else:
-                delta = window.advance()
-                if not delta:
-                    return
-                delta_relations = {fact.relation for fact in delta}
-                delta_count = len(delta)
+            rows = window.advance_rows()
+            if not rows:
+                return
+            # One mask per relation per pass, shared by every rule this
+            # component fires against the window.
+            delta = mask_rows(group_rows(rows))
+            delta_relations = set(delta)
             if rec.enabled:
                 rec.count("datalog.passes")
-                rec.count("datalog.pass_facts", delta_count)
+                rec.count("datalog.pass_facts", len(rows))
             for offset, rule in enumerate(rules):
                 if rule.positive_body_predicates() & delta_relations:
                     self._fire_rule(rule, base_key + offset, delta=delta)
@@ -358,39 +311,30 @@ class SemanticDatabase:
 
     def _fire_rule(self, rule: Rule, key: int, delta) -> None:
         """Evaluate one rule (full when ``delta`` is None, else
-        delta-restricted) and insert its head facts, on whichever
-        kernel the working store speaks.  The delta arrives in the
-        kernel's own shape: a set of atoms, or a relation ->
-        row-id-set dict whose rows never decode."""
+        restricted to the relation -> RowMask ``delta``) and insert its
+        head rows; the rows never decode."""
         working = self._working
         plans = self._rule_plans(rule, key)
-        if isinstance(working, ColumnarInstance):
-            head = self._encoded_heads.get(key)
-            if head is None:
-                # The varlist (bound + fresh body variables in name
-                # order) is data-independent, so the lowered head
-                # survives plan recompiles.
-                head = _EncodedHead(rule, plans.varlist(working), working.pool)
-                self._encoded_heads[key] = head
-            if delta is None:
-                matches = plans.matches_encoded(working)
-            else:
-                matches = plans.delta_matches_encoded(working, delta)
-            add, relation, build = working.add_encoded, head.relation, head.row
-            for match in matches:
-                add(relation, build(match))
-        elif delta is None:
-            for binding in plans.matches(working):
-                working.add(_head_fact(rule, binding))
+        head = self._encoded_heads.get(key)
+        if head is None:
+            # The varlist (bound + fresh body variables in name order) is
+            # data-independent, so the lowered head survives plan
+            # recompiles.
+            head = _EncodedHead(rule, plans.varlist(working), working.pool)
+            self._encoded_heads[key] = head
+        if delta is None:
+            matches = plans.matches_encoded(working)
         else:
-            for binding in plans.delta_matches(working, delta):
-                working.add(_head_fact(rule, binding))
+            matches = plans.delta_matches_encoded(working, delta)
+        add, relation, build = working.add_encoded, head.relation, head.row
+        for match in matches:
+            add(relation, build(match))
 
     # -- reading -----------------------------------------------------------
 
     @property
-    def instance(self) -> Instance:
-        """The live working instance ``I ∪ Υ(I)``.
+    def instance(self) -> ColumnarInstance:
+        """The live working store ``I ∪ Υ(I)``.
 
         Shared, not copied: treat it as read-only, or route further base
         insertions through :meth:`add_facts` + :meth:`refresh` so the
@@ -444,46 +388,6 @@ def materialize(
     return database.extract(
         only=only, include_base=instance if include_base else None
     )
-
-
-def materialize_naive(
-    program: ViewProgram,
-    instance: Instance,
-    include_base: bool = False,
-    only: Optional[Iterable[str]] = None,
-) -> Instance:
-    """Reference materializer: naive fixpoint, no delta restriction.
-
-    Evaluates every rule of each stratum against the full working
-    instance, over and over, until a whole pass adds nothing.  Obviously
-    correct and obviously slow — retained exclusively so the
-    differential suite can prove :func:`materialize` equivalent to it.
-    """
-    program.check_predicates()
-    components = stratified_components(program)
-    working = Instance()
-    for fact in instance:
-        working.add(fact)
-    for component in components:
-        rules = [rule for view in component for rule in program.rules_for(view)]
-        while True:
-            added = 0
-            for rule in rules:
-                for binding in evaluate_body(rule.body, working):
-                    if working.add(_head_fact(rule, binding)):
-                        added += 1
-            if not added:
-                break
-
-    wanted = set(only) if only is not None else set(program.view_names())
-    result = Instance()
-    for view_name in wanted:
-        for fact in working.facts(view_name):
-            result.add(fact)
-    if include_base:
-        for fact in instance:
-            result.add(fact)
-    return result
 
 
 def evaluate_view(

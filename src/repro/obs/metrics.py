@@ -7,8 +7,8 @@ counts, rewrite-cache hit/miss tallies, ded-search branch timings — under
 one namespace:
 
 * ``chase.*``   — semantic chase counters; **bit-identical across
-  repeated runs and across the columnar and reference kernels** (the
-  determinism suite asserts this).
+  repeated runs, and equal to the statistics of the set-based chase
+  oracle** (the determinism suite asserts both).
 * ``plan.*``    — plan-cache compiles/recompiles.
 * ``instance.*`` — storage-side counters (index builds).
 * ``datalog.*`` — semi-naive materialization passes and derived facts.

@@ -181,19 +181,12 @@ def run_rewritten(
             chase_result = standard.run(chase_input, recorder=rec)
 
     # Strip and verify on the chase's encoded store; the rows decode
-    # exactly once, into ``PipelineResult.target``.  A result that was
-    # already decoded (the reference kernel) is stripped and verified
-    # decoded instead.
+    # exactly once, into ``PipelineResult.target``.
     stripped = chase_result.encoded_target(
         keep=lambda relation: not relation.startswith(AUX_PREFIX)
     )
-    if stripped is None:
-        stripped = target = strip_auxiliary(
-            chase_result.target, scenario.target_schema
-        )
-    else:
-        target = stripped.to_instance(scenario.target_schema)
-        rec.count("kernel.decoded_rows", stripped.kernel_stats.decoded_rows)
+    target = stripped.to_instance(scenario.target_schema)
+    rec.count("kernel.decoded_rows", stripped.kernel_stats.decoded_rows)
     verification = None
     if verify and chase_result.ok:
         # The chase input *is* the verifier's source side (I_S ∪ Υ_S(I_S))

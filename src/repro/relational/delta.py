@@ -23,46 +23,41 @@ Three pieces:
     recompiles logarithmic) or a probed key-set's *bucket estimate*
     (relation size over distinct keys) drifted by :data:`DRIFT_FACTOR`
     in either direction.  Drift checks use only the per-index
-    distinct-key counts :class:`~repro.relational.instance.Instance`
-    maintains incrementally, so a cache fetch costs O(plan steps), not a
-    relation scan.
+    distinct-key counts the
+    :class:`~repro.relational.kernel.ColumnarInstance` maintains
+    incrementally, so a cache fetch costs O(plan steps), not a relation
+    scan.
 
 :class:`DeltaPlans`
     One conjunction's full plan plus one *anchored* plan per positive
-    atom.  ``delta_matches`` implements the delta-join: for each atom
-    whose relation gained facts, evaluate with that atom first and
-    restricted to the delta, then deduplicate bindings across anchors.
-    Every match found this way uses at least one delta fact, which is
-    exactly the semi-naive guarantee (no old-old recombination).
+    atom.  ``delta_matches_encoded`` implements the delta-join: for
+    each atom whose relation gained rows, evaluate with that atom first
+    and restricted to the delta, then deduplicate result rows across
+    anchors.  Every match found this way uses at least one delta row,
+    which is exactly the semi-naive guarantee (no old-old
+    recombination).
 
 :class:`GenerationWindow`
-    A window over an instance's per-generation insertion log.  ``advance``
-    returns the facts inserted since the window last moved and bumps the
-    instance's generation, so consumers iterate "what changed since I
-    last looked" in O(|delta|) without materializing snapshots.
+    A window over a columnar store's per-generation insertion log.
+    ``advance_rows`` returns the rows inserted since the window last
+    moved and bumps the store's generation, so consumers iterate "what
+    changed since I last looked" in O(|delta|) without materializing
+    snapshots.
 
-All three respect :func:`repro.relational.query.reference_evaluator`
-mode, falling back to the materialized reference evaluator so the
-differential suites compare the full incremental pipeline against the
-naive one.
+All three work on encoded rows of a
+:class:`~repro.relational.kernel.ColumnarInstance`; none of them
+consults :func:`repro.relational.query.reference_evaluator`, which only
+switches the decoded query surface.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.logic.atoms import Atom, Conjunction
-from repro.logic.terms import Term, Variable
-from repro.relational.instance import Instance
-from repro.relational.kernel import RowMask
-from repro.relational import query as _query
-from repro.relational.query import (
-    Binding,
-    CompiledQuery,
-    evaluate,
-    evaluate_delta,
-    exists,
-)
+from repro.logic.atoms import Conjunction
+from repro.logic.terms import Variable
+from repro.relational.kernel import ColumnarInstance, RowMask
+from repro.relational.query import CompiledQuery
 
 __all__ = [
     "PlanCache",
@@ -145,7 +140,7 @@ class PlanCache:
         key: object,
         body: Conjunction,
         bound: frozenset,
-        instance: Instance,
+        instance: ColumnarInstance,
         first_atom: Optional[int] = None,
     ) -> CompiledQuery:
         entry = self._plans.get(key)
@@ -165,7 +160,7 @@ class PlanCache:
         return plan
 
     def _snapshot(
-        self, plan: CompiledQuery, instance: Instance
+        self, plan: CompiledQuery, instance: ColumnarInstance
     ) -> Dict[Tuple[str, Tuple[int, ...]], float]:
         """Bucket estimates of every index probe the plan performs."""
         out: Dict[Tuple[str, Tuple[int, ...]], float] = {}
@@ -182,7 +177,7 @@ class PlanCache:
     def _drifted(
         self,
         estimates: Dict[Tuple[str, Tuple[int, ...]], float],
-        instance: Instance,
+        instance: ColumnarInstance,
     ) -> bool:
         """Whether any probed key-set's selectivity left its trust band.
 
@@ -231,53 +226,6 @@ class DeltaPlans:
         self._key = key if key is not None else id(self)
 
     # -- evaluation --------------------------------------------------------
-
-    def matches(
-        self, instance: Instance, seed: Optional[Binding] = None
-    ) -> List[Binding]:
-        """All bindings of the body (no delta restriction)."""
-        if _query.reference_mode_active():
-            return evaluate(self.body, instance, seed=seed)
-        plan = self._cache.plan((self._key, "full"), self.body, self.bound, instance)
-        return list(plan.bindings(instance, seed))
-
-    def delta_matches(
-        self,
-        instance: Instance,
-        delta: Set[Atom],
-        seed: Optional[Binding] = None,
-    ) -> List[Binding]:
-        """Bindings using at least one ``delta`` fact (the semi-naive join).
-
-        One anchored plan per positive atom whose relation gained facts;
-        bindings are deduplicated across anchors (a match touching two
-        delta facts is found once per anchor).
-        """
-        if _query.reference_mode_active():
-            return evaluate_delta(self.body, instance, delta, seed=seed)
-        if not self.body.atoms:
-            return self.matches(instance, seed)
-        relations_in_delta = {fact.relation for fact in delta}
-        out: List[Binding] = []
-        seen: Set[Tuple[Tuple[Variable, Term], ...]] = set()
-        for anchor_index, anchor in enumerate(self.body.atoms):
-            if anchor.relation not in relations_in_delta:
-                continue
-            plan = self._cache.plan(
-                (self._key, "anchor", anchor_index),
-                self.body,
-                self.bound,
-                instance,
-                first_atom=anchor_index,
-            )
-            for binding in plan.bindings(instance, seed, delta=delta):
-                key = tuple(sorted(binding.items()))
-                if key not in seen:
-                    seen.add(key)
-                    out.append(binding)
-        return out
-
-    # -- encoded evaluation (columnar kernel fast path) --------------------
 
     def varlist(self, store) -> Tuple[Variable, ...]:
         """Result-row layout of the encoded plans (bound + fresh
@@ -344,24 +292,17 @@ class DeltaPlans:
             store, encoded.fill_for(outer_varlist), row
         )
 
-    def exists(self, instance: Instance, seed: Optional[Binding] = None) -> bool:
-        """Whether the body has at least one match (short-circuits)."""
-        if _query.reference_mode_active():
-            return exists(self.body, instance, seed=seed)
-        plan = self._cache.plan((self._key, "full"), self.body, self.bound, instance)
-        return plan.exists(instance, seed)
-
     def relations(self) -> frozenset:
         """Relations of the positive atoms (delta anchors can only be these)."""
         return frozenset(atom.relation for atom in self.body.atoms)
 
 
 class GenerationWindow:
-    """A moving window over an instance's insertion generations.
+    """A moving window over a columnar store's insertion generations.
 
-    Each :meth:`advance` call returns the facts inserted since the
+    Each :meth:`advance_rows` call returns the rows inserted since the
     window last advanced (initially: since ``since``) and opens a fresh
-    generation, so facts the consumer inserts *after* the call land in
+    generation, so rows the consumer inserts *after* the call land in
     the next window.  This is the iteration discipline of both the chase
     round loop and the semi-naive fixpoint loop: evaluate against the
     previous iteration's insertions only.
@@ -369,19 +310,13 @@ class GenerationWindow:
 
     __slots__ = ("instance", "_since")
 
-    def __init__(self, instance: Instance, since: Optional[int] = None) -> None:
+    def __init__(self, instance: ColumnarInstance, since: Optional[int] = None) -> None:
         self.instance = instance
         self._since = instance.current_generation if since is None else since
 
-    def advance(self) -> Set[Atom]:
-        """Facts inserted since the last advance; opens a new generation."""
-        delta = set(self.instance.facts_since(self._since))
-        self._since = self.instance.bump_generation()
-        return delta
-
     def advance_rows(self) -> List[Tuple[str, int]]:
-        """Encoded :meth:`advance`: (relation, row id) pairs instead of
-        decoded atoms (columnar instances only)."""
+        """(relation, row id) pairs inserted since the last advance;
+        opens a new generation."""
         rows = self.instance.rows_since(self._since)
         self._since = self.instance.bump_generation()
         return rows

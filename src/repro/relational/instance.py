@@ -5,11 +5,14 @@ in-memory substrate that replaces the PostgreSQL backend of Llunatic in
 the original system: the chase and the query evaluator only need
 
 * fast insertion with duplicate elimination,
-* hash indexes on arbitrary column subsets (built lazily, invalidated on
-  write),
-* *generation* tracking, so the chase can restrict premise evaluation to
-  matches involving recently-added facts (the delta trick), and
+* hash indexes on arbitrary column subsets (built lazily, maintained on
+  insert, invalidated on removal), and
 * bulk null replacement, the mutation performed by egd chase steps.
+
+It is the decoded boundary value: inputs arrive as ``Instance`` objects
+and results leave as them.  The chase and the view fixpoint work on the
+columnar kernel (:class:`~repro.relational.kernel.ColumnarInstance`),
+which keeps its own insertion generations for delta rounds.
 """
 
 from __future__ import annotations
@@ -50,14 +53,6 @@ class Instance:
     def __init__(self, schema: Optional[Schema] = None) -> None:
         self.schema = schema
         self._facts: Dict[str, Set[Atom]] = defaultdict(set)
-        # Generation at which each fact was inserted (for delta evaluation).
-        self._generation: Dict[Atom, int] = {}
-        self._current_generation = 0
-        # Per-generation insertion lists: generation -> facts recorded at
-        # that generation.  Entries are never removed eagerly (removal is
-        # rare); readers filter through ``_generation``, which is the
-        # source of truth for liveness and current generation of a fact.
-        self._insertion_log: Dict[int, List[Atom]] = defaultdict(list)
         self._indexes: Dict[_IndexKey, Dict[Tuple[Term, ...], List[Atom]]] = {}
         self._version = 0
         self._index_versions: Dict[_IndexKey, int] = {}
@@ -66,11 +61,6 @@ class Instance:
         # Per-relation write counters: index validity is per relation, so
         # writes to one relation never invalidate another's indexes.
         self._relation_versions: Dict[str, int] = defaultdict(int)
-        # Scan-derived distinct-key counts, stamped with the relation
-        # version they were computed at.  Live indexes supersede this
-        # cache (their key count is just len(index), maintained on every
-        # insert); the cache only serves key-sets nobody probes.
-        self._key_count_cache: Dict[_IndexKey, Tuple[int, int]] = {}
         # Guards lazy index construction only.  Reads of a built index
         # are lock-free; callers may share an instance across their own
         # threads, and two threads lazily building the same index must
@@ -107,8 +97,6 @@ class Instance:
         if fact in bucket:
             return False
         bucket.add(fact)
-        self._generation[fact] = self._current_generation
-        self._insertion_log[self._current_generation].append(fact)
         self._version += 1
         self._relation_versions[fact.relation] += 1
         # Maintain live indexes incrementally: a full rebuild per write
@@ -141,7 +129,6 @@ class Instance:
         if bucket is None or fact not in bucket:
             return False
         bucket.remove(fact)
-        self._generation.pop(fact, None)
         self._version += 1
         self._relation_versions[fact.relation] += 1
         self._drop_indexes(fact.relation)
@@ -154,15 +141,6 @@ class Instance:
             self._indexes.pop(key, None)
             self._index_versions.pop(key, None)
 
-    def bump_generation(self) -> int:
-        """Start a new insertion generation; returns the new generation id.
-
-        Facts inserted from now on are "newer than" the returned id minus
-        one; :meth:`facts_since` retrieves them.
-        """
-        self._current_generation += 1
-        return self._current_generation
-
     # -- inspection -----------------------------------------------------------
 
     def relations(self) -> List[str]:
@@ -171,39 +149,6 @@ class Instance:
 
     def facts(self, relation: str) -> FrozenSet[Atom]:
         return frozenset(self._facts.get(relation, ()))
-
-    def _log_entries(self, generation: int) -> Iterable[Atom]:
-        """Facts recorded at exactly ``generation`` (may contain stale or
-        duplicate entries; :meth:`facts_since` filters).  Kept as a hook so
-        tests can instrument how much work a delta scan performs."""
-        return self._insertion_log.get(generation, ())
-
-    def facts_since(self, generation: int, relation: Optional[str] = None) -> List[Atom]:
-        """Facts inserted at or after ``generation``.
-
-        O(|delta|): reads the per-generation insertion lists instead of
-        scanning the whole instance, so chase rounds pay for what the
-        previous round created, not for everything ever inserted.
-        """
-        current_generation = self._generation.get
-        out: List[Atom] = []
-        seen: Set[Atom] = set()
-        for gen in range(max(generation, 0), self._current_generation + 1):
-            for fact in self._log_entries(gen):
-                if current_generation(fact) != gen or fact in seen:
-                    continue
-                if relation is not None and fact.relation != relation:
-                    continue
-                seen.add(fact)
-                out.append(fact)
-        return out
-
-    def generation_of(self, fact: Atom) -> int:
-        return self._generation.get(fact, 0)
-
-    @property
-    def current_generation(self) -> int:
-        return self._current_generation
 
     @property
     def version(self) -> int:
@@ -281,42 +226,16 @@ class Instance:
         Reuses a cached index when one is current, but never *builds*
         one: planning scores many candidate position sets that will never
         be probed, and a full index per candidate would be registered as
-        live and then maintained on every future insert.  Scan results
-        are memoized against the relation's write version, so repeated
-        planner calls between writes cost O(1).
+        live and then maintained on every future insert.  Otherwise it
+        scans; compiled plans are cached
+        (:func:`~repro.relational.query.compile_query`), so a body is
+        scored once, not per evaluation.
         """
         key: _IndexKey = (relation, tuple(positions))
-        version = self._relation_versions[relation]
-        if self._index_versions.get(key) == version:
+        if self._index_versions.get(key) == self._relation_versions[relation]:
             return len(self._indexes[key])
-        cached = self._key_count_cache.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        seen: Set[Tuple[Term, ...]] = set()
-        for fact in self._facts.get(relation, ()):
-            seen.add(tuple(fact.terms[i] for i in key[1]))
-        self._key_count_cache[key] = (version, len(seen))
-        return len(seen)
-
-    def cached_key_count(
-        self, relation: str, positions: Sequence[int]
-    ) -> Optional[int]:
-        """Distinct-key count if it is O(1) to read, else ``None``.
-
-        A live hash index *is* an incrementally-maintained distinct-key
-        count (``len(index)`` — :meth:`add` appends to it on every
-        insert), and a version-fresh scan memo is equally free.  Callers
-        on hot paths — the plan cache's per-fetch drift check — use this
-        so statistics reads never degenerate into relation scans.
-        """
-        key: _IndexKey = (relation, tuple(positions))
-        version = self._relation_versions[relation]
-        if self._index_versions.get(key) == version:
-            return len(self._indexes[key])
-        cached = self._key_count_cache.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        return None
+        facts = self._facts.get(relation, ())
+        return len({tuple(fact.terms[i] for i in key[1]) for fact in facts})
 
     # -- null handling -------------------------------------------------------------
 
@@ -331,30 +250,20 @@ class Instance:
             return 0
         rewritten = 0
         for relation, bucket in list(self._facts.items()):
-            replacements: List[Tuple[Atom, Atom, int]] = []
+            replacements: List[Tuple[Atom, Atom]] = []
             for fact in bucket:
                 new_terms = tuple(
                     mapping.get(t, t) if isinstance(t, Null) else t
                     for t in fact.terms
                 )
                 if new_terms != fact.terms:
-                    generation = self._generation.get(fact, self._current_generation)
-                    replacements.append((fact, Atom(relation, new_terms), generation))
-            for old, _new, _generation in replacements:
+                    replacements.append((fact, Atom(relation, new_terms)))
+            # Remove every old fact before adding any new one: a rewrite
+            # may land on another rewritten fact's old terms.
+            for old, _new in replacements:
                 bucket.remove(old)
-                self._generation.pop(old, None)
-            for _old, new, generation in replacements:
-                if new not in bucket:
-                    bucket.add(new)
-                    self._generation[new] = generation
-                    self._insertion_log[generation].append(new)
-                else:
-                    # Collapsed onto an existing fact; keep the earliest
-                    # generation so delta evaluation never misses it.
-                    kept = min(self._generation.get(new, generation), generation)
-                    if kept != self._generation.get(new):
-                        self._insertion_log[kept].append(new)
-                    self._generation[new] = kept
+            for _old, new in replacements:
+                bucket.add(new)
                 rewritten += 1
             if replacements:
                 self._version += 1
@@ -369,10 +278,6 @@ class Instance:
         clone = Instance(self.schema)
         for relation, bucket in self._facts.items():
             clone._facts[relation] = set(bucket)
-        clone._generation = dict(self._generation)
-        for generation, inserted in self._insertion_log.items():
-            clone._insertion_log[generation] = list(inserted)
-        clone._current_generation = self._current_generation
         clone._version = self._version
         return clone
 

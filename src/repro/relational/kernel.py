@@ -9,8 +9,8 @@ compiled query plans run on:
     A process-wide interning pool mapping constants to dense positive
     integer ids.  Labeled nulls do not intern at all — a null encodes as
     ``-(id + 1)``, so its code *carries* the numeric component of the
-    engine's canonical ``_term_order`` and fresh chase nulls never touch
-    the pool's dict.  The pool precomputes each constant's order key
+    canonical :func:`~repro.relational.types.term_order_key` and fresh
+    chase nulls never touch the pool's dict.  The pool precomputes each constant's order key
     (``(0, 0, repr(term))``) at intern time, so sorting encoded rows
     reproduces the engine's canonical enforcement order exactly.  The
     pool is append-only, so a code never changes meaning once issued.
@@ -20,15 +20,15 @@ compiled query plans run on:
     a row-dedup dict (encoded row tuple -> row id), per-generation row
     logs (the encoded ``facts_since`` window), incrementally maintained
     encoded hash indexes, and O(rows) bulk null replacement.  It speaks
-    the full Atom-level :class:`Instance` surface (decode at the edges),
+    the Atom-level :class:`Instance` surface (decode at the edges),
     plus the encoded fast path the compiled query plans and the chase
     engine ride: ``add_encoded`` / ``encoded_index`` / ``columns`` /
     ``rows_since``.
 
 The class is deliberately *not* an ``Instance`` subclass: the two are
-independent kernels behind one duck-typed surface, and
+independent stores behind one duck-typed surface, and
 ``Instance.__eq__`` returns ``NotImplemented`` for non-instances so
-cross-kernel equality lands in :meth:`ColumnarInstance.__eq__` (which
+cross-store equality lands in :meth:`ColumnarInstance.__eq__` (which
 decodes and compares fact sets) — the differential suites rely on it.
 """
 
@@ -154,7 +154,7 @@ class TermPool:
         return self._terms[code]  # type: ignore[return-value]
 
     def order_key(self, code: int) -> Tuple[int, int, str]:
-        """The canonical ``_term_order`` key of an encoded term."""
+        """The canonical :func:`term_order_key` of an encoded term."""
         if code < 0:
             return (1, -code - 1, "")
         return self._orders[code]  # type: ignore[return-value]
@@ -399,14 +399,11 @@ class ColumnarInstance:
     """A fact store with the :class:`Instance` surface over int columns.
 
     Terms encode through a shared :class:`TermPool`; rows are tuples of
-    codes.  Mutations mirror ``Instance`` operation for operation —
-    generation bookkeeping, insertion logs, index invalidation and the
-    null-map collapse rules are bit-compatible, which the differential
-    suites assert corpus-wide.
+    codes.  Fact-level mutations (add, remove, null-map collapse) agree
+    with ``Instance`` fact for fact, which the kernel mutation suite
+    asserts; on top, every row carries its insertion generation, which
+    the chase's delta rounds and the view fixpoint read.
     """
-
-    #: Class tag mirroring ``ChaseConfig.kernel`` values.
-    kernel_name = "columnar"
 
     def __init__(self, schema=None, pool: Optional[TermPool] = None) -> None:
         self.schema = schema
@@ -415,7 +412,7 @@ class ColumnarInstance:
         self._current_generation = 0
         # generation -> [(relation, row id)]; entries go stale when a
         # row dies or changes generation — readers filter through the
-        # row's generation, exactly like Instance._insertion_log.
+        # row's generation.
         self._insertion_log: Dict[int, List[Tuple[str, int]]] = defaultdict(list)
         #: The current generation's log list, cached so the append hot
         #: path skips a dict probe; rebound on every generation change.
@@ -572,7 +569,7 @@ class ColumnarInstance:
         Per-call overhead is pared down deliberately (inlined table
         fetch, one ``setdefault`` probe instead of get-then-set, the
         cached insertion-log tail): the e13 micro-bench pins this path
-        to a multiple of the reference kernel's Atom inserts.
+        to a multiple of set-based ``Instance`` inserts.
         """
         table = self._tables.get(relation)
         if table is None or table.arity != len(row):
@@ -875,7 +872,7 @@ class ColumnarInstance:
 
         The encoded generation window: O(|delta|) over the insertion
         log, filtering stale entries through each row's current
-        generation — mirroring ``Instance.facts_since``.
+        generation.
         """
         out: List[Tuple[str, int]] = []
         seen: Set[Tuple[str, int]] = set()
@@ -1051,10 +1048,9 @@ class ColumnarInstance:
         """Replace null codes throughout; returns #rows rewritten.
 
         O(rows x arity) integer substitution with in-place column
-        writes.  Collapse semantics are bit-compatible with
-        ``Instance.apply_null_map``: a rewritten row keeps its
-        generation; collapsing onto a live row keeps the earliest
-        generation and logs the row at it.
+        writes.  A rewritten row keeps its generation; collapsing onto a
+        live row keeps the earliest generation and logs the row at it,
+        so a delta window never misses it.
         """
         if not mapping:
             return 0
@@ -1083,9 +1079,8 @@ class ColumnarInstance:
                     replacements.append((row_id, new_row, generation))
             if not replacements:
                 continue
-            # Phase 1: unregister every old row (mirrors the reference
-            # kernel removing all olds from the bucket before re-adding,
-            # so rewrites landing on another old row's key work).
+            # Phase 1: unregister every old row before re-adding any, so
+            # rewrites landing on another old row's key work.
             for row_id, _new_row, _generation in replacements:
                 del table.row_ids[table.row_values(row_id)]
             # Phase 2: rewrite in place, or collapse onto a live row.

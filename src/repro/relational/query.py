@@ -34,9 +34,11 @@ recently-inserted set, which is what makes the chase incremental instead
 of quadratic in the number of rounds.
 
 A reference implementation (the original materialized evaluator) is kept
-for differential testing: :func:`reference_evaluator` switches every
-entry point to it, which the corpus-equivalence property tests use to
-prove the compiled pipeline computes the same results.
+for differential testing: :func:`reference_evaluator` switches the
+decoded entry points (:func:`evaluate`, :func:`evaluate_iter`,
+:func:`evaluate_delta`, :func:`exists`) to it.  The chase and the view
+fixpoint run encoded plans and never consult it; the corpus-equivalence
+tests run the set-based chase oracle under it.
 """
 
 from __future__ import annotations
@@ -979,8 +981,8 @@ _REFERENCE_MODE = False
 
 
 class reference_evaluator:
-    """Context manager switching every entry point to the materialized
-    reference evaluator (differential-testing support)."""
+    """Context manager switching the decoded entry points to the
+    materialized reference evaluator (differential-testing support)."""
 
     def __enter__(self) -> None:
         global _REFERENCE_MODE
@@ -990,10 +992,6 @@ class reference_evaluator:
     def __exit__(self, *_exc) -> None:
         global _REFERENCE_MODE
         _REFERENCE_MODE = self._previous
-
-
-def reference_mode_active() -> bool:
-    return _REFERENCE_MODE
 
 
 _ROW_PROBE_MODE = False

@@ -200,16 +200,22 @@ def _cross_round_feed() -> ChaseSetup:
 
 
 def _null_unification() -> ChaseSetup:
-    # tgd invents nulls, egd then unifies them: the canonical-order
-    # merge must reproduce the exact same null ids and unions.
+    # Two tgds invent a null each per x, an egd then unifies the pair:
+    # every union is null/null, so the canonical-order merge must
+    # reproduce the exact same null ids and the same root of each union.
     deps = (
         tgd(
             Conjunction(atoms=(Atom("S", (x, y)),)),
             (Atom("T", (x, z)),),  # z existential -> fresh null per x
             name="invent",
         ),
+        tgd(
+            Conjunction(atoms=(Atom("S", (x, y)),)),
+            (Atom("U", (x, z)),),  # a second fresh null per x
+            name="invent_again",
+        ),
         egd(
-            Conjunction(atoms=(Atom("T", (x, y)), Atom("T", (x, z)))),
+            Conjunction(atoms=(Atom("T", (x, y)), Atom("U", (x, z)))),
             (Equality(y, z),),
             name="unify",
         ),
@@ -405,6 +411,11 @@ def _expect_null_unification(result) -> None:
     assert result.stats.nulls_created > 0
 
 
+def _expect_null_null_unions(result) -> None:
+    _expect_null_unification(result)
+    assert result.stats.egd_unifications > 0, result.stats
+
+
 def _expect_sweep_winner(result) -> None:
     # 2 two-branch deds with failing equality branches: the winner is
     # the all-insert selection, the last of the 4.
@@ -432,7 +443,7 @@ CHASE_CASES: Tuple[ChaseCase, ...] = (
     ),
     ChaseCase(
         "null-unification", frozenset(), _null_unification,
-        _expect_null_unification,
+        _expect_null_null_unions,
     ),
     ChaseCase(
         "transitive-closure", frozenset({RECURSIVE}), _transitive_closure,

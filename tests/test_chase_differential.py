@@ -4,8 +4,9 @@ Every registered chase case of ``tests/corpus.py`` (failing, recursive,
 disjunctive, Bloom-spill) must chase to a *bit-identical* result on
 the default configuration and on each variant:
 
-* ``reference-kernel`` — the set-based reference instance kernel
-  instead of the columnar one;
+* ``oracle`` — the set-based chase oracle of ``tests/kernel_oracle.py``
+  instead of the columnar engine, and ``oracle-reference`` — the same
+  under ``reference_evaluator()``;
 * ``traced`` — the flight recorder enabled: instrumentation observes
   the chase and never steers it;
 
@@ -15,6 +16,7 @@ smoke corpus and a flagged ded sweep go through the whole pipeline
 """
 
 import dataclasses
+from contextlib import nullcontext
 
 import pytest
 
@@ -27,10 +29,12 @@ from repro.runtime.corpus import get_corpus
 from repro.runtime.corpus import spec as make_spec
 
 from corpus import BLOOM_SPILL, chase_cases
+from kernel_oracle import OracleChase, oracle_kernel
 
 #: How each variant changes a case's own config.
 VARIANTS = {
-    "reference-kernel": {"kernel": "reference"},
+    "oracle": {},
+    "oracle-reference": {},
     "traced": {"trace": TraceConfig(enabled=True)},
 }
 
@@ -39,11 +43,23 @@ def _variant_config(config, variant):
     return dataclasses.replace(config or ChaseConfig(), **VARIANTS[variant])
 
 
-def _engine(setup, config):
+def _on_oracle(variant):
+    return variant is not None and variant.startswith("oracle")
+
+
+def _variant_kernel(variant):
+    """The context the variant's chases run in."""
+    if not _on_oracle(variant):
+        return nullcontext()
+    return oracle_kernel(reference=variant == "oracle-reference")
+
+
+def _engine(setup, config, variant=None):
     dependencies = list(setup.dependencies)
     if any(d.is_ded() for d in dependencies):
         return GreedyDedChase(dependencies, setup.source_relations, config)
-    return StandardChase(dependencies, setup.source_relations, config)
+    chase = OracleChase if _on_oracle(variant) else StandardChase
+    return chase(dependencies, setup.source_relations, config)
 
 
 def _compare_results(expected, actual, label):
@@ -65,9 +81,10 @@ class TestChaseCaseDifferential:
         setup = case.build()
         default = _engine(setup, setup.config).run(setup.instance)
         case.check_baseline(default)  # the case still bites
-        other = _engine(setup, _variant_config(setup.config, variant)).run(
-            case.build().instance
-        )
+        with _variant_kernel(variant):
+            other = _engine(
+                setup, _variant_config(setup.config, variant), variant
+            ).run(case.build().instance)
         _compare_results(default, other, f"{case.label}/{variant}")
         assert (other.trace is not None) == (variant == "traced")
 
@@ -89,12 +106,11 @@ class TestTriggerMemoryAcrossVariants:
     def test_bloom_spill_matches_default(self, variant):
         [case] = chase_cases(require={BLOOM_SPILL})
 
-        def spill(config):
+        def spill(config, variant=None):
             setup = case.build()
-            engine = StandardChase(
-                list(setup.dependencies), setup.source_relations, config
-            )
-            result = engine.run(setup.instance)
+            engine = _engine(setup, config, variant)
+            with _variant_kernel(variant):
+                result = engine.run(setup.instance)
             assert result.ok
             memory = engine._trigger_memory
             assert memory.exact_size == 5
@@ -102,7 +118,7 @@ class TestTriggerMemoryAcrossVariants:
             return result.target, memory.spilled
 
         config = case.build().config
-        assert spill(_variant_config(config, variant)) == spill(config)
+        assert spill(_variant_config(config, variant), variant) == spill(config)
 
 
 def _compare_pipelines(expected, actual, label):
@@ -149,12 +165,13 @@ class TestPipelineTracedDifferential:
         default = run_rewritten(
             built.scenario, rewritten, built.instance, verify=True
         )
-        other = run_rewritten(
-            built.scenario,
-            rewritten,
-            built.instance,
-            verify=True,
-            config=_variant_config(None, variant),
-        )
+        with _variant_kernel(variant):
+            other = run_rewritten(
+                built.scenario,
+                rewritten,
+                built.instance,
+                verify=True,
+                config=_variant_config(None, variant),
+            )
         assert default.chase.scenarios_tried > 1  # the sweep branched
         _compare_pipelines(default, other, variant)

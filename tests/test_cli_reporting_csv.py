@@ -93,6 +93,19 @@ class TestCli:
         [message] = [line for line in err.splitlines() if "error:" in line]
         assert "--parallelism" in message
 
+    @pytest.mark.parametrize("kernel", ["columnar", "reference"])
+    def test_kernel_is_no_longer_an_option(self, scenario_file, capsys, kernel):
+        # The chase has one kernel: an old command line that still picks
+        # one gets a usage error, not a traceback.
+        with pytest.raises(SystemExit) as info:
+            main(["chase", str(scenario_file), "--kernel", kernel])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("usage:") == 1
+        [message] = [line for line in err.splitlines() if "error:" in line]
+        assert "--kernel" in message
+
 
 class TestReporting:
     def test_format_table_alignment(self):

@@ -11,9 +11,10 @@ it in the library.
 
 The suite sweeps the disjunctive and failing chase cases of
 ``tests/corpus.py``, the flag-view family (``flagged_case``) and the
-partition family (``partition_case``) through the columnar kernel, the
-set-based reference kernel, a traced columnar run and
-``reference_evaluator()`` mode.  Cases that must prune assert it, so the
+partition family (``partition_case``) through the columnar engine, a
+traced columnar run, and the set-based chase oracle
+(``tests/kernel_oracle.py``) — plain and under
+``reference_evaluator()``.  Cases that must prune assert it, so the
 comparison never passes vacuously.
 """
 
@@ -31,7 +32,6 @@ from repro.chase.result import ChaseStats
 from repro.core.compose import extend_source
 from repro.core.rewriter import rewrite
 from repro.obs.recorder import FlightRecorder, TraceConfig
-from repro.relational.query import reference_evaluator
 from repro.runtime.fingerprint import fingerprint_instance
 from repro.scenarios.generators import flagged_case, partition_case
 
@@ -43,14 +43,15 @@ from corpus import (
     ded_sweep_instance,
     ded_sweep_relations,
 )
+from kernel_oracle import OracleChase, oracle_kernel
 
 # ---------------------------------------------------------------------------
 # The oracle
 # ---------------------------------------------------------------------------
 
 
-def unpruned_sweep(search, source, target=None):
-    """The greedy ded sweep with every selection chased."""
+def unpruned_sweep(search, source, target=None, engine=StandardChase):
+    """The greedy ded sweep with every selection chased by ``engine``."""
     selections = list(
         itertools.islice(search.selections(), search.max_scenarios)
     )
@@ -59,7 +60,7 @@ def unpruned_sweep(search, source, target=None):
     last = None
     for index, selection in enumerate(selections):
         dependencies, choice = search.scenario_for(selection)
-        result = StandardChase(
+        result = engine(
             dependencies,
             search.source_relations,
             search.config,
@@ -202,12 +203,13 @@ SWEEP_CASES = {
     for case in chase_cases(require={DISJUNCTIVE}) + chase_cases(require={FAILING})
 }
 
-#: How each mode changes the search's config; ``reference`` instead
-#: runs the default config under ``reference_evaluator()``.
+#: How each mode changes the search's config.  The ``oracle`` modes
+#: chase both sweeps on the set-based oracle instead; ``oracle-reference``
+#: does so under ``reference_evaluator()``.
 MODE_CONFIGS = {
     "columnar": {},
-    "reference": {},
-    "reference-kernel": {"kernel": "reference"},
+    "oracle": {},
+    "oracle-reference": {},
     "traced": {"trace": TraceConfig(enabled=True)},
 }
 MODES = list(MODE_CONFIGS)
@@ -218,9 +220,12 @@ def _mode_config(config, mode):
 
 
 def _run_both(search, source, mode):
-    if mode == "reference":
-        with reference_evaluator():
-            return search.run(source), unpruned_sweep(search, source)
+    if mode.startswith("oracle"):
+        with oracle_kernel(reference=mode == "oracle-reference"):
+            return (
+                search.run(source),
+                unpruned_sweep(search, source, engine=OracleChase),
+            )
     pruned = search.run(source)
     # A traced sweep must actually have recorded, or the mode compares
     # two uninstrumented runs.
@@ -281,16 +286,15 @@ class TestEnforcedPositions:
         )
         dependencies, choice = search.scenario_for(next(search.selections()))
 
-        def chase():
-            return StandardChase(
+        def chase(engine):
+            return engine(
                 dependencies, setup.source_relations, setup.config,
                 branch_choice=choice,
             ).run(setup.instance)
 
-        columnar = chase()
-        with reference_evaluator():
-            reference = chase()
-        assert columnar.enforced == reference.enforced
+        columnar = chase(StandardChase)
+        oracle = chase(OracleChase)
+        assert columnar.enforced == oracle.enforced
 
     def test_satisfied_dependencies_never_enforce(self):
         setup = SWEEP_CASES["ded-sweep"].build()
@@ -394,13 +398,13 @@ class TestSweepIsolation:
     def test_source_instance_untouched(self):
         setup = chase_cases(require={DISJUNCTIVE})[0].build()
         source = setup.instance
-        before = (set(source), source.current_generation, source.version)
+        before = (set(source), source.version)
         result = GreedyDedChase(
             list(setup.dependencies), setup.source_relations
         ).run(source)
         assert result.ok
         # Every selection chased its own working copy.
-        assert (set(source), source.current_generation, source.version) == before
+        assert (set(source), source.version) == before
 
     def test_rerun_is_identical(self):
         # The sweep object (compiled plans, ded infos) carries no nogood

@@ -1,7 +1,6 @@
 """Tests for the full disjunctive chase (universal model sets)."""
 
 from repro.chase.disjunctive import DisjunctiveChase, disjunctive_chase
-from repro.chase.engine import ChaseConfig
 from repro.chase.universal import satisfies
 from repro.logic.atoms import Atom, Conjunction, Equality
 from repro.logic.dependencies import Disjunct, ded, denial, tgd
@@ -14,6 +13,7 @@ from corpus import (
     ded_sweep_instance,
     ded_sweep_relations,
 )
+from kernel_oracle import oracle_kernel
 
 x, y = Variable("x"), Variable("y")
 
@@ -163,9 +163,14 @@ class TestGreedyVsExhaustiveAgreement:
 
 class TestExhaustiveChaseAcrossKernels:
     """The exhaustive disjunctive chase explores the same tree, in the
-    same order, whichever instance kernel its per-node chases use."""
+    same order, whether its per-node chases run on the columnar engine
+    or on the set-based oracle of ``tests/kernel_oracle.py``."""
 
-    REFERENCE = ChaseConfig(kernel="reference")
+    @staticmethod
+    def _on_oracle(*args, **kwargs):
+        """A disjunctive chase built — and so chasing — on the oracle."""
+        with oracle_kernel():
+            return DisjunctiveChase(*args, **kwargs)
 
     def _ded_setup(self):
         return (
@@ -177,16 +182,14 @@ class TestExhaustiveChaseAcrossKernels:
     def test_model_set_identical(self):
         deps, relations, instance = self._ded_setup()
         columnar = DisjunctiveChase(deps, relations).run(instance)
-        reference = DisjunctiveChase(deps, relations, self.REFERENCE).run(
-            instance
-        )
+        oracle = self._on_oracle(deps, relations).run(instance)
         assert columnar.satisfiable
-        assert len(columnar.models) == len(reference.models)
-        for left, right in zip(columnar.models, reference.models):
+        assert len(columnar.models) == len(oracle.models)
+        for left, right in zip(columnar.models, oracle.models):
             assert left == right  # bit-identical, including null ids
             assert fingerprint_instance(left) == fingerprint_instance(right)
         assert (columnar.leaves, columnar.failures, columnar.branchings) == (
-            reference.leaves, reference.failures, reference.branchings
+            oracle.leaves, oracle.failures, oracle.branchings
         )
 
     def test_first_only_identical(self):
@@ -194,30 +197,28 @@ class TestExhaustiveChaseAcrossKernels:
         columnar = DisjunctiveChase(deps, relations).run(
             instance, first_only=True
         )
-        reference = DisjunctiveChase(deps, relations, self.REFERENCE).run(
+        oracle = self._on_oracle(deps, relations).run(
             instance, first_only=True
         )
-        assert columnar.models and columnar.models == reference.models
-        assert columnar.leaves == reference.leaves
+        assert columnar.models and columnar.models == oracle.models
+        assert columnar.leaves == oracle.leaves
 
     def test_truncation_identical(self):
         deps, relations, instance = self._ded_setup()
         columnar = DisjunctiveChase(deps, relations, max_leaves=3).run(
             instance
         )
-        reference = DisjunctiveChase(
-            deps, relations, self.REFERENCE, max_leaves=3
-        ).run(instance)
-        assert columnar.truncated and reference.truncated
-        assert columnar.leaves == reference.leaves == 3
-        assert columnar.models == reference.models
+        oracle = self._on_oracle(deps, relations, max_leaves=3).run(instance)
+        assert columnar.truncated and oracle.truncated
+        assert columnar.leaves == oracle.leaves == 3
+        assert columnar.models == oracle.models
 
     def test_minimize_identical(self):
         deps, relations, instance = self._ded_setup()
         columnar = DisjunctiveChase(deps, relations).run(
             instance, minimize=True
         )
-        reference = DisjunctiveChase(deps, relations, self.REFERENCE).run(
+        oracle = self._on_oracle(deps, relations).run(
             instance, minimize=True
         )
-        assert columnar.models == reference.models
+        assert columnar.models == oracle.models

@@ -3,8 +3,9 @@
 The query-evaluator overhaul must not change a single chase result.  We
 run the full pipeline (rewrite once, chase + verify per evaluator) over
 every scenario of the default ``mixed`` corpus — all families, all sweep
-axes, 52 scenarios — once under the compiled pipeline and once under the
-reference evaluator, and require equal outcomes: same chase status and a
+axes, 52 scenarios — once on the columnar engine and once on the
+set-based chase oracle (``tests/kernel_oracle.py``) under the reference
+evaluator, and require equal outcomes: same chase status and a
 fingerprint-identical target (falling back to homomorphic equivalence if
 labeled-null names ever diverge).
 """
@@ -14,10 +15,10 @@ import pytest
 from repro.core.rewriter import rewrite
 from repro.logic.homomorphism import homomorphically_equivalent
 from repro.pipeline import run_rewritten
-from repro.relational.query import reference_evaluator
 from repro.runtime.fingerprint import fingerprint_instance
 
 from corpus import pipeline_specs
+from kernel_oracle import oracle_kernel
 
 CORPUS = pipeline_specs()
 
@@ -28,7 +29,7 @@ def test_chase_results_identical_across_evaluators(spec):
     rewritten = rewrite(built.scenario)
 
     compiled = run_rewritten(built.scenario, rewritten, built.instance, verify=True)
-    with reference_evaluator():
+    with oracle_kernel(reference=True):
         reference = run_rewritten(
             built.scenario, rewritten, built.instance, verify=True
         )

@@ -1,4 +1,6 @@
-"""Unit tests for instances: facts, generations, indexes, null rewriting."""
+"""Unit tests for instances: facts, indexes, null rewriting, copies."""
+
+import pickle
 
 import pytest
 
@@ -72,24 +74,6 @@ class TestBasics:
         assert left == right
 
 
-class TestGenerations:
-    def test_facts_since(self):
-        instance = Instance()
-        instance.add(fact("R", 1))
-        generation = instance.bump_generation()
-        instance.add(fact("R", 2))
-        newer = instance.facts_since(generation)
-        assert newer == [fact("R", 2)]
-        assert set(instance.facts_since(0)) == {fact("R", 1), fact("R", 2)}
-
-    def test_facts_since_relation_filter(self):
-        instance = Instance()
-        generation = instance.bump_generation()
-        instance.add(fact("R", 1))
-        instance.add(fact("S", 1))
-        assert instance.facts_since(generation, "R") == [fact("R", 1)]
-
-
 class TestIndexes:
     def test_index_lookup(self):
         instance = Instance()
@@ -116,6 +100,43 @@ class TestIndexes:
         second = instance.index("R", [0])
         assert first is second
 
+    def test_add_maintains_a_live_index_in_place(self):
+        instance = Instance()
+        instance.add(fact("R", 1, "a"))
+        index = instance.index("R", [1])
+        instance.add(fact("R", 2, "a"))
+        assert instance.index("R", [1]) is index
+        assert len(index[(Constant("a"),)]) == 2
+        assert instance.index_builds == 1
+
+    def test_remove_rebuilds_only_its_relations_indexes(self):
+        instance = Instance()
+        instance.add(fact("R", 1))
+        instance.add(fact("S", 1))
+        r_index, s_index = instance.index("R", [0]), instance.index("S", [0])
+        instance.remove(fact("R", 1))
+        assert instance.index("S", [0]) is s_index
+        rebuilt = instance.index("R", [0])
+        assert rebuilt is not r_index and not rebuilt
+        assert instance.index_builds == 3
+
+    def test_key_count_reads_a_live_index(self):
+        instance = Instance()
+        instance.add(fact("R", 1, "a"))
+        index = instance.index("R", [1])
+        instance.add(fact("R", 2, "b"))
+        assert instance.key_count("R", [1]) == len(index) == 2
+        assert instance.index_builds == 1
+
+    def test_key_count_never_builds_an_index(self):
+        instance = Instance()
+        for i in range(6):
+            instance.add(fact("R", i, i % 3))
+        assert instance.key_count("R", [1]) == 3
+        assert instance.key_count("R", [0, 1]) == 6
+        assert instance.key_count("S", [0]) == 0
+        assert instance.index_builds == 0
+
 
 class TestNullHandling:
     def test_nulls_collected(self):
@@ -140,13 +161,33 @@ class TestNullHandling:
         instance.apply_null_map({Null(1): Constant(7)})
         assert len(instance) == 1
 
-    def test_apply_null_map_preserves_generation(self):
+    def test_apply_null_map_counts_collapsed_facts(self):
         instance = Instance()
         instance.add(fact("R", Null(1)))
-        generation = instance.bump_generation()
+        instance.add(fact("R", Null(2)))
+        assert instance.apply_null_map({Null(1): Constant(7), Null(2): Constant(7)}) == 2
+        assert set(instance) == {fact("R", 7)}
+
+    def test_apply_null_map_removes_every_old_fact_before_adding(self):
+        # R(N1) is rewritten onto R(N2)'s old terms while R(N2) itself is
+        # rewritten: the new R(N2) must survive the removal of the old.
+        instance = Instance()
+        instance.add(fact("R", Null(1)))
+        instance.add(fact("R", Null(2)))
+        assert instance.apply_null_map({Null(1): Null(2), Null(2): Constant(7)}) == 2
+        assert set(instance) == {fact("R", Null(2)), fact("R", 7)}
+
+    def test_apply_null_map_bumps_version_and_rebuilds_indexes(self):
+        instance = Instance()
+        instance.add(fact("R", Null(1), "x"))
+        instance.add(fact("S", 1))
+        index = instance.index("R", [0])
+        before = instance.version
         instance.apply_null_map({Null(1): Constant(7)})
-        # The rewritten fact keeps its original (pre-bump) generation.
-        assert instance.facts_since(generation) == []
+        assert instance.version > before
+        rebuilt = instance.index("R", [0])
+        assert rebuilt is not index
+        assert list(rebuilt) == [(Constant(7),)]
 
     def test_apply_null_map_empty(self):
         instance = Instance()
@@ -163,6 +204,26 @@ class TestCopies:
         assert len(instance) == 1
         assert len(clone) == 2
 
+    def test_copy_keeps_version_and_shares_no_indexes(self):
+        instance = Instance()
+        instance.add(fact("R", 1))
+        index = instance.index("R", [0])
+        clone = instance.copy()
+        assert clone.version == instance.version
+        clone.add(fact("R", 2))
+        assert (Constant(2),) in clone.index("R", [0])
+        assert (Constant(2),) not in index
+        assert instance.index("R", [0]) is index
+
+    def test_pickle_round_trip_keeps_facts_and_indexes_working(self):
+        instance = Instance()
+        instance.add(fact("R", 1, "a"))
+        instance.index("R", [1])
+        clone = pickle.loads(pickle.dumps(instance))
+        assert clone == instance
+        clone.add(fact("R", 2, "a"))
+        assert len(clone.index("R", [1])[(Constant("a"),)]) == 2
+
     def test_restricted_to(self):
         instance = Instance()
         instance.add(fact("R", 1))
@@ -178,77 +239,3 @@ class TestCopies:
         rendered = str(instance)
         assert "more" in rendered
         assert str(Instance()) == "(empty instance)"
-
-
-class _ScanCountingInstance(Instance):
-    """Counts how many insertion-log entries a delta scan touches."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.entries_scanned = 0
-
-    def _log_entries(self, generation):
-        for entry in super()._log_entries(generation):
-            self.entries_scanned += 1
-            yield entry
-
-
-class TestFactsSinceIsDeltaSized:
-    def test_no_full_instance_scan(self):
-        """facts_since(g) reads the per-generation insertion lists, so a
-        small delta on top of a big instance costs O(|delta|), not O(n)."""
-        instance = _ScanCountingInstance()
-        for i in range(10_000):
-            instance.add(fact("R", i))
-        generation = instance.bump_generation()
-        for i in range(5):
-            instance.add(fact("Delta", i))
-        instance.entries_scanned = 0
-        newer = instance.facts_since(generation)
-        assert {f.relation for f in newer} == {"Delta"}
-        assert len(newer) == 5
-        assert instance.entries_scanned == 5
-
-    def test_relation_filter_stays_delta_sized(self):
-        instance = _ScanCountingInstance()
-        for i in range(1_000):
-            instance.add(fact("R", i))
-        generation = instance.bump_generation()
-        instance.add(fact("R", 1_000))
-        instance.add(fact("S", 0))
-        instance.entries_scanned = 0
-        assert instance.facts_since(generation, "R") == [fact("R", 1_000)]
-        assert instance.entries_scanned == 2
-
-    def test_removed_and_rewritten_facts_filtered(self):
-        instance = Instance()
-        instance.add(fact("R", 1))
-        generation = instance.bump_generation()
-        instance.add(fact("R", 2))
-        instance.add(fact("R", 3))
-        instance.remove(fact("R", 2))
-        assert instance.facts_since(generation) == [fact("R", 3)]
-
-    def test_null_map_keeps_earliest_generation_reachable(self):
-        instance = Instance()
-        null = Null(7)
-        instance.add(fact("R", null))
-        generation = instance.bump_generation()
-        instance.add(fact("R", "x"))
-        # Rewriting the older null fact onto the newer constant fact must
-        # keep the collapsed fact visible from its earliest generation.
-        instance.apply_null_map({null: Constant("x")})
-        assert instance.facts_since(0) == [fact("R", "x")]
-        # The earliest generation (0) was kept, so the collapsed fact is
-        # *not* part of the newer generation's delta.
-        assert fact("R", "x") not in instance.facts_since(generation)
-
-    def test_copy_preserves_insertion_log(self):
-        instance = Instance()
-        instance.add(fact("R", 1))
-        generation = instance.bump_generation()
-        instance.add(fact("R", 2))
-        clone = instance.copy()
-        clone.add(fact("R", 3))
-        assert set(clone.facts_since(generation)) == {fact("R", 2), fact("R", 3)}
-        assert instance.facts_since(generation) == [fact("R", 2)]

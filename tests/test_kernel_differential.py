@@ -1,17 +1,18 @@
-"""Differential suite: columnar kernel vs the reference set-based kernel.
+"""Differential suite: the columnar chase vs the set-based chase oracle.
 
-The columnar instance kernel replaces the chase's storage layer
-wholesale — interned terms, struct-of-arrays columns, encoded join
-probes.  Its correctness contract is that none of that is observable:
-every scenario must chase to a *bit-identical* outcome whichever kernel
-runs it.
+The chase runs on the columnar instance kernel — interned terms,
+struct-of-arrays columns, encoded join probes.  Its correctness
+contract is that none of that is observable: every scenario must chase
+to a *bit-identical* outcome on the set-based oracle of
+``tests/kernel_oracle.py``, which the pipeline's drivers are pointed at
+for the comparison.
 
 Two layers enforce the contract:
 
 * a corpus-wide sweep (every scenario of the default ``mixed`` corpus)
-  comparing the columnar pipeline against the reference kernel;
+  comparing the columnar pipeline against the oracle;
 * a Hypothesis property driving :func:`random_scenario` shapes through
-  both kernels (pinned regression seeds stay as ``@example`` lines).
+  both (pinned regression seeds stay as ``@example`` lines).
 
 The signature includes the chase status and failure reason, the target
 fingerprint, round/match/null counters and the per-round delta windows
@@ -32,12 +33,11 @@ from repro.runtime.fingerprint import fingerprint_instance
 from repro.scenarios.generators import random_scenario
 
 from corpus import pipeline_specs
+from kernel_oracle import oracle_kernel
 
 CORPUS = pipeline_specs()
 
-REFERENCE = ChaseConfig(kernel="reference")
-
-#: Columnar execution strategies that must match the reference kernel.
+#: Columnar execution strategies that must match the oracle.
 COLUMNAR_CONFIGS = [
     ("columnar-serial", ChaseConfig()),
 ]
@@ -59,13 +59,12 @@ def _signature(outcome):
 
 
 @pytest.mark.parametrize("spec", CORPUS, ids=[s.label for s in CORPUS])
-def test_columnar_matches_reference_kernel_corpus_wide(spec):
+def test_columnar_matches_the_oracle_corpus_wide(spec):
     built = spec.build()
     rewritten = rewrite(built.scenario)
-    reference = run_rewritten(
-        built.scenario, rewritten, built.instance, config=REFERENCE
-    )
-    expected = _signature(reference)
+    with oracle_kernel():
+        oracle = run_rewritten(built.scenario, rewritten, built.instance)
+    expected = _signature(oracle)
     for label, config in COLUMNAR_CONFIGS:
         outcome = run_rewritten(
             built.scenario, rewritten, built.instance, config=config
@@ -73,23 +72,16 @@ def test_columnar_matches_reference_kernel_corpus_wide(spec):
         assert _signature(outcome) == expected, f"{spec.label}: {label}"
 
 
-def test_kernels_agree_on_delta_windows():
-    """The encoded ``facts_since`` window decodes to the reference one.
-
-    Chase both kernels over one scenario and compare the *final* target
-    plus every relation's fact set — then replay a fresh chase and
-    compare the decoded per-generation windows of the working columnar
-    instance against the reference instance's, which pins the insertion
-    -log semantics (dedup, tombstones, collapse rewrites) and not just
-    the end state.
-    """
+def test_kernels_agree_relation_by_relation():
+    """Chase one scenario on the columnar engine and on the oracle and
+    compare the final target's fingerprint plus every relation's fact
+    set, so a divergence names the relation it is in."""
     spec = CORPUS[0]
     built = spec.build()
     columnar = run_scenario(built.scenario, built.instance)
-    reference = run_scenario(
-        built.scenario, built.instance, config=REFERENCE
-    )
-    col_target, ref_target = columnar.target, reference.target
+    with oracle_kernel():
+        oracle = run_scenario(built.scenario, built.instance)
+    col_target, ref_target = columnar.target, oracle.target
     assert fingerprint_instance(col_target) == fingerprint_instance(
         ref_target
     )
@@ -123,14 +115,11 @@ def test_generated_scenarios_chase_identically_across_kernels(
         instance_rows=10,
     )
     rewritten = rewrite(generated.scenario)
-    reference = run_rewritten(
-        generated.scenario,
-        rewritten,
-        generated.instance,
-        verify=True,
-        config=REFERENCE,
-    )
+    with oracle_kernel():
+        oracle = run_rewritten(
+            generated.scenario, rewritten, generated.instance, verify=True
+        )
     columnar = run_rewritten(
         generated.scenario, rewritten, generated.instance, verify=True
     )
-    assert _signature(columnar) == _signature(reference)
+    assert _signature(columnar) == _signature(oracle)

@@ -8,6 +8,7 @@ tiers, and the overhead guard proving an untraced run never touches the
 real instrumentation.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -30,6 +31,7 @@ from repro.obs.recorder import (
 )
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.pipeline import run_scenario
+from repro.relational.instance import Instance
 from repro.runtime.cache import RewriteCache
 from repro.runtime.executor import BatchOptions, run_batch
 from repro.runtime.corpus import get_corpus
@@ -38,6 +40,8 @@ from repro.scenarios.running_example import (
     build_scenario,
     generate_source_instance,
 )
+
+from kernel_oracle import oracle_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +342,11 @@ class TestProfile:
 
 
 # ---------------------------------------------------------------------------
-# Trace determinism across kernels
+# Trace determinism, and the chase counters against the oracle
 # ---------------------------------------------------------------------------
 
 
-def _traced_pipeline(kernel, built=None):
+def _traced_pipeline(built=None):
     if built is None:
         scenario = build_scenario()
         source = generate_source_instance(
@@ -350,11 +354,11 @@ def _traced_pipeline(kernel, built=None):
         )
     else:
         scenario, source = built.scenario, built.instance
-    config = ChaseConfig(kernel=kernel, trace=TraceConfig(enabled=True))
+    config = ChaseConfig(trace=TraceConfig(enabled=True))
     outcome = run_scenario(scenario, source, config=config)
     assert outcome.ok
     assert outcome.trace is not None
-    return outcome.trace
+    return outcome
 
 
 def _structure(payload):
@@ -373,29 +377,43 @@ def _chase_counters(payload):
 
 
 class TestTraceDeterminism:
-    def test_span_structure_identical_across_kernels(self):
-        columnar = _traced_pipeline("columnar")
-        reference = _traced_pipeline("reference")
-        assert _structure(columnar) == _structure(reference)
+    def test_span_structure_identical_across_reruns(self):
+        first = _traced_pipeline().trace
+        second = _traced_pipeline().trace
+        assert _structure(first) == _structure(second)
 
-    def test_chase_counters_identical_across_kernels(self):
-        columnar = _traced_pipeline("columnar")
-        reference = _traced_pipeline("reference")
-        counters = _chase_counters(columnar)
-        assert counters  # the chase.* namespace is populated
-        assert counters == _chase_counters(reference)
+    def test_chase_counters_match_the_oracle_stats(self):
+        # ``chase.*`` counters mirror ChaseStats summed over every chase
+        # run; with nothing pruned, that is the sweep's aggregate — which
+        # the set-based oracle must reproduce.
+        outcome = _traced_pipeline()
+        assert outcome.chase.scenarios_pruned == 0
+        source = generate_source_instance(
+            products=25, seed=3, benign_name_pairs=1
+        )
+        with oracle_kernel():
+            oracle = run_scenario(build_scenario(), source)
+        counters = _chase_counters(outcome.trace)
+        assert counters["chase.rounds"] > 0  # the namespace is populated
+        expected = dataclasses.asdict(oracle.chase.stats)
+        del expected["elapsed_seconds"]
+        assert {
+            name: counters.get(f"chase.{name}", 0) for name in expected
+        } == expected
 
-    def test_pruned_sweep_trace_identical_across_kernels(self):
+    def test_pruned_sweep_trace_identical_across_reruns(self):
         # A flagged case's sweep answers most selections from nogoods;
-        # the skipped runs are the same whichever kernel chases.
+        # the skipped runs are the same on every run.
         built = flagged_case(flags=3, products=10, name_pairs=2, seed=1)
-        columnar = _traced_pipeline("columnar", built)
-        reference = _traced_pipeline("reference", built)
-        pruned = columnar["metrics"]["counters"]["search.pruned"]
+        first = _traced_pipeline(built).trace
+        second = _traced_pipeline(
+            flagged_case(flags=3, products=10, name_pairs=2, seed=1)
+        ).trace
+        pruned = first["metrics"]["counters"]["search.pruned"]
         assert pruned > 0
-        assert reference["metrics"]["counters"]["search.pruned"] == pruned
-        assert _structure(columnar) == _structure(reference)
-        assert _chase_counters(columnar) == _chase_counters(reference)
+        assert second["metrics"]["counters"]["search.pruned"] == pruned
+        assert _structure(first) == _structure(second)
+        assert _chase_counters(first) == _chase_counters(second)
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +427,10 @@ def _seed_spans(payload):
 
 class TestSeedSpan:
     @pytest.mark.parametrize(
-        "kernel,extended,path",
-        [
-            ("columnar", False, "bulk"),
-            ("columnar", True, "ingest"),
-            ("reference", False, "reference"),
-        ],
+        "source_kind,path",
+        [("decoded", "bulk"), ("composed", "ingest"), ("empty", "bulk")],
     )
-    def test_records_rows_relations_and_path(self, kernel, extended, path):
+    def test_records_rows_relations_and_path(self, source_kind, path):
         from repro.core.compose import extend_source
         from repro.core.rewriter import rewrite
 
@@ -426,12 +440,14 @@ class TestSeedSpan:
         engine = StandardChase(
             tgds,
             rewritten.source_relations(),
-            ChaseConfig(kernel=kernel, trace=TraceConfig(enabled=True)),
+            ChaseConfig(trace=TraceConfig(enabled=True)),
         )
         source = generate_source_instance(products=8, seed=1)
-        if extended:
+        if source_kind == "composed":
             # The composed source is a columnar store on the shared pool.
             source = extend_source(scenario, source)
+        elif source_kind == "empty":
+            source = Instance()
         payload = engine.run(source).trace
         (span,) = _seed_spans(payload)
         assert span["attrs"] == {

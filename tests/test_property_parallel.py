@@ -3,9 +3,9 @@
 Hypothesis drives :mod:`repro.scenarios.generators` with random seeds
 and shape parameters, and asserts the engine's central invariant: one
 generated scenario chases to the *same* result — fingerprint-identical
-targets, same status, same number of scenarios tried — whichever
-instance kernel runs it (the columnar default or the set-based
-reference kernel).
+targets, same status, same number of scenarios tried — on the columnar
+engine and on the set-based chase oracle of ``tests/kernel_oracle.py``,
+plain and under ``reference_evaluator()``.
 A second property pins the DSL round-trip: a generated scenario
 serializes and re-parses fingerprint-identically, whatever the
 generator produced.
@@ -39,11 +39,12 @@ from repro.runtime.fingerprint import (
 )
 from repro.scenarios.generators import random_scenario
 
+from kernel_oracle import oracle_kernel
+
 # The execution strategies every scenario must agree with the default
-# (columnar kernel) baseline across: the set-based reference kernel.
-MODE_CONFIGS = [
-    ("reference-kernel", ChaseConfig(kernel="reference")),
-]
+# (columnar engine) baseline across: the set-based oracle, plain and
+# under the reference evaluator.
+MODES = [("oracle", False), ("oracle-reference", True)]
 
 
 def _chase_signature(outcome):
@@ -91,14 +92,11 @@ def test_generated_scenarios_chase_identically_across_modes(
         generated.scenario, rewritten, generated.instance, verify=True
     )
     expected = _chase_signature(baseline)
-    for label, config in MODE_CONFIGS:
-        outcome = run_rewritten(
-            generated.scenario,
-            rewritten,
-            generated.instance,
-            verify=True,
-            config=config,
-        )
+    for label, reference in MODES:
+        with oracle_kernel(reference=reference):
+            outcome = run_rewritten(
+                generated.scenario, rewritten, generated.instance, verify=True
+            )
         assert _chase_signature(outcome) == expected, label
 
 

@@ -10,7 +10,7 @@ refresh, and the negation rebuild rule.
 
 import pytest
 
-from repro.datalog.evaluate import SemanticDatabase, materialize, materialize_naive
+from repro.datalog.evaluate import SemanticDatabase, materialize
 from repro.datalog.program import ViewProgram
 from repro.datalog.stratify import stratified_components
 from repro.errors import RecursionError_
@@ -18,7 +18,10 @@ from repro.logic.atoms import Atom, Conjunction, NegatedConjunction
 from repro.logic.terms import Constant, Variable
 from repro.relational.delta import DeltaPlans, GenerationWindow, PlanCache
 from repro.relational.instance import Instance
+from repro.relational.kernel import ColumnarInstance, TermPool
 from repro.relational.schema import Schema
+
+from kernel_oracle import materialize_naive
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
@@ -58,27 +61,40 @@ def tc_program(schema):
 # ---------------------------------------------------------------------------
 
 
+def store():
+    """A columnar store on a private pool (codes start afresh)."""
+    return ColumnarInstance(pool=TermPool())
+
+
+def decoded(store, rows):
+    """(relation, row id) pairs as the facts they hold."""
+    return {store.decode_row(relation, row_id) for relation, row_id in rows}
+
+
 class TestGenerationWindow:
     def test_advance_returns_exactly_the_new_facts(self):
-        instance = Instance()
+        instance = store()
         instance.add_row("R", 1)
         window = GenerationWindow(instance)
         instance.add_row("R", 2)
         instance.add_row("R", 3)
-        assert {f.terms[0].value for f in window.advance()} == {1, 2, 3}
+        rows = window.advance_rows()
+        assert {f.terms[0].value for f in decoded(instance, rows)} == {1, 2, 3}
         # The window moved: nothing new yields an empty delta.
-        assert window.advance() == set()
+        assert window.advance_rows() == []
         instance.add_row("R", 4)
-        assert {f.terms[0].value for f in window.advance()} == {4}
+        rows = window.advance_rows()
+        assert {f.terms[0].value for f in decoded(instance, rows)} == {4}
 
     def test_facts_inserted_mid_iteration_land_in_next_window(self):
-        instance = Instance()
+        instance = store()
         window = GenerationWindow(instance)
         instance.add_row("R", 1)
-        first = window.advance()
+        first = window.advance_rows()
         instance.add_row("R", 2)  # after the advance: next window's fact
-        assert {f.terms[0].value for f in first} == {1}
-        assert {f.terms[0].value for f in window.advance()} == {2}
+        assert {f.terms[0].value for f in decoded(instance, first)} == {1}
+        rows = window.advance_rows()
+        assert {f.terms[0].value for f in decoded(instance, rows)} == {2}
 
 
 class TestDeltaPlans:
@@ -86,43 +102,49 @@ class TestDeltaPlans:
         return Conjunction(atoms=(Atom("R", (x, y)), Atom("S", (y, z))))
 
     def test_delta_matches_require_a_delta_fact(self):
-        instance = Instance()
+        instance = store()
         instance.add_row("R", 1, 2)
         instance.add_row("S", 2, 3)
         plans = DeltaPlans(self.body())
-        new = Atom("R", (c(10), c(20)))
-        instance.add(new)
+        mark = instance.bump_generation()
+        instance.add_row("R", 10, 20)
         instance.add_row("S", 20, 30)
-        delta = {new}
-        found = plans.delta_matches(instance, delta)
+        delta = {"R": {row_id for _, row_id in instance.rows_since(mark, "R")}}
+        found = plans.delta_matches_encoded(instance, delta)
         # Only the match through the delta fact; the old R(1,2)⋈S(2,3)
         # combination must not reappear.
         assert len(found) == 1
-        assert found[0][x] == c(10)
+        slot = plans.varlist(instance).index(x)
+        assert instance.decode_term(found[0][slot]) == c(10)
 
     def test_delta_matches_deduplicate_across_anchors(self):
-        instance = Instance()
-        r_new, s_new = Atom("R", (c(1), c(2))), Atom("S", (c(2), c(3)))
-        instance.add(r_new)
-        instance.add(s_new)
-        plans = DeltaPlans(self.body())
-        found = plans.delta_matches(instance, {r_new, s_new})
-        # Both atoms are anchors for the same match: one binding, not two.
-        assert len(found) == 1
-
-    def test_full_matches_and_exists(self):
-        instance = Instance()
+        instance = store()
         instance.add_row("R", 1, 2)
         instance.add_row("S", 2, 3)
         plans = DeltaPlans(self.body())
-        assert len(plans.matches(instance)) == 1
-        assert plans.exists(instance)
-        assert not plans.exists(Instance())
+        found = plans.delta_matches_encoded(instance, {"R": {0}, "S": {0}})
+        # Both atoms are anchors for the same match: one row, not two.
+        assert len(found) == 1
+
+    def test_full_matches_and_exists(self):
+        instance = store()
+        instance.add_row("R", 1, 2)
+        instance.add_row("S", 2, 3)
+        plans = DeltaPlans(self.body())
+        assert len(plans.matches_encoded(instance)) == 1
+        assert len(plans.matches_encoded(store())) == 0
+        # Seeded existence: S(y, z) given y from an outer (x, y) row.
+        probe = DeltaPlans(Conjunction(atoms=(Atom("S", (y, z)),)), bound={y})
+        outer = (x, y)
+        row = (instance.encode_term(c(1)), instance.encode_term(c(2)))
+        assert probe.exists_encoded(instance, outer, row)
+        row = (instance.encode_term(c(1)), instance.encode_term(c(9)))
+        assert not probe.exists_encoded(instance, outer, row)
 
 
 class TestPlanCacheRecompile:
     def test_plan_is_reused_while_statistics_hold(self):
-        instance = Instance()
+        instance = store()
         for i in range(20):
             instance.add_row("R", i, i)
         cache = PlanCache()
@@ -132,7 +154,7 @@ class TestPlanCacheRecompile:
         assert first is again
 
     def test_recompiles_on_size_doubling(self):
-        instance = Instance()
+        instance = store()
         for i in range(20):
             instance.add_row("R", i, i)
         cache = PlanCache()
@@ -143,7 +165,7 @@ class TestPlanCacheRecompile:
         assert cache.plan("k", body, frozenset(), instance) is not first
 
     def test_recompiles_on_selectivity_drift_without_doubling(self):
-        instance = Instance()
+        instance = store()
         for i in range(64):
             instance.add_row("R", i, 0)  # column 1 constant: useless key
         instance.add_row("S", 0, 0)
