@@ -8,9 +8,13 @@ before they blur into end-to-end chase timings:
 
 * **intern** — terms/second into a fresh :class:`TermPool`;
 * **append** — bulk encoded-row inserts (``extend_encoded``) vs
-  set-based ``Instance`` inserts of atom objects on identical data (the
-  headline: encoded must stay ≥3x faster, asserted at 2.5x for CI
-  headroom), with the per-row ``add_encoded`` rate tracked alongside;
+  inserts of atom objects into per-relation ``set[Atom]`` buckets on
+  identical data (the headline: encoded must stay ≥3x faster, asserted
+  at 2.5x for CI headroom), with the per-row ``add_encoded`` rate
+  tracked alongside.  The atom side is ``atom_store.AtomSetStore``, a
+  frozen copy of the insert path ``Instance`` had while it stored
+  ``Atom`` objects: ``Instance`` now stores value rows, and a reference
+  that moved with it would stop measuring atom-object inserts;
 * **facts_since** — reading one generation window off the insertion
   log;
 * **index_build** — cold hash-index construction over all rows;
@@ -25,10 +29,10 @@ import time
 
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant
-from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance, TermPool
 from repro.reporting import Table
 
+from atom_store import AtomSetStore
 from conftest import print_experiment_table, quick_mode, record_bench_json
 
 ROWS = 120_000
@@ -37,6 +41,11 @@ QUICK_ROWS = 6_000
 QUICK_TERMS = 10_000
 #: Rows per join key — the probe section's fan-out.
 GROUP = 8
+#: Timed runs per append mode; the gate compares the best run of each.
+#: Atom and encoded runs alternate, so a slow stretch of the host (or a
+#: full collection over the pre-built payload) costs both modes one
+#: sample instead of the only sample of one mode.
+APPEND_REPEATS = 5
 
 
 def test_bench_e13_kernel():
@@ -68,25 +77,28 @@ def test_bench_e13_kernel():
 
     # -- append: atom objects vs encoded rows --------------------------
     # Identical data down both stores' bulk-insert APIs, payload
-    # pre-built outside the timed region: atoms for set-based
-    # ``Instance`` inserts (``add_all`` is a plain ``add`` loop), code
+    # pre-built outside the timed region: atoms for the frozen
+    # atom-object store (``add_all`` is a plain ``add`` loop), code
     # tuples for the columnar kernel's ``extend_encoded`` — the path
     # engine seeding, result stripping and pickle rehydration ride.
     atoms = [
         Atom("R", (Constant(i // GROUP), Constant(i), Constant(i % 17)))
         for i in range(rows_n)
     ]
-    reference = Instance()
-    start = time.perf_counter()
-    reference.add_all(atoms)
-    atom_seconds = time.perf_counter() - start
+    pool = TermPool()
+    encoded_rows = [tuple(map(pool.encode, atom.terms)) for atom in atoms]
+    atom_seconds = encoded_seconds = float("inf")
+    for _ in range(APPEND_REPEATS):
+        reference = AtomSetStore()
+        start = time.perf_counter()
+        reference.add_all(atoms)
+        atom_seconds = min(atom_seconds, time.perf_counter() - start)
 
-    columnar = ColumnarInstance(pool=TermPool())
-    encoded_rows = [columnar.encode_row(atom.terms) for atom in atoms]
-    start = time.perf_counter()
-    columnar.extend_encoded("R", encoded_rows)
-    encoded_seconds = time.perf_counter() - start
-    assert len(columnar) == len(reference) == rows_n
+        columnar = ColumnarInstance(pool=pool)
+        start = time.perf_counter()
+        columnar.extend_encoded("R", encoded_rows)
+        encoded_seconds = min(encoded_seconds, time.perf_counter() - start)
+        assert len(columnar) == len(reference) == rows_n
 
     # Per-row add_encoded (the enforce phase inserts rows one rule
     # firing at a time) tracked alongside the bulk headline.
@@ -158,6 +170,6 @@ def test_bench_e13_kernel():
     print_experiment_table(table)
     record_bench_json("e13_kernel", payload)
     # The tentpole's headline number, with headroom for noisy CI boxes:
-    # the full run holds ~3.9x, so 2.5x failing means the encoded
+    # the full run holds ~3x (best of 5), so 2.5x failing means the encoded
     # append path genuinely regressed, not that the machine was busy.
     assert speedup >= 2.5, payload["append"]

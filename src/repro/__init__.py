@@ -34,7 +34,6 @@ from repro.chase import (
     DisjunctiveChase,
     GreedyDedChase,
     StandardChase,
-    chase,
     disjunctive_chase,
     greedy_ded_chase,
     is_weakly_acyclic,
@@ -129,7 +128,6 @@ __all__ = [
     "extend_source",
     "verify_solution",
     # chase
-    "chase",
     "StandardChase",
     "GreedyDedChase",
     "DisjunctiveChase",

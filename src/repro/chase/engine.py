@@ -272,8 +272,9 @@ def _seed(working, source_instance, target_instance) -> str:
 
     ``ingest``: columnar inputs on the working store's pool move as raw
     code rows (the pipeline hands over the semantic database's store —
-    no decode/re-encode).  ``bulk``: a decoded input encodes one
-    relation at a time through :meth:`ColumnarInstance.add_all`.
+    no decode/re-encode).  ``bulk``: a decoded input encodes its value
+    rows one relation at a time through :meth:`ColumnarInstance.add_all`,
+    and a columnar input on another pool re-encodes fact by fact.
     """
     path = "ingest"
     for instance in (source_instance, target_instance):
@@ -281,6 +282,8 @@ def _seed(working, source_instance, target_instance) -> str:
             continue
         if isinstance(instance, ColumnarInstance):
             working.ingest(instance)
+            if instance.pool is not working.pool:
+                path = "bulk"
         else:
             working.add_all(instance)
             path = "bulk"

@@ -183,7 +183,16 @@ class SemanticDatabase:
         return self._working.add(fact)
 
     def add_facts(self, facts: Iterable[Atom]) -> int:
-        """Insert many base facts; returns how many were new."""
+        """Insert many base facts; returns how many were new.
+
+        An :class:`Instance` loads in bulk: its value rows encode one
+        relation at a time (:meth:`ColumnarInstance.add_all`), and only
+        facts in view relations decode, to keep the ``_seeded``
+        bookkeeping."""
+        if isinstance(facts, Instance):
+            for view in self._view_names.intersection(facts.relations()):
+                self._seeded.update(facts.facts(view))
+            return self._working.add_all(facts)
         return sum(1 for fact in facts if self.add_fact(fact))
 
     def ingest(self, instance: ColumnarInstance) -> int:
@@ -356,10 +365,7 @@ class SemanticDatabase:
             )
         else:
             wanted = set()
-        result = Instance()
-        for view_name in wanted:
-            for fact in self._working.facts(view_name):
-                result.add(fact)
+        result = self._working.to_instance(relations=wanted)
         if include_base is not None:
             for fact in include_base:
                 result.add(fact)

@@ -67,9 +67,9 @@ def strip_auxiliary(
     receiving a schemaless bag of atoms.
     """
     stripped = Instance(schema if schema is not None else instance.schema)
-    for fact in instance:
-        if not fact.relation.startswith(AUX_PREFIX):
-            stripped.add(fact)
+    for relation in instance.relations():
+        if not relation.startswith(AUX_PREFIX):
+            stripped.add_rows(relation, instance.rows(relation))
     return stripped
 
 

@@ -1,9 +1,9 @@
 """The columnar instance kernel: interned terms over struct-of-arrays rows.
 
-The set-based :class:`~repro.relational.instance.Instance` stores one
-``Atom`` object per fact; every join probe hashes tuples of term
-objects.  This module is the columnar replacement the chase and the
-compiled query plans run on:
+The boundary :class:`~repro.relational.instance.Instance` stores value
+rows and builds ``Atom`` objects on reads; a join over it would hash
+tuples of term objects.  This module is the columnar store the chase
+and the compiled query plans run on:
 
 :class:`TermPool`
     A process-wide interning pool mapping constants to dense positive
@@ -41,6 +41,7 @@ from collections import defaultdict
 from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from typing import (
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -56,7 +57,7 @@ from typing import (
 from repro.errors import SchemaError
 from repro.logic.atoms import Atom, Comparison
 from repro.logic.terms import Constant, Null, Term, Variable
-from repro.relational.instance import Instance
+from repro.relational.instance import VALUE_TYPES, Instance, row_fact
 from repro.relational.types import term_order_key
 
 __all__ = [
@@ -568,8 +569,8 @@ class ColumnarInstance:
         term hashing — a tuple-of-ints dict probe and O(arity) appends.
         Per-call overhead is pared down deliberately (inlined table
         fetch, one ``setdefault`` probe instead of get-then-set, the
-        cached insertion-log tail): the e13 micro-bench pins this path
-        to a multiple of set-based ``Instance`` inserts.
+        cached insertion-log tail): the e13 micro-bench pins the bulk
+        path to a multiple of atom-object inserts.
         """
         table = self._tables.get(relation)
         if table is None or table.arity != len(row):
@@ -711,22 +712,23 @@ class ColumnarInstance:
     def add_all(self, facts: Iterable[Atom]) -> int:
         """Insert many facts; returns how many were new.
 
-        A decoded :class:`Instance` seeds in bulk: each relation's facts
-        encode in one pass (in the instance's iteration order) and land
+        A decoded :class:`Instance` seeds in bulk: each relation's value
+        rows encode in one pass (in the instance's row order) and land
         through one :meth:`extend_encoded` call, giving the same row ids
         as per-fact :meth:`add`.  A schema-carrying store, and any
-        relation whose facts are not plain ground same-arity rows
+        relation whose rows are not plain same-arity value rows
         appendable to a tombstone-free table, take the per-fact path —
         which raises the usual ``SchemaError`` at the offending fact.
         """
         added = 0
         if isinstance(facts, Instance) and self.schema is None:
-            for relation, bucket in facts._facts.items():
-                rows = self._encode_bucket(relation, bucket)
-                if rows is None:
-                    added += self._add_each(bucket)
+            for relation in facts.relations():
+                rows = facts.rows(relation)
+                encoded = self._encode_rows(relation, rows)
+                if encoded is None:
+                    added += self._add_each(row_fact(relation, row) for row in rows)
                 else:
-                    added += self.extend_encoded(relation, rows)
+                    added += self.extend_encoded(relation, encoded)
             return added
         return self._add_each(facts)
 
@@ -737,56 +739,46 @@ class ColumnarInstance:
                 added += 1
         return added
 
-    def _encode_bucket(
-        self, relation: str, facts: Iterable[Atom]
+    def _encode_rows(
+        self, relation: str, rows: Collection[Tuple[object, ...]]
     ) -> Optional[List[Tuple[int, ...]]]:
-        """One relation's facts as code rows, or None when any of them
-        needs the per-fact path (a non-ground fact, mixed arities, a
-        table of another arity or with tombstones to resurrect)."""
+        """One relation's value rows as code rows, or None when any of
+        them needs the per-fact path (a value that is neither a constant
+        value nor a null, mixed arities, a table of another arity or
+        with tombstones to resurrect)."""
+        arities = set(map(len, rows))
+        if len(arities) != 1:
+            return None
+        (arity,) = arities
+        table = self._tables.get(relation)
+        if table is not None and (
+            table.arity != arity or table.live_count != len(table.generations)
+        ):
+            return None
+        # Distinct values intern once each; hashing a raw value is
+        # C-level.  Equal values (1, 1.0, True) share one entry, as they
+        # share one pool code.
         encode = self.pool.encode
-        # Value type -> value -> code.  Hashing a raw value is C-level,
-        # where a Constant's dataclass __hash__/__eq__ run as Python; the
-        # type keeps 1 / 1.0 / True apart here (the pool still gives
-        # them one code).
-        codes_by_type: Dict[type, Dict[object, int]] = {}
-        hints: List[Null] = []
-        rows: List[Tuple[int, ...]] = []
-        arity = -1
-        for fact in facts:
-            terms = fact.terms
-            if len(terms) != arity:
-                if arity >= 0:
-                    return None
-                arity = len(terms)
-                table = self._tables.get(relation)
-                if table is not None and (
-                    table.arity != arity
-                    or table.live_count != len(table.generations)
-                ):
-                    return None
-            row = []
-            for term in terms:
-                if term.__class__ is Constant:
-                    value = term.value
-                    codes = codes_by_type.get(value.__class__)
-                    if codes is None:
-                        codes = codes_by_type[value.__class__] = {}
-                    code = codes.get(value)
-                    if code is None:
-                        code = codes[value] = encode(term)
-                elif isinstance(term, Null):
-                    if term.hint:
-                        hints.append(term)
-                    code = -(term.id + 1)
-                else:
-                    return None
-                row.append(code)
-            rows.append(tuple(row))
-        known = self._null_hints
-        for null in hints:
-            if null.id not in known:
-                known[null.id] = null.hint
-        return rows
+        codes: Dict[object, int] = {}
+        has_nulls = False
+        for value in set(chain.from_iterable(rows)):
+            if isinstance(value, VALUE_TYPES):
+                codes[value] = encode(Constant(value))
+            elif isinstance(value, Null):
+                codes[value] = -(value.id + 1)
+                has_nulls = True
+            else:
+                return None
+        if has_nulls:
+            # The first hinted occurrence of a null, in row order, names
+            # it (the distinct set above may have kept a hint-less one).
+            known = self._null_hints
+            for value in chain.from_iterable(rows):
+                if isinstance(value, Null) and value.hint and value.id not in known:
+                    known[value.id] = value.hint
+        if not arity:
+            return [()]
+        return list(zip(*[map(codes.__getitem__, column) for column in zip(*rows)]))
 
     def ingest(self, other: "ColumnarInstance") -> int:
         """Bulk-copy another columnar instance's live rows.
@@ -1134,24 +1126,41 @@ class ColumnarInstance:
     def to_instance(
         self, schema=None, relations: Optional[Iterable[str]] = None
     ) -> Instance:
-        """Decode live rows into a set-based :class:`Instance`.
+        """Decode live rows into an :class:`Instance`.
 
         The boundary decode: encoded pipelines hand their result to
-        callers through exactly one of these.  ``relations`` limits the
-        decode to those relations (default: all); ``schema`` is attached
-        to the result and validates every fact, as ``Instance.add``
-        does.  Counted in ``kernel_stats.decoded_rows``."""
+        callers through exactly one of these.  Codes decode straight to
+        the pool's raw values, nulls carry this store's hints, and no
+        ``Atom`` is built.  ``relations`` limits the decode to those
+        relations (default: all); ``schema`` is attached to the result
+        and validates every row, as ``Instance.add`` does.  Counted in
+        ``kernel_stats.decoded_rows``."""
         out = Instance(schema)
-        add = out.add
-        decode = self.decode_term
+        values = self.pool.values
+        hints = self._null_hints
+
+        def decode(code: int):
+            if code > 0:
+                return values[code]
+            return Null(-code - 1, hints.get(-code - 1, ""))
+
         keep = None if relations is None else set(relations)
         decoded = 0
         for relation, table in self._tables.items():
-            if keep is not None and relation not in keep:
+            if (keep is not None and relation not in keep) or not table.live_count:
                 continue
-            for row in _live_rows(table):
-                add(Atom(relation, tuple(map(decode, row))))
-                decoded += 1
+            if table.arity:
+                columns = [
+                    map(values.__getitem__ if min(column) > 0 else decode, column)
+                    for column in table.columns
+                ]
+                rows: Iterable = zip(*columns)
+                if table.live_count != len(table.generations):
+                    rows = compress(rows, map((0).__le__, table.generations))
+            else:
+                rows = [()]
+            out.add_rows(relation, rows)
+            decoded += table.live_count
         self.kernel_stats.decoded_rows += decoded
         return out
 
@@ -1170,12 +1179,8 @@ class ColumnarInstance:
             return self._fact_sets() == other._fact_sets()
         # Cross-kernel comparison (Instance.__eq__ returns
         # NotImplemented for us, so Python reflects here).
-        if hasattr(other, "_facts"):
-            theirs = {
-                r: frozenset(b)
-                for r, b in other._facts.items()  # type: ignore[union-attr]
-                if b
-            }
+        if isinstance(other, Instance):
+            theirs = {r: other.facts(r) for r in other.relations()}
             return self._fact_sets() == theirs
         return NotImplemented
 

@@ -14,8 +14,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import ArityError, SchemaError, UnknownRelationError
 from repro.logic.atoms import Atom, Conjunction, Equality
 from repro.logic.dependencies import Dependency, egd
-from repro.logic.terms import Term, Variable
-from repro.relational.types import DataType, check_term
+from repro.logic.terms import Null, Term, Variable
+from repro.relational.types import DataType, check_term, check_value
 
 __all__ = ["Attribute", "Relation", "FunctionalDependency", "Schema"]
 
@@ -100,6 +100,18 @@ class Relation:
             raise ArityError(self.name, self.arity, len(terms))
         for term, attribute in zip(terms, self.attributes):
             check_term(term, attribute.dtype, where=f"{self.name}.{attribute.name}")
+
+    def check_row(self, values: Sequence[object]) -> None:
+        """:meth:`check_fact` for a value row (raw constant values and
+        labeled nulls, the way :class:`~repro.relational.instance.Instance`
+        stores facts)."""
+        if len(values) != self.arity:
+            raise ArityError(self.name, self.arity, len(values))
+        for value, attribute in zip(values, self.attributes):
+            if not isinstance(value, Null):
+                check_value(
+                    value, attribute.dtype, where=f"{self.name}.{attribute.name}"
+                )
 
     def fresh_atom(self, prefix: str = "x") -> Atom:
         """An atom over this relation with one distinct variable per column."""

@@ -31,7 +31,6 @@ from repro.dsl.serializer import (
     serialize_relation,
     serialize_rule,
 )
-from repro.logic.atoms import Atom
 from repro.logic.terms import Null
 from repro.relational.instance import Instance
 from repro.relational.schema import Schema
@@ -62,20 +61,16 @@ def _view_lines(program: Optional[ViewProgram]) -> List[str]:
     return sorted(serialize_rule(rule) for rule in program)
 
 
-def _fact_line(fact: Atom) -> str:
+def _value_text(value: object) -> str:
     # serialize_fact raises on labeled nulls (they have no DSL syntax);
     # fingerprints must accept any instance, so nulls render by label.
-    def term(t) -> str:
-        if isinstance(t, Null):
-            return f"?{t}"
-        value = t.value
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, str):
-            return json.dumps(value)
-        return str(value)
-
-    return f"{fact.relation}({','.join(term(t) for t in fact.terms)})"
+    if isinstance(value, Null):
+        return f"?{value}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return json.dumps(value)
+    return str(value)
 
 
 def canonical_scenario(scenario: MappingScenario) -> Dict[str, List[str]]:
@@ -96,7 +91,11 @@ def canonical_scenario(scenario: MappingScenario) -> Dict[str, List[str]]:
 
 def canonical_instance(instance: Instance) -> List[str]:
     """Sorted fact lines — insertion order never matters."""
-    return sorted(_fact_line(fact) for fact in instance)
+    return sorted(
+        f"{relation}({','.join(map(_value_text, row))})"
+        for relation in instance.relations()
+        for row in instance.rows(relation)
+    )
 
 
 def fingerprint_scenario(scenario: MappingScenario) -> str:

@@ -431,7 +431,9 @@ class TestBulkAddAll:
 
         source = Instance()
         source.add(atom("R", 1))
-        source._facts["R"].add(Atom("R", (Variable("v"),)))
+        # Only a corrupted row store can hold a variable: add() and
+        # add_row() reject one.
+        source._rows["R"].add((Variable("v"),))
         store = ColumnarInstance(pool=TermPool())
         with pytest.raises(SchemaError, match="non-ground"):
             store.add_all(source)

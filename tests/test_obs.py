@@ -460,6 +460,32 @@ class TestSeedSpan:
         assert span["parent"] == run["parent"]
         assert span["end"] <= run["start"]
 
+    def test_foreign_pool_store_seeds_in_bulk(self):
+        # A store on another pool cannot move code rows: ingest re-encodes
+        # it fact by fact, and the span says so.
+        from repro.logic.atoms import Atom, Conjunction
+        from repro.logic.dependencies import tgd
+        from repro.logic.terms import Constant, Variable
+        from repro.relational.kernel import ColumnarInstance, TermPool
+
+        x, y = Variable("x"), Variable("y")
+        engine = StandardChase(
+            [tgd(Conjunction(atoms=(Atom("A", (x,)),)), (Atom("B", (x, y)),))],
+            ("A",),
+            ChaseConfig(trace=TraceConfig(enabled=True)),
+        )
+        outcomes = {}
+        for label, pool in (("foreign", TermPool()), ("shared", None)):
+            store = ColumnarInstance(pool=pool)
+            store.add(Atom("A", (Constant(1),)))
+            result = engine.run(store)
+            (span,) = _seed_spans(result.trace)
+            outcomes[label] = (span["attrs"]["path"], result.target)
+        assert outcomes["foreign"][0] == "bulk"
+        assert outcomes["shared"][0] == "ingest"
+        assert len(outcomes["shared"][1]) == 1
+        assert outcomes["foreign"][1] == outcomes["shared"][1]
+
     def test_pipeline_ingests_the_columnar_store(self):
         scenario = build_scenario()
         source = generate_source_instance(products=8, seed=1)

@@ -114,3 +114,30 @@ class TestDslCommentForms:
         )
         idents = [t.text for t in tokens if t.kind == TokenKind.IDENT]
         assert idents == ["R", "x", "S", "y"]
+
+
+class TestPackageNamespace:
+    def test_every_submodule_resolves_by_attribute(self):
+        # ``import repro.a.b as m`` resolves ``repro.a`` and then ``.b``
+        # by attribute, so a package-level name that shadows a
+        # subpackage (a function re-exported under the subpackage's
+        # name) breaks every such import below it.
+        import importlib
+        import pkgutil
+        import types
+
+        import repro
+
+        names = [
+            info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        ]
+        assert "repro.chase.ded" in names
+        unresolved = []
+        for name in names:
+            importlib.import_module(name)
+            target = repro
+            for part in name.split(".")[1:]:
+                target = getattr(target, part, None)
+            if not isinstance(target, types.ModuleType) or target.__name__ != name:
+                unresolved.append(name)
+        assert unresolved == []
