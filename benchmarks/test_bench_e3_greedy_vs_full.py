@@ -5,7 +5,9 @@ size of the source instance" and the greedy strategy tames this by
 "running multiple standard scenarios [...] derived from the given
 deds".  We scale the number of ded-firing name pairs and compare the
 exact disjunctive chase (model count doubles per pair) against the
-greedy engine (constant scenario count).
+greedy engine (constant scenario count).  The report records the exact
+chase's rows (models, leaves, branchings, seconds per pair count) in
+``BENCH_e3_greedy_vs_full.json`` for the trend; it has no speed gate.
 """
 
 import pytest
@@ -16,7 +18,7 @@ from repro.core.rewriter import rewrite
 from repro.reporting import Table
 from repro.scenarios.generators import flagged_instance, flagged_scenario
 
-from conftest import print_experiment_table
+from conftest import print_experiment_table, quick_mode, record_bench_json
 
 PAIRS = [1, 2, 3, 4, 5]
 
@@ -63,6 +65,7 @@ def test_report_e3(benchmark, flagged_rewritten):
         ],
     )
     model_counts = {}
+    exact_rows = {}
     for pairs in PAIRS:
         source = flagged_instance(products=4, name_pairs=pairs, seed=1)
         exact = DisjunctiveChase(
@@ -74,6 +77,12 @@ def test_report_e3(benchmark, flagged_rewritten):
             flagged_rewritten.dependencies, flagged_rewritten.source_relations()
         ).run(source)
         model_counts[pairs] = len(exact.models)
+        exact_rows[str(pairs)] = {
+            "models": len(exact.models),
+            "leaves": exact.leaves,
+            "branchings": exact.branchings,
+            "seconds": exact.elapsed_seconds,
+        }
         table.add(
             pairs,
             len(exact.models),
@@ -85,6 +94,9 @@ def test_report_e3(benchmark, flagged_rewritten):
         )
         assert greedy.ok and exact.satisfiable
     print_experiment_table(table)
+    record_bench_json(
+        "e3_greedy_vs_full", {"quick": quick_mode(), "exact": exact_rows}
+    )
     # The paper's shape: exponential model sets (2^k), constant greedy work.
     for pairs in PAIRS:
         assert model_counts[pairs] == 2 ** pairs

@@ -7,13 +7,17 @@ probe cost grew with the relation being probed and the chase turned
 superlinear.  This bench measures the per-probe cost of a chase-style
 seeded existence check at growing relation sizes and requires it to stay
 flat: the probe is one hash-index key lookup.
+
+The relation is a :class:`~repro.relational.kernel.ColumnarInstance`,
+the store the chase probes: ``exists()`` on a plain ``Instance`` loads
+it into a store first, so timing that would time the load.
 """
 
 import time
 
 from repro.logic.atoms import Atom, Conjunction
 from repro.logic.terms import Constant, Variable
-from repro.relational.instance import Instance
+from repro.relational.kernel import ColumnarInstance
 from repro.relational.query import exists
 from repro.reporting import Table
 
@@ -27,7 +31,7 @@ REPEATS = 3
 
 
 def _relation_of(size):
-    instance = Instance()
+    instance = ColumnarInstance()
     for i in range(size):
         instance.add(
             Atom("T_Product", (Constant(i), Constant(f"name_{i}"), Constant(i % 11)))

@@ -35,47 +35,22 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ChaseError, TypingError
+from repro.errors import ChaseError
 from repro.logic.atoms import Conjunction
 from repro.logic.dependencies import Dependency
 from repro.logic.terms import Term, Variable
 from repro.relational.delta import DeltaPlans, PlanCache, RowDelta
 from repro.relational.kernel import CodeComparison, TermPool
-from repro.relational.query import Binding
 
 __all__ = ["CompiledDependency", "compile_dependencies"]
-
-
-def _resolve(term: Term, binding: Binding) -> Term:
-    """Strict resolution: an unbound variable in a disjunct equality or
-    comparison is a malformed dependency and must fail loudly (the
-    disjunctive chase resolves decoded bindings through this)."""
-    if isinstance(term, Variable):
-        value = binding.get(term)
-        if value is None:
-            raise ChaseError(f"unbound variable {term} during chase step")
-        return value
-    return term
-
-
-def _ground_check(comparison, binding: Binding) -> bool:
-    ground = type(comparison)(
-        comparison.op,
-        _resolve(comparison.left, binding),
-        _resolve(comparison.right, binding),
-    )
-    try:
-        return ground.evaluate()
-    except TypingError:
-        return False
 
 
 def _code_getter(term: Term, slot_of: Dict[Variable, int], pool: TermPool):
     """A closure reading one disjunct term's code off a premise row.
 
-    Mirrors the strict :func:`_resolve`: a variable the premise does not
-    bind is a malformed dependency and must fail loudly *when fired*,
-    not at compile time (the engine may never reach the disjunct)."""
+    Strict: a variable the premise does not bind is a malformed
+    dependency and must fail loudly *when fired*, not at compile time
+    (the engine may never reach the disjunct)."""
     if isinstance(term, Variable):
         slot = slot_of.get(term)
         if slot is None:
@@ -91,8 +66,8 @@ def _code_getter(term: Term, slot_of: Dict[Variable, int], pool: TermPool):
 def _comparison_check(comparison, slot_of: Dict[Variable, int], pool: TermPool):
     """The kernel's code-level test of a disjunct comparison over a
     premise row — or, when the premise leaves one of its variables
-    unbound, a check that fails loudly when fired (as :func:`_resolve`
-    does), not at compile time."""
+    unbound, a check that fails loudly when fired (as
+    :func:`_code_getter` does), not at compile time."""
     for variable in comparison.variables():
         if variable not in slot_of:
             return _code_getter(variable, slot_of, pool)
@@ -109,7 +84,7 @@ class _DisjunctKernel:
     is (kind, value) with kind 0 = premise slot, 1 = existential index,
     2 = interned code; ``existential_hints`` are the fresh-null hints in
     the engine's invention order (first occurrence across the disjunct's
-    atoms, left to right — matching the decoded enforcement loop)."""
+    atoms, left to right), which the disjunctive chase shares."""
 
     __slots__ = ("equalities", "comparisons", "atom_templates", "existential_hints")
 

@@ -18,6 +18,12 @@ failure, denial, or a ded firing with no applicable disjunct).
 The tree runs depth-first: leaves are counted, models collected and
 the shared null factory advanced in DFS order, which is what makes the
 result deterministic.
+
+A node is the chased :class:`~repro.relational.kernel.ColumnarInstance`
+the standard engine returns.  The violation scan, the branch checks and
+the children's edits all run on its code rows, through the deds'
+:class:`~repro.chase.compiled.CompiledDependency` plans; a model is
+decoded once, when its leaf is reached.
 """
 
 from __future__ import annotations
@@ -25,19 +31,22 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.chase.compiled import _ground_check, _resolve
-from repro.chase.engine import ChaseConfig, StandardChase, _binding_order
+from repro.chase.compiled import CompiledDependency, compile_dependencies
+from repro.chase.engine import ChaseConfig, StandardChase, _row_order
 from repro.obs.recorder import resolve_recorder
-from repro.logic.atoms import Atom, Conjunction
-from repro.logic.dependencies import Dependency, Disjunct
+from repro.logic.dependencies import Dependency
 from repro.logic.homomorphism import exists_homomorphism
-from repro.logic.terms import Null, NullFactory, Term, Variable
+from repro.logic.terms import NullFactory
 from repro.relational.instance import Instance
-from repro.relational.query import evaluate_iter, exists
+from repro.relational.kernel import ColumnarInstance
 
 __all__ = ["DisjunctiveChase", "DisjunctiveResult", "disjunctive_chase"]
+
+#: A tree node before its chase: the source instance at the root, a
+#: parent's edited copy below it.
+Node = Union[Instance, ColumnarInstance]
 
 
 @dataclass
@@ -75,7 +84,7 @@ class _NodeOutcome:
 
     kind: str  # "failed" | "model" | "overdepth" | "deadend" | "branch"
     model: Optional[Instance] = None
-    children: Optional[List[Instance]] = None
+    children: Optional[List[ColumnarInstance]] = None
 
 
 class DisjunctiveChase:
@@ -102,6 +111,7 @@ class DisjunctiveChase:
         self._engine = StandardChase(
             self.standard, self.source_relations, self.config
         )
+        self._compiled_deds = compile_dependencies(self.deds)
 
     # -- public API ------------------------------------------------------------
 
@@ -149,7 +159,7 @@ class DisjunctiveChase:
         result: DisjunctiveResult,
         first_only: bool,
     ) -> None:
-        stack: List[Tuple[Instance, int]] = [(root, 0)]
+        stack: List[Tuple[Node, int]] = [(root, 0)]
         while stack:
             if result.leaves >= self.max_leaves:
                 result.truncated = True
@@ -188,128 +198,117 @@ class DisjunctiveChase:
     # -- node processing ----------------------------------------------------------
 
     def _process_node(
-        self, working: Instance, depth: int, factory: NullFactory
+        self, working: Node, depth: int, factory: NullFactory
     ) -> _NodeOutcome:
         """Chase one node to quiescence and expand it."""
         chased = self._engine.run(working, null_factory=factory)
         if not chased.ok:
             return _NodeOutcome("failed")
-        chased_working = chased.working
-        assert chased_working is not None
-        violation = self._find_ded_violation(chased_working)
+        store = chased.working
+        assert store is not None
+        violation = self._find_ded_violation(store)
         if violation is None:
-            return _NodeOutcome(
-                "model", model=self._extract_target(chased_working)
-            )
+            return _NodeOutcome("model", model=self._extract_target(store))
         if depth >= self.max_branch_depth:
             return _NodeOutcome("overdepth")
-        dependency, binding = violation
-        children = self._branch(dependency, binding, chased_working, factory)
+        compiled, row = violation
+        children = self._branch(compiled, row, store, factory)
         if not children:
             return _NodeOutcome("deadend")
         return _NodeOutcome("branch", children=children)
 
     # -- internals ----------------------------------------------------------------
 
-    def _extract_target(self, working: Instance) -> Instance:
-        target = Instance()
-        for fact in working:
-            if fact.relation not in self.source_relations:
-                target.add(fact)
-        return target
+    def _extract_target(self, store: ColumnarInstance) -> Instance:
+        return store.restricted_to(
+            r for r in store.relations() if r not in self.source_relations
+        ).to_instance()
 
     def _find_ded_violation(
-        self, working: Instance
-    ) -> Optional[Tuple[Dependency, Dict[Variable, Term]]]:
-        # Deds are scanned lazily in order, but *within* the first
-        # violated ded the canonically-least violating match is chosen
-        # (not whichever hash order surfaced first): branching must not
-        # depend on set-iteration order, or two runs of the same
-        # scenario across interpreter hash seeds could explore different
-        # trees.
-        for dependency in self.deds:
+        self, store: ColumnarInstance
+    ) -> Optional[Tuple[CompiledDependency, Tuple[int, ...]]]:
+        # Deds are scanned in order, but *within* the first violated ded
+        # the canonically-least violating premise row is chosen (not
+        # whichever row the join surfaced first): branching must not
+        # depend on insertion order, or two runs of the same scenario
+        # could explore different trees.
+        for compiled in self._compiled_deds:
             violations = [
-                binding
-                for binding in evaluate_iter(dependency.premise, working)
-                if not any(
-                    _disjunct_satisfied(disjunct, binding, working)
-                    for disjunct in dependency.disjuncts
-                )
+                row
+                for row in compiled.premise_matches_encoded(store, None)
+                if not compiled.satisfied_encoded(row, store)
             ]
             if violations:
-                return dependency, min(violations, key=_binding_order)
+                return compiled, min(violations, key=_row_order(store.pool))
         return None
 
     def _branch(
         self,
-        dependency: Dependency,
-        binding: Dict[Variable, Term],
-        working: Instance,
+        compiled: CompiledDependency,
+        row: Tuple[int, ...],
+        store: ColumnarInstance,
         factory: NullFactory,
-    ) -> List[Instance]:
-        children: List[Instance] = []
-        for disjunct in dependency.disjuncts:
-            child = _apply_disjunct(disjunct, binding, working, factory)
+    ) -> List[ColumnarInstance]:
+        children: List[ColumnarInstance] = []
+        for index in range(len(compiled.dependency.disjuncts)):
+            child = _apply_disjunct(compiled, index, row, store, factory)
             if child is not None:
                 children.append(child)
         return children
 
 
-def _disjunct_satisfied(
-    disjunct: Disjunct, binding: Dict[Variable, Term], working: Instance
-) -> bool:
-    for equality in disjunct.equalities:
-        if _resolve(equality.left, binding) != _resolve(equality.right, binding):
-            return False
-    for comparison in disjunct.comparisons:
-        if not _ground_check(comparison, binding):
-            return False
-    if disjunct.atoms:
-        return exists(Conjunction(atoms=disjunct.atoms), working, seed=binding)
-    return True
-
-
 def _apply_disjunct(
-    disjunct: Disjunct,
-    binding: Dict[Variable, Term],
-    working: Instance,
+    compiled: CompiledDependency,
+    index: int,
+    row: Tuple[int, ...],
+    store: ColumnarInstance,
     factory: NullFactory,
-) -> Optional[Instance]:
-    """A copy of ``working`` with the disjunct enforced, or None if impossible."""
-    for comparison in disjunct.comparisons:
-        if not _ground_check(comparison, binding):
+) -> Optional[ColumnarInstance]:
+    """A copy of ``store`` with disjunct ``index`` enforced for premise
+    ``row``, or None if it is impossible."""
+    kernel = compiled.disjunct_kernel(index, store.pool)
+    for _comparison, check in kernel.comparisons:
+        if not check(row):
             return None
-    # Equalities first: a constant/constant clash kills the branch.
-    null_map: Dict[Null, Term] = {}
+    # Equalities first: a constant/constant clash kills the branch.  A
+    # null (negative code) maps to the other side, the left one first.
+    null_map: Dict[int, int] = {}
 
-    def find(term: Term) -> Term:
-        while isinstance(term, Null) and term in null_map:
-            term = null_map[term]
-        return term
+    def find(code: int) -> int:
+        while code < 0 and code in null_map:
+            code = null_map[code]
+        return code
 
-    for equality in disjunct.equalities:
-        left = find(_resolve(equality.left, binding))
-        right = find(_resolve(equality.right, binding))
+    for left_get, right_get in kernel.equalities:
+        left = find(left_get(row))
+        right = find(right_get(row))
         if left == right:
             continue
-        if isinstance(left, Null):
+        if left < 0:
             null_map[left] = right
-        elif isinstance(right, Null):
+        elif right < 0:
             null_map[right] = left
         else:
             return None
-    child = working.copy()
+    child = store.copy()
     if null_map:
-        child.apply_null_map({n: find(n) for n in null_map})
-    if disjunct.atoms:
-        extended = dict(binding)
-        for atom in disjunct.atoms:
-            for variable in atom.variables():
-                if variable not in extended:
-                    extended[variable] = factory.fresh(hint=variable.name)
-        for atom in disjunct.atoms:
-            child.add(
-                Atom(atom.relation, tuple(_resolve(t, extended) for t in atom.terms))
+        child.apply_null_map_encoded({n: find(n) for n in null_map})
+    # The atoms are built from the premise row as matched, before the
+    # null map: the map has already rewritten the copy, not the row.
+    if kernel.atom_templates:
+        fresh = [
+            child.note_null(factory.fresh(hint=hint))
+            for hint in kernel.existential_hints
+        ]
+        for relation, template in kernel.atom_templates:
+            child.add_encoded(
+                relation,
+                tuple(
+                    row[value]
+                    if kind == 0
+                    else (fresh[value] if kind == 1 else value)
+                    for kind, value in template
+                ),
             )
     return child
 

@@ -58,7 +58,6 @@ from repro.logic.terms import Null, NullFactory, Term, Variable
 from repro.relational.delta import group_rows, mask_rows
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance, RowMask
-from repro.relational.types import term_order_key
 
 __all__ = ["ChaseConfig", "StandardChase", "chase"]
 
@@ -587,8 +586,7 @@ class StandardChase:
         the round's ``delta_rows`` (``None``: a full round).  Matches are
         code tuples aligned to the dependency's ``premise_varlist``
         (name-sorted).  Phase 2 (*enforce*) replays them sorted by the
-        pool's cached per-code order keys — the same total order
-        :func:`_binding_order` gives decoded bindings — so null
+        pool's cached per-code order keys (:func:`_row_order`) — so null
         invention and unions do not depend on the join's output order.
         """
         compiled = self.compiled[index]
@@ -599,8 +597,7 @@ class StandardChase:
         if not matches:
             return 0
         stats.premise_matches += len(matches)
-        order_key = working.pool.order_key
-        row_order = lambda row: tuple(order_key(code) for code in row)
+        row_order = _row_order(working.pool)
         varlist = compiled.premise_varlist
         decode = working.decode_term
         if not dependency.disjuncts:  # denial
@@ -708,12 +705,12 @@ class StandardChase:
             stats.tgd_fires += 1
 
 
-def _binding_order(binding: Dict[Variable, Term]) -> Tuple:
-    """Canonical sort key of a decoded binding: variable names, then
-    :func:`~repro.relational.types.term_order_key` (nulls by numeric id,
-    constants by representation) — the order the pool's per-code keys
-    give encoded rows."""
-    return tuple(sorted((v.name, term_order_key(t)) for v, t in binding.items()))
+def _row_order(pool):
+    """Canonical sort key of premise rows on ``pool``: per variable, in
+    name order, :func:`~repro.relational.types.term_order_key` of its
+    term (nulls by numeric id, constants by representation)."""
+    order_key = pool.order_key
+    return lambda row: tuple(map(order_key, row))
 
 
 def _render_binding(binding: Dict[Variable, Term]) -> str:

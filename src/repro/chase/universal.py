@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.logic.atoms import Conjunction
+from repro.core.verify import Target, Violation, _check, _encoded
 from repro.logic.dependencies import Dependency
 from repro.logic.homomorphism import (
     apply_assignment,
@@ -27,64 +27,34 @@ from repro.logic.homomorphism import (
 )
 from repro.logic.terms import Null, Term, Variable
 from repro.relational.instance import Instance
-from repro.relational.query import evaluate_iter, exists
 
 __all__ = ["satisfies", "violations", "is_universal_for", "core_of"]
 
 
 def violations(
     dependencies: Sequence[Dependency],
-    instance: Instance,
+    instance: Target,
     limit: int = 10,
 ) -> List[Tuple[str, Dict[Variable, Term]]]:
-    """Premise matches with no satisfied conclusion disjunct."""
-    found: List[Tuple[str, Dict[Variable, Term]]] = []
+    """Premise matches with no satisfied conclusion disjunct.
+
+    The instance is encoded once and each dependency is checked by the
+    verifier's encoded check, premise and conclusion on the same store
+    (an equality's variable the premise does not bind stands for
+    itself).  Dependencies are checked in order; the scan stops after
+    the dependency that reaches ``limit``, whose premise it still reads
+    to the end.
+    """
+    store = _encoded(instance)
+    found: List[Violation] = []
     for dependency in dependencies:
-        # Lazy premise scan: with limit=1 (the `satisfies` fast path) the
-        # generator pipeline stops at the first unsatisfied match.
-        for binding in evaluate_iter(dependency.premise, instance):
-            satisfied = False
-            for disjunct in dependency.disjuncts:
-                equal = all(
-                    _resolve(e.left, binding) == _resolve(e.right, binding)
-                    for e in disjunct.equalities
-                )
-                if not equal:
-                    continue
-                comparisons_ok = True
-                for comparison in disjunct.comparisons:
-                    resolved = comparison
-                    try:
-                        resolved = type(comparison)(
-                            comparison.op,
-                            _resolve(comparison.left, binding),
-                            _resolve(comparison.right, binding),
-                        )
-                        if not resolved.evaluate():
-                            comparisons_ok = False
-                            break
-                    except Exception:
-                        comparisons_ok = False
-                        break
-                if not comparisons_ok:
-                    continue
-                if disjunct.atoms:
-                    if exists(
-                        Conjunction(atoms=disjunct.atoms), instance, seed=binding
-                    ):
-                        satisfied = True
-                        break
-                else:
-                    satisfied = True
-                    break
-            if not satisfied:
-                found.append((dependency.describe(), binding))
-                if len(found) >= limit:
-                    return found
-    return found
+        _check(dependency, store, store, None, ("",) * 2, found, limit)
+        if len(found) >= limit:
+            break
+    return [(v.dependency, dict(v.binding)) for v in found]
 
 
-def satisfies(dependencies: Sequence[Dependency], instance: Instance) -> bool:
+def satisfies(dependencies: Sequence[Dependency], instance: Target) -> bool:
     """Whether ``instance`` satisfies every dependency (is a *model*)."""
     return not violations(dependencies, instance, limit=1)
 
@@ -127,8 +97,3 @@ def core_of(instance: Instance) -> Instance:
         core.add(fact)
     return core
 
-
-def _resolve(term: Term, binding: Dict[Variable, Term]) -> Term:
-    if isinstance(term, Variable):
-        return binding.get(term, term)
-    return term

@@ -115,15 +115,15 @@ def _encoded(instance: Target) -> ColumnarInstance:
 def target_side(scenario: MappingScenario, target_instance: Target) -> ColumnarInstance:
     """``J_T ∪ Υ_T(J_T)`` as the encoded store the checks run on.
 
-    The target views materialize in place over the candidate's rows (a
-    columnar candidate moves encoded; under the reference evaluator the
-    database works decoded and its result is encoded once here)."""
+    The target views materialize in place over the candidate's rows, in
+    the semantic database's store: a columnar candidate moves encoded, a
+    plain ``Instance`` is encoded once on the way in."""
     database = SemanticDatabase(scenario.target_views)
     if isinstance(target_instance, ColumnarInstance):
         database.ingest(target_instance)
     else:
         database.add_facts(target_instance)
-    return _encoded(database.refresh().instance)
+    return database.refresh().instance
 
 
 def semantic_target(

@@ -68,50 +68,40 @@ def _adjacency(program: ViewProgram) -> Dict[str, Set[str]]:
     return adjacency
 
 
+def _view_components(program: ViewProgram) -> List[Tuple[str, ...]]:
+    """Tarjan's SCCs of the view-to-view dependency graph.
+
+    Edges point at dependencies, so the components come out in reverse
+    topological order of the condensation — dependencies first, which
+    is exactly the bottom-up evaluation order.
+    """
+    return strongly_connected_components(
+        sorted(program.view_names()),
+        [
+            (head, predicate)
+            for head, predicate, _negative in predicate_graph(program)
+            if program.is_view(predicate)
+        ],
+    )
+
+
 def check_nonrecursive(program: ViewProgram) -> None:
     """Raise :class:`RecursionError_` when a view depends on itself."""
-    adjacency = _adjacency(program)
-    # Iterative DFS with colouring to find a cycle among view predicates.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    colour: Dict[str, int] = defaultdict(int)
-    for start in program.view_names():
-        if colour[start] != WHITE:
-            continue
-        stack: List[Tuple[str, List[str]]] = [(start, sorted(adjacency.get(start, ())))]
-        colour[start] = GRAY
-        while stack:
-            node, pending = stack[-1]
-            if pending:
-                nxt = pending.pop()
-                if colour[nxt] == GRAY:
-                    raise RecursionError_(
-                        f"view program is recursive: cycle through {nxt!r}"
-                    )
-                if colour[nxt] == WHITE:
-                    colour[nxt] = GRAY
-                    stack.append((nxt, sorted(adjacency.get(nxt, ()))))
-            else:
-                colour[node] = BLACK
-                stack.pop()
+    evaluation_order(program)
 
 
 def evaluation_order(program: ViewProgram) -> List[str]:
-    """View names in bottom-up (dependencies-first) topological order."""
-    check_nonrecursive(program)
+    """View names in bottom-up (dependencies-first) topological order.
+
+    Raises :class:`RecursionError_` when a component is a cycle: more
+    than one member, or a view that references itself."""
     adjacency = _adjacency(program)
     order: List[str] = []
-    visited: Set[str] = set()
-
-    def visit(node: str) -> None:
-        if node in visited:
-            return
-        visited.add(node)
-        for dependency in sorted(adjacency.get(node, ())):
-            visit(dependency)
-        order.append(node)
-
-    for name in sorted(program.view_names()):
-        visit(name)
+    for component in _view_components(program):
+        view = component[0]
+        if len(component) > 1 or view in adjacency.get(view, ()):
+            raise RecursionError_(f"view program is recursive: cycle through {view!r}")
+        order.append(view)
     return order
 
 
@@ -153,27 +143,13 @@ def stratified_components(program: ViewProgram) -> List[List[str]]:
     classical ``p ⇐ ¬p`` has no stable model the evaluator could
     compute), so such programs are rejected outright.
     """
-    edges = predicate_graph(program)
-    # Edges point at dependencies, so Tarjan emits components in reverse
-    # topological order of the condensation — dependencies first, which
-    # is exactly the bottom-up evaluation order we want.
-    components = [
-        list(component)
-        for component in strongly_connected_components(
-            sorted(program.view_names()),
-            [
-                (head, predicate)
-                for head, predicate, _negative in edges
-                if program.is_view(predicate)
-            ],
-        )
-    ]
+    components = [list(component) for component in _view_components(program)]
     membership = {
         view: position
         for position, component in enumerate(components)
         for view in component
     }
-    for head, predicate, negative in edges:
+    for head, predicate, negative in predicate_graph(program):
         if (
             negative
             and program.is_view(predicate)

@@ -370,13 +370,16 @@ class _Parser:
         self._expect(TokenKind.LBRACE)
         facts: List[Atom] = []
         while not self._accept(TokenKind.RBRACE):
+            start = self._peek()
             atom = self._parse_atom()
             self._accept(TokenKind.DOT)
             for term in atom.terms:
                 if isinstance(term, Variable):
                     raise ParseError(
                         f"instance fact {atom} contains variable {term}; "
-                        f"facts must be ground (quote strings)"
+                        f"facts must be ground (quote strings)",
+                        start.line,
+                        start.column,
                     )
             facts.append(atom)
         return facts

@@ -47,7 +47,7 @@ Three pieces:
 All three work on encoded rows of a
 :class:`~repro.relational.kernel.ColumnarInstance`; none of them
 consults :func:`repro.relational.query.reference_evaluator`, which only
-switches the decoded query surface.
+switches the public query functions.
 """
 
 from __future__ import annotations

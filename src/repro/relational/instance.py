@@ -19,18 +19,16 @@ and the kernel encodes rows straight from their values
 
 **The decoded read surface.**  :class:`~repro.logic.atoms.Atom` facts
 are built only where a caller reads facts: iteration, :meth:`facts`,
-:meth:`index` (the reference evaluator and the disjunctive chase probe
-it), :meth:`__str__`.  Every write still validates: ``add`` rejects a
+:meth:`__str__`.  An ``Instance`` keeps no indexes: queries run on the
+kernel, which loads it first.  Every write still validates: ``add`` rejects a
 non-ground atom, ``add_row`` rejects a value that is not a constant
 value or a null, and a schema checks arity and types on every row.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from itertools import chain
-from operator import itemgetter
 from typing import (
     AbstractSet,
     Dict,
@@ -38,9 +36,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -52,7 +48,6 @@ from repro.relational.schema import Schema
 
 __all__ = ["Instance", "row_fact"]
 
-_IndexKey = Tuple[str, Tuple[int, ...]]
 #: One fact's values: raw constant values and ``Null`` objects.
 Row = Tuple[object, ...]
 
@@ -100,23 +95,8 @@ class Instance:
         self.schema = schema
         self._rows: Dict[str, Set[Row]] = defaultdict(set)
         self._version = 0
-        # Decoded indexes, (relation, positions) -> key terms -> facts.
-        # An index present here is current: add() maintains it, and
-        # removals and null rewrites drop it.
-        self._indexes: Dict[_IndexKey, Dict[Tuple[Term, ...], List[Atom]]] = {}
-        self._live_index_keys: Dict[str, List[_IndexKey]] = {}
-        # Guards lazy index construction only.  Reads of a built index
-        # are lock-free; callers may share an instance across their own
-        # threads, and two threads lazily building the same index must
-        # not both register it (add() would then append new facts to it
-        # twice).
-        self._index_lock = threading.Lock()
-        #: Lazy index constructions performed by this instance — the
-        #: ``instance.index_builds`` metric.
-        self.index_builds = 0
 
     def __getstate__(self):
-        # Rows only: indexes are caches and the lock does not pickle.
         return {"schema": self.schema, "rows": self._rows, "version": self._version}
 
     def __setstate__(self, state) -> None:
@@ -157,7 +137,7 @@ class Instance:
         """Insert value rows of one relation in bulk; returns how many
         were new.  The rows must hold stored values (raw constant values
         and nulls, as :meth:`rows` yields them); a schema validates each
-        one.  The relation's decoded indexes are dropped, not maintained."""
+        one."""
         bucket = self._rows[relation]
         before = len(bucket)
         try:
@@ -169,10 +149,9 @@ class Instance:
                     check(relation, row)
                     bucket.add(row)
         finally:
-            # Rows added before a failed check stay; keep the caches honest.
+            # Rows added before a failed check stay; count them.
             if len(bucket) != before:
                 self._version += 1
-                self._drop_indexes(relation)
         return len(bucket) - before
 
     def _check(self, relation: str, row: Row) -> None:
@@ -190,16 +169,6 @@ class Instance:
         if len(bucket) == size:
             return False
         self._version += 1
-        # Maintain live indexes incrementally: a full rebuild per write
-        # would make a decoded chase quadratic (one satisfaction probe
-        # per inserted fact, each rebuilding the relation's indexes).
-        live = self._live_index_keys.get(relation)
-        if live:
-            fact = row_fact(relation, row)
-            for key in live:
-                self._indexes[key].setdefault(
-                    tuple(fact.terms[i] for i in key[1]), []
-                ).append(fact)
         return True
 
     def remove(self, fact: Atom) -> bool:
@@ -210,14 +179,7 @@ class Instance:
             return False
         bucket.remove(row)
         self._version += 1
-        self._drop_indexes(fact.relation)
         return True
-
-    def _drop_indexes(self, relation: str) -> None:
-        """Invalidate cached indexes of one relation (removals are rare;
-        insertions are maintained incrementally instead)."""
-        for key in self._live_index_keys.pop(relation, ()):
-            self._indexes.pop(key, None)
 
     # -- inspection -----------------------------------------------------------
 
@@ -266,88 +228,6 @@ class Instance:
     def is_ground_complete(self) -> bool:
         """True when the instance contains no labeled nulls."""
         return not any(isinstance(value, Null) for value in self._values())
-
-    # -- indexes -----------------------------------------------------------------
-
-    def index(
-        self, relation: str, positions: Sequence[int]
-    ) -> Mapping[Tuple[Term, ...], List[Atom]]:
-        """A hash index mapping term tuples at ``positions`` to facts.
-
-        Built lazily on first use, then maintained by :meth:`add` until
-        a removal or null rewrite in the relation drops it.
-        """
-        key: _IndexKey = (relation, tuple(positions))
-        built = self._indexes.get(key)
-        if built is not None:
-            return built
-        with self._index_lock:
-            # Re-check under the lock: another thread may have built the
-            # index while this one waited.
-            built = self._indexes.get(key)
-            if built is not None:
-                return built
-            built = {}
-            for row in self._rows.get(relation, ()):
-                fact = row_fact(relation, row)
-                built.setdefault(tuple(fact.terms[i] for i in key[1]), []).append(
-                    fact
-                )
-            self.index_builds += 1
-            self._indexes[key] = built
-            self._live_index_keys.setdefault(relation, []).append(key)
-            return built
-
-    def key_count(self, relation: str, positions: Sequence[int]) -> int:
-        """Distinct value-tuples at ``positions`` — a selectivity estimate.
-
-        ``size(relation) / key_count`` approximates the bucket a probe on
-        those positions will scan; the query planner uses it to prefer
-        near-key probes over low-cardinality ones.  Reuses a cached index
-        but never builds one: planning scores many candidate position
-        sets that will never be probed.  Raw values count as their terms
-        do (``1``, ``1.0`` and ``True`` are one key either way).
-        """
-        built = self._indexes.get((relation, tuple(positions)))
-        if built is not None:
-            return len(built)
-        rows = self._rows.get(relation, ())
-        if not positions:
-            return min(len(rows), 1)
-        return len(set(map(itemgetter(*positions), rows)))
-
-    # -- null handling -------------------------------------------------------------
-
-    def apply_null_map(self, mapping: Mapping[Null, Term]) -> int:
-        """Replace nulls throughout the instance; returns #facts rewritten.
-
-        This is the bulk mutation behind egd chase steps: when an egd
-        equates a null with another term, every occurrence of the null is
-        replaced.  Facts that become duplicates collapse (set semantics).
-        """
-        if not mapping:
-            return 0
-        # Keys are nulls, which equal no raw value, so ``get(v, v)``
-        # over every value rewrites exactly the mapped nulls.
-        get = {null: _row_value(term) for null, term in mapping.items()}.get
-        rewritten = 0
-        for relation, bucket in self._rows.items():
-            replacements: List[Tuple[Row, Row]] = []
-            for row in bucket:
-                new_row = tuple(map(get, row, row))
-                if new_row != row:
-                    replacements.append((row, new_row))
-            # Remove every old row before adding any new one: a rewrite
-            # may land on another rewritten row's old values.
-            for old, _new in replacements:
-                bucket.remove(old)
-            for _old, new in replacements:
-                bucket.add(new)
-            if replacements:
-                rewritten += len(replacements)
-                self._version += 1
-                self._drop_indexes(relation)
-        return rewritten
 
     # -- copies / conversion -------------------------------------------------------
 

@@ -425,10 +425,6 @@ class ColumnarInstance:
         self._index_versions: Dict[_IndexKey, int] = {}
         self._live_index_keys: Dict[str, List[_IndexKey]] = {}
         self._key_count_cache: Dict[_IndexKey, Tuple[int, int]] = {}
-        # Atom-level indexes (reference evaluator over this kernel);
-        # rebuilt lazily, never maintained incrementally — off hot path.
-        self._atom_indexes: Dict[_IndexKey, Dict[Tuple[Term, ...], List[Atom]]] = {}
-        self._atom_index_versions: Dict[_IndexKey, int] = {}
         self._index_lock = threading.Lock()
         #: Null id -> hint for this instance's nulls (hints are per-run
         #: presentation state, so they live here and not in the pool).
@@ -977,26 +973,6 @@ class ColumnarInstance:
                 live.append(key)
             return built
 
-    def index(
-        self, relation: str, positions: Sequence[int]
-    ) -> Mapping[Tuple[Term, ...], List[Atom]]:
-        """Atom-level index (compatibility surface for the reference
-        evaluator and other decoded consumers; not the hot path)."""
-        key: _IndexKey = (relation, tuple(positions))
-        version = self._relation_versions[relation]
-        if self._atom_index_versions.get(key) == version:
-            return self._atom_indexes[key]
-        with self._index_lock:
-            if self._atom_index_versions.get(key) == version:
-                return self._atom_indexes[key]
-            built: Dict[Tuple[Term, ...], List[Atom]] = defaultdict(list)
-            for row_id in self.live_row_ids(relation):
-                fact = self.decode_row(relation, row_id)
-                built[tuple(fact.terms[i] for i in key[1])].append(fact)
-            self._atom_indexes[key] = built
-            self._atom_index_versions[key] = version
-            return built
-
     def key_count(self, relation: str, positions: Sequence[int]) -> int:
         """Distinct code-tuples at ``positions`` (planner selectivity)."""
         key: _IndexKey = (relation, tuple(positions))
@@ -1026,15 +1002,6 @@ class ColumnarInstance:
         return None
 
     # -- null handling -----------------------------------------------------
-
-    def apply_null_map(self, mapping: Mapping[Null, Term]) -> int:
-        if not mapping:
-            return 0
-        encoded = {
-            -(null.id + 1): self.encode_term(target)
-            for null, target in mapping.items()
-        }
-        return self.apply_null_map_encoded(encoded)
 
     def apply_null_map_encoded(self, mapping: Mapping[int, int]) -> int:
         """Replace null codes throughout; returns #rows rewritten.

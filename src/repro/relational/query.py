@@ -1,42 +1,45 @@
 """Conjunctive-query evaluation with comparisons and safe negation.
 
-This is the workhorse evaluator used by the Datalog engine (to
-materialize views), by the chase engine (to find premise matches), and by
-the verifier.  It evaluates a :class:`~repro.logic.atoms.Conjunction`
-against an :class:`~repro.relational.instance.Instance`.
-
-Evaluation is *compiled* and *lazy*:
+One evaluator serves the Datalog engine (view materialization), the
+chase (premise matches and satisfaction probes) and the verifier: a
+:class:`~repro.logic.atoms.Conjunction` compiles to a join plan that
+runs on the columnar kernel
+(:class:`~repro.relational.kernel.ColumnarInstance`).
 
 * :func:`compile_query` turns a conjunction (plus the statically-known
   set of seed-bound variables) into a :class:`CompiledQuery` — a join
-  plan (greedy most-bound-first, smallest-relation-first), the hash-index
-  key positions of every step, the bind/check schedule for fresh
-  variables, and the point at which each comparison becomes checkable.
-  Compiled queries are cached, so repeated evaluation of the same body
-  (the chase probes the same conclusions thousands of times per run)
-  never re-plans.
-* :meth:`CompiledQuery.bindings` runs the plan as a chain of generators:
-  each join step lazily extends the bindings flowing out of the previous
-  step by probing a hash index on the statically-known bound positions.
-  Nothing is materialized, so ``evaluate(limit=N)`` and :func:`exists`
-  genuinely stop after the first ``N`` results — a satisfaction probe on
-  a 10k-fact relation does O(1) work, not O(n).
+  order (greedy most-bound-first, smallest estimated bucket first), the
+  hash-index key positions of every step, the bind/check schedule for
+  fresh variables, and the point at which each comparison becomes
+  checkable.  Compiled queries are cached, so repeated evaluation of the
+  same body never re-plans.
+* :meth:`CompiledQuery.encoded` lowers the plan onto a term pool: join
+  keys become code tuples probing
+  :meth:`~repro.relational.kernel.ColumnarInstance.encoded_index`, and
+  each step runs as a generated block-probe driver.  Nothing is
+  materialized past one block, so ``evaluate(limit=N)`` and
+  :func:`exists` stop early, and a seeded single-atom probe is one hash
+  lookup whatever the relation's size.
 * comparison atoms are applied as soon as their variables are bound;
   negated conjunctions (safe, stratified after unfolding) are evaluated
   last as *not-exists* sub-queries, recursing through nested negation.
 
-Bindings are plain ``dict`` objects for speed; the public helpers convert
-to :class:`~repro.logic.substitution.Substitution` at the API edge.
+The public helpers (:func:`evaluate`, :func:`evaluate_iter`,
+:func:`evaluate_delta`, :func:`exists`) take either store.  A plain
+:class:`~repro.relational.instance.Instance` is loaded into a fresh
+store with one bulk ``add_all`` per call, so callers that query one
+instance repeatedly should hold a ``ColumnarInstance`` themselves.
+Bindings come back decoded as plain ``dict`` objects;
+:func:`bindings_to_substitutions` converts them at the API edge.
 
-The module also implements the *delta* evaluation used by chase rounds:
-matches are restricted to those using at least one fact from a given
-recently-inserted set, which is what makes the chase incremental instead
-of quadratic in the number of rounds.
+:func:`evaluate_delta` is the classical delta-join: matches are
+restricted to those using at least one fact from a given set of new
+facts.
 
 A reference implementation (the original materialized evaluator) is kept
-for differential testing: :func:`reference_evaluator` switches the
-decoded entry points (:func:`evaluate`, :func:`evaluate_iter`,
-:func:`evaluate_delta`, :func:`exists`) to it.  The chase and the view
+for differential testing: :func:`reference_evaluator` switches the four
+public helpers to it.  It decodes each joined relation's facts in the
+store's row order and builds the step's hash index within the call.  The chase and the view
 fixpoint run encoded plans and never consult it; the corpus-equivalence
 tests run the set-based chase oracle under it.
 """
@@ -52,13 +55,14 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import TypingError, UnsafeDependencyError
 from repro.logic.atoms import Atom, Comparison, Conjunction
 from repro.logic.substitution import Substitution
-from repro.logic.terms import Term, Variable
-from repro.relational.instance import Instance
+from repro.logic.terms import Constant, Term, Variable
+from repro.relational.instance import Instance, row_fact
 from repro.relational.kernel import (
     CodeComparison,
     ColumnarInstance,
@@ -79,6 +83,8 @@ __all__ = [
 ]
 
 Binding = Dict[Variable, Term]
+#: What the public helpers query: a boundary value or an encoded store.
+Store = Union[Instance, ColumnarInstance]
 
 
 def _resolve(term: Term, binding: Binding) -> Optional[Term]:
@@ -329,10 +335,9 @@ class _EncodedPlan:
     query's bound and fresh variables in name order — the same order the
     chase's canonical trigger/varlist sorting uses), join keys become
     tuples of ints probing :meth:`ColumnarInstance.encoded_index`, and
-    negations become pre-filled recursive encoded plans.  The decoded
-    and encoded pipelines share the compile (join order, schedules), so
-    they enumerate the same matches by construction — the differential
-    suite then checks the construction.
+    negations become pre-filled recursive encoded plans.  The join order
+    and schedules are the compile's; the reference evaluator is the
+    differential check on them.
     """
 
     __slots__ = (
@@ -367,9 +372,7 @@ class _EncodedPlan:
             for step in query.steps
         )
         # Each negation evaluates as not-exists of an encoded sub-plan
-        # seeded with every outer variable (mirroring _finalize, which
-        # seeds the full binding), so the compile-cache key matches the
-        # decoded path's and the same inner plan object serves both.
+        # seeded with every outer variable.
         outer = frozenset(self.varlist)
         negations = []
         for negation in query.negations:
@@ -379,7 +382,18 @@ class _EncodedPlan:
             )
             negations.append((inner, fill))
         self.negations = tuple(negations)
-        self._single_probe = query._single_probe
+        # Fast-probe eligibility: a single atom with no negation, no
+        # repeated fresh variable and no post-seed comparison — then
+        # existence is exactly hash-index key membership (the probe side
+        # of a hash anti-join), independent of relation size.
+        steps = query.steps
+        self._single_probe = (
+            len(steps) == 1
+            and not query.negations
+            and not query.unscheduled
+            and not steps[0].checks
+            and not steps[0].comparisons
+        )
         # outer-varlist tuple -> ((inner slot, outer row index), ...) for
         # correlated probes from the chase (satisfaction checks).
         self._fill_cache: Dict[Tuple[Variable, ...], Tuple[Tuple[int, int], ...]] = {}
@@ -665,7 +679,6 @@ class CompiledQuery:
         "unscheduled",
         "negations",
         "_fresh",
-        "_single_probe",
         "_encoded",
     )
 
@@ -673,7 +686,7 @@ class CompiledQuery:
         self,
         body: Conjunction,
         bound: Iterable[Variable] = (),
-        instance: Optional[Instance] = None,
+        instance: Optional[ColumnarInstance] = None,
         first_atom: Optional[int] = None,
     ) -> None:
         self.body = body
@@ -765,17 +778,6 @@ class CompiledQuery:
         # runtime seed may not bind any of these: the plan would silently
         # overwrite the seed value instead of equality-checking it.
         self._fresh = frozenset(v for step in steps for _p, v in step.binds)
-        # Fast-probe eligibility: a single atom whose fresh variables are
-        # all distinct, no negation and no post-seed comparisons — then
-        # existence is exactly hash-index key membership (the probe side
-        # of a hash anti-join), independent of relation size.
-        self._single_probe = (
-            len(self.steps) == 1
-            and not self.negations
-            and not self.unscheduled
-            and not self.steps[0].checks
-            and not self.steps[0].comparisons
-        )
         # Lazily-lowered columnar twin of this plan (pool-specific).
         self._encoded: Optional[_EncodedPlan] = None
 
@@ -792,116 +794,18 @@ class CompiledQuery:
 
     def bindings(
         self,
-        instance: Instance,
+        instance: Store,
         seed: Optional[Binding] = None,
         delta: Optional[Set[Atom]] = None,
     ) -> Iterator[Binding]:
         """Lazily yield every binding of the body's variables.
 
         ``delta`` restricts the *first* join step to the given facts (the
-        anchor of a delta-evaluation plan).  Consumers that mutate the
-        instance while iterating must materialize first; the chase does.
+        anchor of a delta-evaluation plan).  A plain ``Instance`` is
+        loaded into a store first.  Consumers that mutate the store while
+        iterating must materialize first; the chase does.
         """
-        if isinstance(instance, ColumnarInstance) and not _REFERENCE_MODE:
-            return self._bindings_columnar(instance, seed, delta)
-        binding: Binding = dict(seed) if seed else {}
-        if binding and not self._fresh.isdisjoint(binding):
-            raise UnsafeDependencyError(
-                f"seed binds {sorted(v.name for v in self._fresh & binding.keys())} "
-                f"which this plan was compiled to treat as fresh; recompile "
-                f"with the seed's variables in `bound`"
-            )
-        for comparison in self.seed_comparisons:
-            if not _check_comparison(comparison, binding):
-                return iter(())
-        stream: Iterator[Binding] = iter((binding,))
-        for step_index, step in enumerate(self.steps):
-            stream = self._join(
-                stream, step, instance, delta if step_index == 0 else None
-            )
-        return self._finalize(stream, instance)
-
-    @staticmethod
-    def _join(
-        stream: Iterator[Binding],
-        step: _Step,
-        instance: Instance,
-        delta: Optional[Set[Atom]],
-    ) -> Iterator[Binding]:
-        index = instance.index(step.relation, step.positions)
-        lookup = index.get
-        key_terms = step.key_terms
-        binds = step.binds
-        checks = step.checks
-        comparisons = step.comparisons
-        for binding in stream:
-            get = binding.get
-            key = tuple(
-                get(t) if isinstance(t, Variable) else t for t in key_terms
-            )
-            for fact in lookup(key, ()):
-                if delta is not None and fact not in delta:
-                    continue
-                terms = fact.terms
-                ok = True
-                for position, bound_at in checks:
-                    if terms[position] != terms[bound_at]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                extended = dict(binding)
-                for position, variable in binds:
-                    extended[variable] = terms[position]
-                for comparison in comparisons:
-                    if not _check_comparison(comparison, extended):
-                        ok = False
-                        break
-                if ok:
-                    yield extended
-
-    def _finalize(
-        self, stream: Iterator[Binding], instance: Instance
-    ) -> Iterator[Binding]:
-        for binding in stream:
-            if self.unscheduled:
-                # Safety should prevent this; treat unbound comparisons as
-                # failures (raised only when a binding actually reaches
-                # them, matching the materialized evaluator).
-                raise UnsafeDependencyError(
-                    f"comparisons {list(self.unscheduled)} have unbound "
-                    f"variables in {self.body}"
-                )
-            if all(
-                not exists(negation.inner, instance, seed=binding)
-                for negation in self.negations
-            ):
-                yield binding
-
-    def _seed_values(self, store, plan: _EncodedPlan, seed: Optional[Binding]):
-        """Encode a decoded seed as (slot, code) pairs, with the same
-        fresh-variable safety check as the decoded pipeline."""
-        if not seed:
-            return ()
-        if not self._fresh.isdisjoint(seed):
-            raise UnsafeDependencyError(
-                f"seed binds {sorted(v.name for v in self._fresh & seed.keys())} "
-                f"which this plan was compiled to treat as fresh; recompile "
-                f"with the seed's variables in `bound`"
-            )
-        encode = store.encode_term
-        slot_of = plan.slot_of
-        return [(slot_of[v], encode(t)) for v, t in seed.items()]
-
-    def _bindings_columnar(
-        self,
-        store,
-        seed: Optional[Binding],
-        delta: Optional[Set[Atom]],
-    ) -> Iterator[Binding]:
-        """Decoded-surface evaluation over the columnar kernel: encode
-        the seed (and delta facts) at the edge, run the encoded plan,
-        decode result rows back to bindings."""
+        store = _store(instance)
         plan = self.encoded(store.pool)
         seed_values = self._seed_values(store, plan, seed)
         delta_rows: Optional[Set[int]] = None
@@ -920,29 +824,30 @@ class CompiledQuery:
         for row in plan.rows(store, seed_values, delta_rows):
             yield {v: decode(code) for v, code in zip(varlist, row)}
 
-    def exists(self, instance: Instance, seed: Optional[Binding] = None) -> bool:
-        """Whether at least one binding exists — stops at the first match."""
-        if isinstance(instance, ColumnarInstance) and not _REFERENCE_MODE:
-            plan = self.encoded(instance.pool)
-            values = [0] * plan.width
-            for slot, code in self._seed_values(instance, plan, seed):
-                values[slot] = code
-            return plan.exists_values(instance, values)
-        if self._single_probe:
-            binding = seed or {}
-            if binding and not self._fresh.isdisjoint(binding):
-                for _ in self.bindings(instance, seed):  # raises the mismatch
-                    return True
-            for comparison in self.seed_comparisons:
-                if not _check_comparison(comparison, binding):
-                    return False
-            step = self.steps[0]
-            get = binding.get
-            key = tuple(
-                get(t) if isinstance(t, Variable) else t for t in step.key_terms
+    def _seed_values(self, store, plan: _EncodedPlan, seed: Optional[Binding]):
+        """Encode a decoded seed as (slot, code) pairs.  A seed may not
+        bind a variable the plan treats as fresh: the plan would silently
+        overwrite the seed value instead of equality-checking it."""
+        if not seed:
+            return ()
+        if not self._fresh.isdisjoint(seed):
+            raise UnsafeDependencyError(
+                f"seed binds {sorted(v.name for v in self._fresh & seed.keys())} "
+                f"which this plan was compiled to treat as fresh; recompile "
+                f"with the seed's variables in `bound`"
             )
-            return key in instance.index(step.relation, step.positions)
-        return any(True for _ in self.bindings(instance, seed))
+        encode = store.encode_term
+        slot_of = plan.slot_of
+        return [(slot_of[v], encode(t)) for v, t in seed.items()]
+
+    def exists(self, instance: Store, seed: Optional[Binding] = None) -> bool:
+        """Whether at least one binding exists — stops at the first match."""
+        store = _store(instance)
+        plan = self.encoded(store.pool)
+        values = [0] * plan.width
+        for slot, code in self._seed_values(store, plan, seed):
+            values[slot] = code
+        return plan.exists_values(store, values)
 
 
 _COMPILE_CACHE: Dict[Tuple[Conjunction, frozenset, Optional[int]], CompiledQuery] = {}
@@ -952,7 +857,7 @@ _COMPILE_CACHE_LIMIT = 4096
 def compile_query(
     body: Conjunction,
     bound: Iterable[Variable] = (),
-    instance: Optional[Instance] = None,
+    instance: Optional[ColumnarInstance] = None,
     first_atom: Optional[int] = None,
 ) -> CompiledQuery:
     """Compile (or fetch the cached compile of) a conjunction.
@@ -981,8 +886,9 @@ _REFERENCE_MODE = False
 
 
 class reference_evaluator:
-    """Context manager switching the decoded entry points to the
-    materialized reference evaluator (differential-testing support)."""
+    """Context manager switching :func:`evaluate`, :func:`evaluate_iter`,
+    :func:`evaluate_delta` and :func:`exists` to the materialized
+    reference evaluator (differential-testing support)."""
 
     def __enter__(self) -> None:
         global _REFERENCE_MODE
@@ -1016,9 +922,19 @@ class row_probe_mode:
         _ROW_PROBE_MODE = self._previous
 
 
+def _store(instance: Store) -> ColumnarInstance:
+    """The store an encoded plan reads: a ``ColumnarInstance`` as it is,
+    a plain ``Instance`` loaded into a fresh one (one bulk ``add_all``)."""
+    if isinstance(instance, ColumnarInstance):
+        return instance
+    store = ColumnarInstance()
+    store.add_all(instance)
+    return store
+
+
 def evaluate_iter(
     body: Conjunction,
-    instance: Instance,
+    instance: Store,
     seed: Optional[Binding] = None,
 ) -> Iterator[Binding]:
     """Lazily iterate the bindings of ``body`` satisfying it in ``instance``.
@@ -1029,13 +945,14 @@ def evaluate_iter(
     """
     if _REFERENCE_MODE:
         return iter(_evaluate_reference(body, instance, seed=seed))
-    compiled = compile_query(body, seed or (), instance)
-    return compiled.bindings(instance, seed)
+    store = _store(instance)
+    compiled = compile_query(body, seed or (), store)
+    return compiled.bindings(store, seed)
 
 
 def evaluate(
     body: Conjunction,
-    instance: Instance,
+    instance: Store,
     seed: Optional[Binding] = None,
     limit: Optional[int] = None,
 ) -> List[Binding]:
@@ -1055,7 +972,7 @@ def evaluate(
 
 def evaluate_delta(
     body: Conjunction,
-    instance: Instance,
+    instance: Store,
     delta: Set[Atom],
     seed: Optional[Binding] = None,
 ) -> List[Binding]:
@@ -1069,8 +986,9 @@ def evaluate_delta(
     """
     if _REFERENCE_MODE:
         return _evaluate_delta_reference(body, instance, delta, seed=seed)
+    store = _store(instance)
     if not body.atoms:
-        return evaluate(body, instance, seed=seed)
+        return evaluate(body, store, seed=seed)
     relations_in_delta = {f.relation for f in delta}
     out: List[Binding] = []
     seen: Set[Tuple[Tuple[Variable, Term], ...]] = set()
@@ -1078,8 +996,8 @@ def evaluate_delta(
     for anchor_index, anchor in enumerate(body.atoms):
         if anchor.relation not in relations_in_delta:
             continue
-        compiled = compile_query(body, bound, instance, first_atom=anchor_index)
-        for binding in compiled.bindings(instance, seed, delta=delta):
+        compiled = compile_query(body, bound, store, first_atom=anchor_index)
+        for binding in compiled.bindings(store, seed, delta=delta):
             key = tuple(sorted(binding.items()))
             if key not in seen:
                 seen.add(key)
@@ -1088,7 +1006,7 @@ def evaluate_delta(
 
 
 def exists(
-    body: Conjunction, instance: Instance, seed: Optional[Binding] = None
+    body: Conjunction, instance: Store, seed: Optional[Binding] = None
 ) -> bool:
     """Whether ``body`` has at least one match in ``instance``.
 
@@ -1098,8 +1016,8 @@ def exists(
     """
     if _REFERENCE_MODE:
         return bool(_evaluate_reference(body, instance, seed=seed, limit=1))
-    compiled = compile_query(body, seed or (), instance)
-    return compiled.exists(instance, seed)
+    store = _store(instance)
+    return compile_query(body, seed or (), store).exists(store, seed)
 
 
 def bindings_to_substitutions(bindings: Iterable[Binding]) -> List[Substitution]:
@@ -1112,10 +1030,38 @@ def bindings_to_substitutions(bindings: Iterable[Binding]) -> List[Substitution]
 # ---------------------------------------------------------------------------
 
 
+def _facts_matching(
+    instance: Store,
+    relation: str,
+    positions: List[int],
+    keys: Set[Tuple[Term, ...]],
+) -> Iterator[Tuple[Tuple[Term, ...], Atom]]:
+    """``(key, fact)`` for each of the relation's facts whose terms at
+    ``positions`` form one of ``keys``, in the store's row order (so the
+    reference's output order does not depend on hashing).  Rows are
+    matched as stored — a store's codes, an ``Instance``'s raw values —
+    and only a matching row is decoded into a fact."""
+    if isinstance(instance, ColumnarInstance):
+        encode = instance.pool.try_encode
+        wanted = {tuple(map(encode, key)): key for key in keys}
+        columns = instance.columns(relation)
+        for row_id in instance.live_row_ids(relation):
+            key = wanted.get(tuple(columns[p][row_id] for p in positions))
+            if key is not None:
+                yield key, instance.decode_row(relation, row_id)
+    else:
+        raw = lambda term: term.value if isinstance(term, Constant) else term
+        wanted = {tuple(map(raw, key)): key for key in keys}
+        for row in instance.rows(relation):
+            key = wanted.get(tuple(row[p] for p in positions))
+            if key is not None:
+                yield key, row_fact(relation, row)
+
+
 def _join_step_reference(
     solutions: List[Binding],
     atom: Atom,
-    instance: Instance,
+    instance: Store,
     bound_before: Set[Variable],
     delta: Optional[Set[Atom]] = None,
 ) -> List[Binding]:
@@ -1130,13 +1076,19 @@ def _join_step_reference(
         for i, t in enumerate(atom.terms)
         if isinstance(t, Variable) and t not in bound_before
     ]
-    index = instance.index(atom.relation, bound_positions)
+    keys = [
+        tuple(_resolve(atom.terms[i], binding) for i in bound_positions)
+        for binding in solutions
+    ]
+    # The step's hash index, built within the call over the keys probed.
+    index: Dict[Tuple[Term, ...], List[Atom]] = {}
+    for key, fact in _facts_matching(
+        instance, atom.relation, bound_positions, set(keys)
+    ):
+        index.setdefault(key, []).append(fact)
     out: List[Binding] = []
-    for binding in solutions:
-        key = tuple(
-            _resolve(atom.terms[i], binding) for i in bound_positions
-        )
-        for fact in index.get(key, ()):  # type: ignore[call-overload]
+    for binding, key in zip(solutions, keys):
+        for fact in index.get(key, ()):
             if delta is not None and fact not in delta:
                 continue
             extended = dict(binding)
@@ -1158,7 +1110,7 @@ def _join_step_reference(
 
 def _evaluate_reference(
     body: Conjunction,
-    instance: Instance,
+    instance: Store,
     seed: Optional[Binding] = None,
     limit: Optional[int] = None,
 ) -> List[Binding]:
@@ -1218,7 +1170,7 @@ def _evaluate_reference(
 
 def _evaluate_delta_reference(
     body: Conjunction,
-    instance: Instance,
+    instance: Store,
     delta: Set[Atom],
     seed: Optional[Binding] = None,
 ) -> List[Binding]:

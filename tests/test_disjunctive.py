@@ -1,19 +1,27 @@
 """Tests for the full disjunctive chase (universal model sets)."""
 
+import pytest
+
 from repro.chase.disjunctive import DisjunctiveChase, disjunctive_chase
 from repro.chase.universal import satisfies
+from repro.core.rewriter import rewrite
 from repro.logic.atoms import Atom, Conjunction, Equality
 from repro.logic.dependencies import Disjunct, ded, denial, tgd
 from repro.logic.terms import Constant, Variable
 from repro.relational.instance import Instance
 from repro.runtime.fingerprint import fingerprint_instance
+from repro.scenarios.generators import (
+    flagged_instance,
+    flagged_scenario,
+    partition_case,
+)
 
 from corpus import (
     ded_sweep_dependencies,
     ded_sweep_instance,
     ded_sweep_relations,
 )
-from kernel_oracle import oracle_kernel
+from kernel_oracle import OracleDisjunctiveChase, oracle_kernel
 
 x, y = Variable("x"), Variable("y")
 
@@ -222,3 +230,156 @@ class TestExhaustiveChaseAcrossKernels:
             instance, minimize=True
         )
         assert columnar.models == oracle.models
+
+
+# -- the decoded oracle ---------------------------------------------------------
+
+
+def _source(**rows):
+    source = Instance()
+    for relation, values in rows.items():
+        for value in values:
+            source.add_row(relation, *value)
+    return source
+
+
+def _unit_cases():
+    """The hand-written shapes of this file, as (dependencies, source
+    relations, instance)."""
+    block_a = denial(Conjunction(atoms=(Atom("A", (x,)),)), name="no_a")
+    block_b = denial(Conjunction(atoms=(Atom("B", (x,)),)), name="no_b")
+    equality_or_atom = ded(
+        Conjunction(atoms=(Atom("S", (x, y)),)),
+        (Disjunct(equalities=(Equality(x, y),)), Disjunct(atoms=(Atom("A", (x,)),))),
+        name="d",
+    )
+    dominated = ded(
+        Conjunction(atoms=(Atom("S", (x,)),)),
+        (
+            Disjunct(atoms=(Atom("A", (x,)),)),
+            Disjunct(atoms=(Atom("A", (x,)), Atom("B", (x,)))),
+        ),
+        name="d",
+    )
+    copy = tgd(Conjunction(atoms=(Atom("S", (x,)),)), (Atom("T", (x,)),))
+    # An invented null, then a ded whose equality branch unifies it with
+    # a constant: the null sits on the left of one equality and on the
+    # right of the other.
+    invent = tgd(Conjunction(atoms=(Atom("S", (x,)),)), (Atom("T", (x, y)),))
+    null_left, null_right = (
+        ded(
+            Conjunction(atoms=(Atom("T", (x, y)),)),
+            (Disjunct(equalities=(equality,)), Disjunct(atoms=(Atom("B", (x,)),))),
+            name="d",
+        )
+        for equality in (Equality(y, x), Equality(x, y))
+    )
+    ones = [(i,) for i in range(4)]
+    return {
+        "choice-4": ([choice_ded()], ["S"], _source(S=ones)),
+        "denial-pruned": ([choice_ded(), block_a], ["S"], _source(S=ones[:2])),
+        "all-blocked": ([choice_ded(), block_a, block_b], ["S"], _source(S=ones[:1])),
+        "equality-or-atom": (
+            [equality_or_atom], ["S"], _source(S=[(1, 2), (3, 3)])
+        ),
+        "dominated": ([dominated], ["S"], _source(S=ones[:2])),
+        "tgd-then-ded": ([copy, choice_ded()], ["S"], _source(S=ones[:2])),
+        "null-equals-constant": ([invent, null_left], ["S"], _source(S=ones[:2])),
+        "constant-equals-null": ([invent, null_right], ["S"], _source(S=ones[:2])),
+    }
+
+
+def _generated_cases():
+    """E3's flagged shapes (1–6 conflicting name pairs over 4 and 40
+    products) and partition cases, rewritten."""
+    cases = {}
+    flagged = rewrite(flagged_scenario(flags=1))
+    for products in (4, 40):
+        for pairs in range(1, 7):
+            cases[f"flagged-{products}x{pairs}"] = (
+                flagged.dependencies,
+                flagged.source_relations(),
+                flagged_instance(products=products, name_pairs=pairs, seed=1),
+            )
+    for width in (2, 3):
+        for params in (
+            dict(default_key=True, duplicate_names=1),
+            dict(default_key=True, duplicate_names=0),
+            dict(class_keys=True),
+        ):
+            case = partition_case(width=width, items=8, **params)
+            rewritten = rewrite(case.scenario)
+            label = "-".join(f"{k}={v}" for k, v in sorted(params.items()))
+            cases[f"partition-{width}-{label}"] = (
+                rewritten.dependencies,
+                rewritten.source_relations(),
+                case.instance,
+            )
+    return cases
+
+
+CASES = {**_unit_cases(), **_generated_cases()}
+#: Run options compared on every case.
+RUNS = {
+    "full": {},
+    "first-only": {"first_only": True},
+    "truncated": {"max_leaves": 3},
+}
+#: ``minimize`` runs a homomorphism search per pair of models, and on
+#: the flagged models it is exponential (4 models of ``flagged-4x2``
+#: take half a minute): it runs where the search stays small.
+SMALL = [label for label in CASES if not label.startswith("flagged-")]
+SMALL.append("flagged-4x1")
+
+
+def _observed(result):
+    """Everything a run reports: each model's facts as reprs (null ids
+    and hints included), and the tree's counters."""
+    return (
+        [sorted(map(repr, model)) for model in result.models],
+        result.leaves,
+        result.failures,
+        result.branchings,
+        result.truncated,
+    )
+
+
+def _both(label, max_leaves=4096, **options):
+    dependencies, relations, instance = CASES[label]
+    return [
+        _observed(
+            engine(dependencies, relations, max_leaves=max_leaves).run(
+                instance, **options
+            )
+        )
+        for engine in (DisjunctiveChase, OracleDisjunctiveChase)
+    ]
+
+
+class TestDecodedOracle:
+    """The kernel's node logic — violation scan, branch checks, child
+    edits on code rows — against the decoded node logic it replaced
+    (``OracleDisjunctiveChase``): the same models, null ids and hints,
+    leaves, failures, branchings and truncation."""
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_identical_to_oracle(self, label, run):
+        kernel, oracle = _both(label, **RUNS[run])
+        assert kernel == oracle
+
+    @pytest.mark.parametrize("label", sorted(SMALL))
+    def test_minimized_identical_to_oracle(self, label):
+        kernel, oracle = _both(label, minimize=True)
+        assert kernel == oracle
+
+    def test_cases_branch_and_fail(self):
+        """The comparison covers branching trees, failed leaves and
+        truncation, not only single-model runs."""
+        models, leaves, failures, branchings, _ = _both("choice-4")[0]
+        assert (len(models), leaves, failures, branchings) == (16, 16, 0, 15)
+        models, _, failures, _, _ = _both("all-blocked")[0]
+        assert not models and failures == 2
+        models = _both("null-equals-constant")[0][0]
+        assert len(models) == 4 and any("Null" not in "".join(m) for m in models)
+        assert _both("flagged-4x6", max_leaves=3)[0][4]

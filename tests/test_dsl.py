@@ -158,8 +158,14 @@ class TestScenarioDocuments:
 
     def test_non_ground_fact_rejected(self):
         bad = self.DOC.replace('S(1, "one").', "S(1, oops).")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as excinfo:
             parse_scenario(bad)
+        # Located at the fact's first token, like every token-level error.
+        lines = bad.splitlines()
+        line = next(n for n, text in enumerate(lines, 1) if "oops" in text)
+        assert excinfo.value.line == line
+        assert excinfo.value.column == lines[line - 1].index("S(1, oops)") + 1
+        assert f"at line {line}, column" in str(excinfo.value)
 
     def test_bad_instance_side_rejected(self):
         with pytest.raises(ParseError):

@@ -1,4 +1,4 @@
-"""Unit tests for instances: facts, indexes, null rewriting, copies."""
+"""Unit tests for instances: facts, null rewriting, copies."""
 
 import pickle
 
@@ -8,7 +8,10 @@ from repro.errors import SchemaError
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Null
 from repro.relational.instance import Instance
+from repro.relational.kernel import ColumnarInstance
 from repro.relational.schema import Schema
+
+from kernel_oracle import apply_null_map
 
 
 def fact(relation, *values):
@@ -74,68 +77,19 @@ class TestBasics:
         assert left == right
 
 
-class TestIndexes:
-    def test_index_lookup(self):
-        instance = Instance()
-        instance.add(fact("R", 1, "a"))
-        instance.add(fact("R", 2, "a"))
-        instance.add(fact("R", 3, "b"))
-        index = instance.index("R", [1])
-        assert len(index[(Constant("a"),)]) == 2
-        assert len(index[(Constant("b"),)]) == 1
+def _kernel_null_map(store, mapping):
+    """The chase's null rewrite: ``apply_null_map_encoded`` on codes."""
+    return store.apply_null_map_encoded(
+        {store.encode_term(n): store.encode_term(t) for n, t in mapping.items()}
+    )
 
-    def test_index_invalidation_on_write(self):
-        instance = Instance()
-        instance.add(fact("R", 1))
-        index = instance.index("R", [0])
-        assert len(index[(Constant(1),)]) == 1
-        instance.add(fact("R", 2))
-        fresh = instance.index("R", [0])
-        assert (Constant(2),) in fresh
 
-    def test_index_cached_between_reads(self):
-        instance = Instance()
-        instance.add(fact("R", 1))
-        first = instance.index("R", [0])
-        second = instance.index("R", [0])
-        assert first is second
-
-    def test_add_maintains_a_live_index_in_place(self):
-        instance = Instance()
-        instance.add(fact("R", 1, "a"))
-        index = instance.index("R", [1])
-        instance.add(fact("R", 2, "a"))
-        assert instance.index("R", [1]) is index
-        assert len(index[(Constant("a"),)]) == 2
-        assert instance.index_builds == 1
-
-    def test_remove_rebuilds_only_its_relations_indexes(self):
-        instance = Instance()
-        instance.add(fact("R", 1))
-        instance.add(fact("S", 1))
-        r_index, s_index = instance.index("R", [0]), instance.index("S", [0])
-        instance.remove(fact("R", 1))
-        assert instance.index("S", [0]) is s_index
-        rebuilt = instance.index("R", [0])
-        assert rebuilt is not r_index and not rebuilt
-        assert instance.index_builds == 3
-
-    def test_key_count_reads_a_live_index(self):
-        instance = Instance()
-        instance.add(fact("R", 1, "a"))
-        index = instance.index("R", [1])
-        instance.add(fact("R", 2, "b"))
-        assert instance.key_count("R", [1]) == len(index) == 2
-        assert instance.index_builds == 1
-
-    def test_key_count_never_builds_an_index(self):
-        instance = Instance()
-        for i in range(6):
-            instance.add(fact("R", i, i % 3))
-        assert instance.key_count("R", [1]) == 3
-        assert instance.key_count("R", [0, 1]) == 6
-        assert instance.key_count("S", [0]) == 0
-        assert instance.index_builds == 0
+#: The two null rewrites left: the kernel's, which the chase and the
+#: disjunctive chase run, and the set-based oracle's.
+NULL_MAPS = [
+    pytest.param((ColumnarInstance, _kernel_null_map), id="kernel"),
+    pytest.param((Instance, apply_null_map), id="oracle"),
+]
 
 
 class TestNullHandling:
@@ -146,53 +100,70 @@ class TestNullHandling:
         assert instance.nulls() == {Null(1), Null(2)}
         assert not instance.is_ground_complete()
 
-    def test_apply_null_map_rewrites(self):
-        instance = Instance()
+    @pytest.fixture(params=NULL_MAPS)
+    def store_and_rewrite(self, request):
+        return request.param
+
+    def test_apply_null_map_rewrites(self, store_and_rewrite):
+        make, rewrite = store_and_rewrite
+        instance = make()
         instance.add(fact("R", Null(1), "x"))
-        rewritten = instance.apply_null_map({Null(1): Constant(7)})
+        rewritten = rewrite(instance, {Null(1): Constant(7)})
         assert rewritten == 1
         assert fact("R", 7, "x") in instance
         assert fact("R", Null(1), "x") not in instance
 
-    def test_apply_null_map_collapses_duplicates(self):
-        instance = Instance()
+    def test_apply_null_map_collapses_duplicates(self, store_and_rewrite):
+        make, rewrite = store_and_rewrite
+        instance = make()
         instance.add(fact("R", Null(1)))
         instance.add(fact("R", 7))
-        instance.apply_null_map({Null(1): Constant(7)})
+        rewrite(instance, {Null(1): Constant(7)})
         assert len(instance) == 1
 
-    def test_apply_null_map_counts_collapsed_facts(self):
-        instance = Instance()
+    def test_apply_null_map_counts_collapsed_facts(self, store_and_rewrite):
+        make, rewrite = store_and_rewrite
+        instance = make()
         instance.add(fact("R", Null(1)))
         instance.add(fact("R", Null(2)))
-        assert instance.apply_null_map({Null(1): Constant(7), Null(2): Constant(7)}) == 2
+        assert rewrite(instance, {Null(1): Constant(7), Null(2): Constant(7)}) == 2
         assert set(instance) == {fact("R", 7)}
 
-    def test_apply_null_map_removes_every_old_fact_before_adding(self):
+    def test_apply_null_map_removes_every_old_fact_before_adding(
+        self, store_and_rewrite
+    ):
         # R(N1) is rewritten onto R(N2)'s old terms while R(N2) itself is
         # rewritten: the new R(N2) must survive the removal of the old.
-        instance = Instance()
+        make, rewrite = store_and_rewrite
+        instance = make()
         instance.add(fact("R", Null(1)))
         instance.add(fact("R", Null(2)))
-        assert instance.apply_null_map({Null(1): Null(2), Null(2): Constant(7)}) == 2
+        assert rewrite(instance, {Null(1): Null(2), Null(2): Constant(7)}) == 2
         assert set(instance) == {fact("R", Null(2)), fact("R", 7)}
 
-    def test_apply_null_map_bumps_version_and_rebuilds_indexes(self):
-        instance = Instance()
+    def test_apply_null_map_bumps_version(self, store_and_rewrite):
+        make, rewrite = store_and_rewrite
+        instance = make()
         instance.add(fact("R", Null(1), "x"))
         instance.add(fact("S", 1))
-        index = instance.index("R", [0])
         before = instance.version
-        instance.apply_null_map({Null(1): Constant(7)})
+        rewrite(instance, {Null(1): Constant(7)})
         assert instance.version > before
-        rebuilt = instance.index("R", [0])
-        assert rebuilt is not index
-        assert list(rebuilt) == [(Constant(7),)]
+        assert instance.facts("R") == {fact("R", 7, "x")}
 
-    def test_apply_null_map_empty(self):
-        instance = Instance()
+    def test_apply_null_map_empty(self, store_and_rewrite):
+        make, rewrite = store_and_rewrite
+        instance = make()
         instance.add(fact("R", 1))
-        assert instance.apply_null_map({}) == 0
+        assert rewrite(instance, {}) == 0
+
+    def test_kernel_null_map_rebuilds_a_probed_index(self):
+        store = ColumnarInstance()
+        store.add(fact("R", Null(1), "x"))
+        code = store.encode_term(Constant(7))
+        assert (code,) not in store.encoded_index("R", [0])
+        _kernel_null_map(store, {Null(1): Constant(7)})
+        assert (code,) in store.encoded_index("R", [0])
 
 
 class TestCopies:
@@ -204,25 +175,22 @@ class TestCopies:
         assert len(instance) == 1
         assert len(clone) == 2
 
-    def test_copy_keeps_version_and_shares_no_indexes(self):
+    def test_copy_keeps_version(self):
         instance = Instance()
         instance.add(fact("R", 1))
-        index = instance.index("R", [0])
         clone = instance.copy()
         assert clone.version == instance.version
         clone.add(fact("R", 2))
-        assert (Constant(2),) in clone.index("R", [0])
-        assert (Constant(2),) not in index
-        assert instance.index("R", [0]) is index
+        assert fact("R", 2) not in instance
 
-    def test_pickle_round_trip_keeps_facts_and_indexes_working(self):
+    def test_pickle_round_trip_keeps_facts_and_takes_writes(self):
         instance = Instance()
         instance.add(fact("R", 1, "a"))
-        instance.index("R", [1])
         clone = pickle.loads(pickle.dumps(instance))
         assert clone == instance
+        assert clone.version == instance.version
         clone.add(fact("R", 2, "a"))
-        assert len(clone.index("R", [1])[(Constant("a"),)]) == 2
+        assert len(clone.facts("R")) == 2
 
     def test_restricted_to(self):
         instance = Instance()

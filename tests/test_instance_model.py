@@ -5,7 +5,9 @@ builds ``Atom`` objects only on reads.  The state machine drives it and
 a ``set`` of atoms through the same operations and checks, after every
 step, that both hold the same facts — down to which of the equal values
 ``1``, ``1.0`` and ``True`` (or which hint of a null) was kept — and
-that counts, membership, decoded facts, indexes and key counts agree.
+that counts, membership and decoded facts agree.  Null rewrites run
+where the chase runs them, on the kernel: the rule loads the instance
+into a store, rewrites codes and decodes the result.
 The pinned cases below it fix the dedup representative, the error types
 and messages, null hints across the columnar round trip, and one
 fingerprint, all as the atom-object store had them.
@@ -14,7 +16,6 @@ fingerprint, all as the atom-object store had them.
 from __future__ import annotations
 
 import pickle
-from collections import defaultdict
 
 import pytest
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from repro.errors import ArityError, SchemaError, TypingError
 from repro.logic.atoms import Atom
 from repro.logic.terms import Constant, Null, Variable
 from repro.relational.instance import Instance
-from repro.relational.kernel import ColumnarInstance, TermPool
+from repro.relational.kernel import ColumnarInstance, TermPool, encode_null
 from repro.relational.schema import Attribute, Relation, Schema
 from repro.relational.types import DataType
 from repro.runtime.fingerprint import fingerprint_instance
@@ -55,20 +56,11 @@ def _strict(atoms) -> list:
     return sorted(map(repr, atoms))
 
 
-def _grouped(atoms, relation, positions) -> dict:
-    groups = defaultdict(set)
-    for fact in atoms:
-        if fact.relation == relation:
-            groups[tuple(fact.terms[i] for i in positions)].add(fact)
-    return dict(groups)
-
-
 class InstanceModel(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.instance = Instance()
         self.model: set = set()
-        self.indexed: set = set()
 
     @rule(fact=facts())
     def add(self, fact):
@@ -121,11 +113,19 @@ class InstanceModel(RuleBasedStateMachine):
             )
             if terms != fact.terms:
                 replaced[fact] = Atom(fact.relation, terms)
-        assert self.instance.apply_null_map(mapping) == len(replaced)
+        store = ColumnarInstance(pool=TermPool())
+        store.add_all(self.instance)
+        encoded = {
+            encode_null(null.id): store.encode_term(term)
+            for null, term in mapping.items()
+        }
+        assert store.apply_null_map_encoded(encoded) == len(replaced)
+        self.instance = store.to_instance()
         self.model -= set(replaced)
         self.model.update(replaced.values())
         # When two rewritten facts collapse, which one is kept follows
-        # the store's iteration order: check equality, then take the
+        # the store's row order, and equal values or hinted nulls decode
+        # to the store's representative: check equality, then take the
         # store's representatives.
         assert set(self.instance) == self.model
         self.model = set(self.instance)
@@ -140,19 +140,10 @@ class InstanceModel(RuleBasedStateMachine):
     def restricted_to(self, relations):
         self.instance = self.instance.restricted_to(relations)
         self.model = {fact for fact in self.model if fact.relation in relations}
-        self.indexed = {key for key in self.indexed if key[0] in relations}
 
     @rule()
     def pickle_round_trip(self):
         self.instance = pickle.loads(pickle.dumps(self.instance))
-        self.indexed.clear()
-
-    @rule(relation=st.sampled_from(sorted(ARITIES)), data=st.data())
-    def index(self, relation, data):
-        positions = tuple(
-            data.draw(st.lists(st.integers(0, ARITIES[relation] - 1), max_size=2))
-        )
-        self.indexed.add((relation, positions))
 
     @rule(fact=facts())
     def equality(self, fact):
@@ -182,18 +173,6 @@ class InstanceModel(RuleBasedStateMachine):
         assert self.instance.nulls() == {
             t for fact in self.model for t in fact.terms if isinstance(t, Null)
         }
-
-    @invariant()
-    def indexes_and_key_counts(self):
-        for relation, positions in self.indexed:
-            index = self.instance.index(relation, positions)
-            expected = _grouped(self.model, relation, positions)
-            assert {key: set(bucket) for key, bucket in index.items() if bucket} == expected
-        for relation, arity in ARITIES.items():
-            for positions in [(), (0,), tuple(range(arity))]:
-                assert self.instance.key_count(relation, positions) == len(
-                    _grouped(self.model, relation, positions)
-                )
 
 
 TestInstanceModel = InstanceModel.TestCase

@@ -3,9 +3,10 @@
 The chase probes ``exists()`` once per premise match, so probe cost must
 be independent of relation size: a satisfied conclusion on a 10k-fact
 relation has to be found by one hash-index lookup, not by computing the
-full join and truncating.  These tests instrument ``Instance.index`` to
-count how many index lookups happen and how many facts the pipeline
-actually examines.
+full join and truncating.  These tests read the store's kernel counters:
+``probe_rows`` counts the index-bucket rows a join step examined and
+``probe_survivors`` the rows that left a step, so a probe that stops
+early shows as a survivor count bounded by one output block.
 """
 
 import pytest
@@ -14,7 +15,9 @@ from repro.errors import UnsafeDependencyError
 from repro.logic.atoms import Atom, Comparison, Conjunction
 from repro.logic.terms import Constant, Variable
 from repro.relational.instance import Instance
+from repro.relational.kernel import ColumnarInstance
 from repro.relational.query import (
+    _PROBE_BLOCK,
     compile_query,
     evaluate,
     evaluate_iter,
@@ -25,54 +28,27 @@ from repro.relational.query import (
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 
-class _CountingBucket:
-    def __init__(self, bucket, counters):
-        self._bucket = bucket
-        self._counters = counters
-
-    def __iter__(self):
-        for fact in self._bucket:
-            self._counters["facts_scanned"] += 1
-            yield fact
+def _work(store):
+    stats = store.kernel_stats
+    return {"probe_rows": stats.probe_rows, "survivors": stats.probe_survivors}
 
 
-class _CountingIndex:
-    def __init__(self, base, counters):
-        self._base = base
-        self._counters = counters
-
-    def get(self, key, default=()):
-        return _CountingBucket(self._base.get(key, default), self._counters)
-
-    def __contains__(self, key):
-        self._counters["key_probes"] += 1
-        return key in self._base
-
-    def __len__(self):
-        return len(self._base)
+def _reset(store):
+    store.kernel_stats.probe_rows = store.kernel_stats.probe_survivors = 0
 
 
-class ProbeCountingInstance(Instance):
-    """Counts index lookups, key probes and facts examined by queries."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.counters = {"index_calls": 0, "key_probes": 0, "facts_scanned": 0}
-
-    def index(self, relation, positions):
-        self.counters["index_calls"] += 1
-        return _CountingIndex(super().index(relation, positions), self.counters)
-
-    def reset_counters(self):
-        for key in self.counters:
-            self.counters[key] = 0
-
-
-def _bulk_instance(n):
-    instance = ProbeCountingInstance()
+def _bulk_store(n):
+    store = ColumnarInstance()
     for i in range(n):
-        instance.add(Atom("R", (Constant(i), Constant(f"name_{i}"), Constant(i % 7))))
-    return instance
+        store.add(Atom("R", (Constant(i), Constant(f"name_{i}"), Constant(i % 7))))
+    return store
+
+
+def _chain_store(n):
+    store = ColumnarInstance()
+    for i in range(n):
+        store.add(Atom("E", (Constant(i), Constant(i + 1))))
+    return store
 
 
 class TestExistsShortCircuit:
@@ -80,70 +56,70 @@ class TestExistsShortCircuit:
         """A chase-style satisfaction probe does O(1) work at any size."""
         work = {}
         for n in (100, 10_000):
-            instance = _bulk_instance(n)
+            store = _bulk_store(n)
             body = Conjunction(atoms=(Atom("R", (x, y, z)),))
             seed = {x: Constant(n // 2), y: Constant(f"name_{n // 2}")}
-            assert exists(body, instance, seed=seed)
-            instance.reset_counters()
+            assert exists(body, store, seed=seed)
+            _reset(store)
             for _ in range(10):
-                assert exists(body, instance, seed=seed)
-            work[n] = dict(instance.counters)
+                assert exists(body, store, seed=seed)
+            work[n] = _work(store)
         # Identical work at 100x the data: the probe is a key-membership
-        # test on a live hash index, so no facts are ever scanned.
-        assert work[100] == work[10_000]
-        assert work[10_000]["facts_scanned"] == 0
-        assert work[10_000]["key_probes"] == 10
+        # test on a live hash index, so no bucket row is ever examined.
+        assert work[100] == work[10_000] == {"probe_rows": 0, "survivors": 0}
 
-    def test_unseeded_exists_scans_one_fact(self):
-        instance = _bulk_instance(10_000)
+    def test_unseeded_exists_examines_no_row(self):
+        store = _bulk_store(10_000)
         body = Conjunction(atoms=(Atom("R", (x, y, z)),))
-        assert exists(body, instance)
-        instance.reset_counters()
-        assert exists(body, instance)
-        assert instance.counters["facts_scanned"] <= 1
+        assert exists(body, store)
+        _reset(store)
+        assert exists(body, store)
+        assert _work(store) == {"probe_rows": 0, "survivors": 0}
 
     def test_join_probe_stops_early(self):
-        """exists() over a join stops at the first complete row."""
-        instance = ProbeCountingInstance()
-        for i in range(5_000):
-            instance.add(Atom("E", (Constant(i), Constant(i + 1))))
+        """exists() over a join stops after the first output block."""
+        store = _chain_store(5_000)
         body = Conjunction(atoms=(Atom("E", (x, y)), Atom("E", (y, z))))
-        assert exists(body, instance)
-        instance.reset_counters()
-        assert exists(body, instance)
-        assert instance.counters["facts_scanned"] <= 4
+        full = evaluate(body, store)
+        assert len(full) == 4_999
+        _reset(store)
+        assert exists(body, store)
+        # One block out of each step, not the 5000 + 4999 rows of the
+        # whole join.
+        assert _work(store)["survivors"] <= 2 * _PROBE_BLOCK
 
     def test_negative_probe_misses_cheaply(self):
-        instance = _bulk_instance(10_000)
+        store = _bulk_store(10_000)
         body = Conjunction(atoms=(Atom("R", (x, y, z)),))
         seed = {x: Constant(-1), y: Constant("nope")}
-        instance.reset_counters()
-        assert not exists(body, instance, seed=seed)
-        assert instance.counters["facts_scanned"] == 0
+        _reset(store)
+        assert not exists(body, store, seed=seed)
+        assert _work(store) == {"probe_rows": 0, "survivors": 0}
 
 
 class TestEvaluateLimit:
     def test_limit_truncates_work_not_just_output(self):
-        instance = _bulk_instance(10_000)
+        store = _bulk_store(10_000)
         body = Conjunction(atoms=(Atom("R", (x, y, z)),))
-        evaluate(body, instance, limit=1)  # warm plan + index
-        instance.reset_counters()
-        rows = evaluate(body, instance, limit=5)
+        evaluate(body, store, limit=1)  # warm plan + index
+        _reset(store)
+        rows = evaluate(body, store, limit=5)
         assert len(rows) == 5
-        assert instance.counters["facts_scanned"] <= 5
+        assert _work(store)["survivors"] <= _PROBE_BLOCK
 
     def test_iterator_is_lazy(self):
-        instance = _bulk_instance(10_000)
+        store = _bulk_store(10_000)
         body = Conjunction(atoms=(Atom("R", (x, y, z)),))
-        next(evaluate_iter(body, instance))  # warm
-        instance.reset_counters()
-        stream = evaluate_iter(body, instance)
+        next(evaluate_iter(body, store))  # warm
+        _reset(store)
+        stream = evaluate_iter(body, store)
         for _ in range(3):
             next(stream)
-        assert instance.counters["facts_scanned"] == 3
+        assert 3 <= _work(store)["survivors"] <= _PROBE_BLOCK
 
     def test_limit_matches_reference_semantics(self):
-        instance = _bulk_instance(50)
+        instance = Instance()
+        instance.add_all(_bulk_store(50))
         body = Conjunction(
             atoms=(Atom("R", (x, y, z)),),
             comparisons=(Comparison("<", x, Constant(10)),),
@@ -162,9 +138,8 @@ class TestCompiledQueryEdgeCases:
             atoms=(Atom("R", (x, y, z)),),
             comparisons=(Comparison("<", Variable("unbound"), Constant(1)),),
         )
-        instance = _bulk_instance(3)
         with pytest.raises(UnsafeDependencyError):
-            evaluate(body, instance)
+            evaluate(body, _bulk_store(3))
 
     def test_unsafe_comparison_silent_on_empty_data(self):
         # The materialized evaluator returned [] before reaching the
@@ -173,17 +148,17 @@ class TestCompiledQueryEdgeCases:
             atoms=(Atom("Missing", (x,)),),
             comparisons=(Comparison("<", Variable("unbound"), Constant(1)),),
         )
-        assert evaluate(body, _bulk_instance(3)) == []
+        assert evaluate(body, _bulk_store(3)) == []
 
     def test_compile_cache_reuses_plans(self):
         body = Conjunction(atoms=(Atom("R", (x, y, z)),))
-        instance = _bulk_instance(10)
-        first = compile_query(body, (), instance)
-        second = compile_query(Conjunction(atoms=(Atom("R", (x, y, z)),)), (), instance)
+        store = _bulk_store(10)
+        first = compile_query(body, (), store)
+        second = compile_query(Conjunction(atoms=(Atom("R", (x, y, z)),)), (), store)
         assert first is second
 
     def test_repeated_fresh_variable_checked(self):
-        instance = ProbeCountingInstance()
+        instance = Instance()
         instance.add(Atom("P", (Constant(1), Constant(2))))
         instance.add(Atom("P", (Constant(3), Constant(3))))
         rows = evaluate(Conjunction(atoms=(Atom("P", (x, x)),)), instance)
