@@ -6,7 +6,9 @@ size of the source instance" and the greedy strategy tames this by
 deds".  We scale the number of ded-firing name pairs and compare the
 exact disjunctive chase (model count doubles per pair) against the
 greedy engine (constant scenario count).  The report records the exact
-chase's rows (models, leaves, branchings, seconds per pair count) in
+chase's rows (models, leaves, branchings, seconds per pair count) and
+the greedy sweep's (selections tried, pruned by a nogood and resumed
+from the checkpoint, chase runs, seconds) in
 ``BENCH_e3_greedy_vs_full.json`` for the trend; it has no speed gate.
 """
 
@@ -61,11 +63,14 @@ def test_report_e3(benchmark, flagged_rewritten):
             "branchings",
             "exact time (s)",
             "greedy scenarios",
+            "pruned",
+            "resumed",
             "greedy time (s)",
         ],
     )
     model_counts = {}
     exact_rows = {}
+    greedy_rows = {}
     for pairs in PAIRS:
         source = flagged_instance(products=4, name_pairs=pairs, seed=1)
         exact = DisjunctiveChase(
@@ -83,6 +88,13 @@ def test_report_e3(benchmark, flagged_rewritten):
             "branchings": exact.branchings,
             "seconds": exact.elapsed_seconds,
         }
+        greedy_rows[str(pairs)] = {
+            "tried": greedy.scenarios_tried,
+            "pruned": greedy.scenarios_pruned,
+            "resumed": greedy.scenarios_resumed,
+            "chase_runs": greedy.scenarios_tried - greedy.scenarios_pruned,
+            "seconds": greedy.stats.elapsed_seconds,
+        }
         table.add(
             pairs,
             len(exact.models),
@@ -90,12 +102,15 @@ def test_report_e3(benchmark, flagged_rewritten):
             exact.branchings,
             exact.elapsed_seconds,
             greedy.scenarios_tried,
+            greedy.scenarios_pruned,
+            greedy.scenarios_resumed,
             greedy.stats.elapsed_seconds,
         )
         assert greedy.ok and exact.satisfiable
     print_experiment_table(table)
     record_bench_json(
-        "e3_greedy_vs_full", {"quick": quick_mode(), "exact": exact_rows}
+        "e3_greedy_vs_full",
+        {"quick": quick_mode(), "exact": exact_rows, "greedy": greedy_rows},
     )
     # The paper's shape: exponential model sets (2^k), constant greedy work.
     for pairs in PAIRS:

@@ -38,6 +38,19 @@ chasing: the selection still counts in ``scenarios_tried``, its
 statistics still join the aggregate, and its ``branch_timings`` entry
 says ``pruned``.  Every result is therefore bit-identical to the
 unpruned sweep, which survives only as the test oracle.
+
+**Resume.**  The same argument says where the selections part ways.
+Until the first ded enforces, every derived scenario runs the same
+steps on the same store: the choice map is only read when a ded
+enforces.  So the first chased selection asks the engine for a
+checkpoint at that moment (see :mod:`repro.chase.engine`), and every
+later selection that is not pruned resumes from that one checkpoint —
+no re-seeding, no re-chasing of the shared prefix.  A resumed run
+carries the prefix's statistics, so its result is the from-scratch
+run's; its ``branch_timings`` entry says ``resumed``.  Nogoods cut the
+number of runs; resume cuts what each run costs.  A run that never
+enforces a ded captures nothing, and its failure's nogood is empty, so
+it covers every later selection.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chase.compiled import compile_dependencies
-from repro.chase.engine import ChaseConfig, StandardChase
+from repro.chase.engine import ChaseCheckpoint, ChaseConfig, StandardChase
 from repro.analysis.termination import TerminationReport
 from repro.chase.result import ChaseResult, ChaseStats, ChaseStatus
 from repro.obs.recorder import resolve_recorder
@@ -103,6 +116,7 @@ def _branch_timing(
     status: ChaseStatus,
     seconds: float,
     pruned: bool = False,
+    resumed: bool = False,
 ) -> Dict[str, object]:
     """One derived scenario's entry in ``ChaseResult.branch_timings``."""
     return {
@@ -111,6 +125,7 @@ def _branch_timing(
         "status": str(status),
         "seconds": seconds,
         "pruned": pruned,
+        "resumed": resumed,
     }
 
 
@@ -210,8 +225,9 @@ class GreedyDedChase:
         selection and the number of scenarios tried), or the FAILURE
         result of the last attempt when all scenarios fail or the budget
         is exhausted.  Selections that repeat an earlier failure are
-        answered from its nogood (see the module docstring), so the
-        result is bit-identical to chasing every selection.
+        answered from its nogood, and the others resume from the first
+        run's checkpoint (see the module docstring), so the result is
+        bit-identical to chasing every selection from scratch.
 
         ``recorder`` follows the engine convention: an external recorder
         keeps the trace; otherwise one is built from ``config.trace``
@@ -227,8 +243,12 @@ class GreedyDedChase:
                 selections, source_instance, target_instance, rec
             )
             if rec.enabled:
-                span.annotate(pruned=result.scenarios_pruned)
+                span.annotate(
+                    pruned=result.scenarios_pruned,
+                    resumed=result.scenarios_resumed,
+                )
                 rec.count("search.pruned", result.scenarios_pruned)
+                rec.count("search.resumed", result.scenarios_resumed)
         result.trace = rec.to_payload() if owned_rec else None
         return result
 
@@ -246,7 +266,8 @@ class GreedyDedChase:
         nogoods: List[_Nogood] = []
         final_covered = False
         offset = len(self.standard)
-        tried = pruned = 0
+        tried = pruned = resumed = 0
+        checkpoint: Optional[ChaseCheckpoint] = None
         for selection in selections:
             tried += 1
             step = time.perf_counter()
@@ -271,11 +292,24 @@ class GreedyDedChase:
                 compiled=self._compiled,
                 termination=self.termination,
             )
-            result = engine.run(source_instance, target_instance, recorder=rec)
+            result = engine.run(
+                source_instance,
+                target_instance,
+                recorder=rec,
+                capture=checkpoint is None and tried < len(selections),
+                resume=checkpoint,
+            )
             seconds = time.perf_counter() - step
             timings.append(
-                _branch_timing(tried - 1, selection, result.status, seconds)
+                _branch_timing(
+                    tried - 1, selection, result.status, seconds,
+                    resumed=checkpoint is not None,
+                )
             )
+            if checkpoint is None:
+                checkpoint = engine.checkpoint
+            else:
+                resumed += 1
             rec.observe("search.branch_seconds", seconds)
             aggregate = aggregate.merge(result.stats)
             if result.ok:
@@ -283,6 +317,7 @@ class GreedyDedChase:
                 result.stats.elapsed_seconds = time.perf_counter() - start
                 result.scenarios_tried = tried
                 result.scenarios_pruned = pruned
+                result.scenarios_resumed = resumed
                 result.branch_selection = {
                     info.dependency.describe(): branch
                     for info, branch in zip(self._infos, selection)
@@ -314,7 +349,9 @@ class GreedyDedChase:
                 _branch_timing(0, (), last.status, time.perf_counter() - step)
             )
             tried = 1
-        return self._finish_failure(last, aggregate, tried, pruned, start, timings)
+        return self._finish_failure(
+            last, aggregate, tried, pruned, resumed, start, timings
+        )
 
     def _finish_failure(
         self,
@@ -322,6 +359,7 @@ class GreedyDedChase:
         aggregate: ChaseStats,
         tried: int,
         pruned: int,
+        resumed: int,
         start: float,
         timings: List[Dict[str, object]],
     ) -> ChaseResult:
@@ -329,6 +367,7 @@ class GreedyDedChase:
         last.stats.elapsed_seconds = time.perf_counter() - start
         last.scenarios_tried = tried
         last.scenarios_pruned = pruned
+        last.scenarios_resumed = resumed
         last.branch_timings = timings
         if last.status is ChaseStatus.SUCCESS:
             return last

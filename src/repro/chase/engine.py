@@ -39,13 +39,38 @@ cores (see the README's *Why the chase is serial*).
 Premise negation is rejected unless it only mentions *source* relations
 (which the chase never modifies); that is exactly the shape the rewriter
 emits when asked to unfold source premises.
+
+**Checkpoints.**  ``run(capture=True)`` leaves a :class:`ChaseCheckpoint`
+on :attr:`StandardChase.checkpoint`, taken the first time any ded
+enforces a row, and ``run(resume=checkpoint)`` continues from it with
+the new engine's branch choice.  Up to that row nothing the run did can
+depend on a ded's branch (satisfaction checks see every disjunct), so
+the greedy ded sweep chases that prefix once per search.  At that
+moment the store equals the store at the start of the ded's step —
+enumeration and satisfaction checks only read, and every earlier row of
+the step was satisfied — and the step's null map is still empty, so no
+rewrite is in flight.  The checkpoint holds:
+
+* a :meth:`~repro.relational.kernel.ColumnarInstance.copy` of the store
+  (row ids survive the copy, so the round's delta masks stay valid);
+* the :class:`~repro.logic.terms.NullFactory` position, a copy of the
+  :class:`ChaseStats` and the enforced positions;
+* the round state: the dead set computed from the *seeded* base, the
+  oblivious trigger memory (exact set and Bloom bytes, copied), the
+  round's delta, generation mark and null rewrites so far;
+* the step: the ded's position, its sorted matches and the row that
+  enforces, taken before that row's oblivious trigger is recorded.
+
+Nothing is copied per round or per step: a run that never enforces a
+ded, or was not asked to capture, pays nothing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ChaseError, ChaseFailure, ChaseNonTermination
 from repro.analysis.firing import dead_dependency_indices
@@ -59,7 +84,7 @@ from repro.relational.delta import group_rows, mask_rows
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance, RowMask
 
-__all__ = ["ChaseConfig", "StandardChase", "chase"]
+__all__ = ["ChaseCheckpoint", "ChaseConfig", "StandardChase", "chase"]
 
 
 @dataclass
@@ -248,6 +273,13 @@ class _TriggerMemory:
             self._bits[p >> 3] |= 1 << (p & 7)
         self._spilled += 1
 
+    def copy(self) -> "_TriggerMemory":
+        clone = _TriggerMemory(self._limit)
+        clone._exact = set(self._exact)
+        clone._bits = None if self._bits is None else bytearray(self._bits)
+        clone._spilled = self._spilled
+        return clone
+
     # -- introspection (memory-growth regression tests) --------------------
 
     @property
@@ -263,6 +295,54 @@ class _TriggerMemory:
         """Upper bound on the structure's own storage (test hook)."""
         bloom = len(self._bits) if self._bits is not None else 0
         return bloom + sum(64 + 48 * len(t[1]) for t in self._exact)
+
+
+class _RoundState:
+    """What the round loop carries from one dependency's step to the next."""
+
+    __slots__ = ("dead", "triggers", "delta", "generation", "rewrites")
+
+    def __init__(self, dead: FrozenSet[int], triggers: _TriggerMemory) -> None:
+        self.dead = dead
+        self.triggers = triggers
+        #: relation -> RowMask of the rows the previous round inserted
+        #: (no Atom objects on the hot path), or ``None`` for "evaluate
+        #: everything".
+        self.delta: Optional[Dict[str, RowMask]] = None
+        self.generation = 0
+        self.rewrites = 0
+
+    def copy(self) -> "_RoundState":
+        clone = _RoundState(self.dead, self.triggers.copy())
+        clone.delta = self.delta  # masks are never mutated
+        clone.generation = self.generation
+        clone.rewrites = self.rewrites
+        return clone
+
+
+@dataclass
+class ChaseCheckpoint:
+    """A run's state at its first ded enforcement (see the module
+    docstring).  Resuming never mutates it, so one checkpoint serves
+    every later selection of a greedy ded search.  It is valid for any
+    engine over the same dependencies and config that differs at most
+    in the branches it chooses for deds."""
+
+    store: ColumnarInstance
+    next_null: int
+    stats: ChaseStats
+    enforced: FrozenSet[int]
+    round_state: _RoundState
+    index: int
+    """Position of the ded whose step the checkpoint interrupts."""
+    rows: List[Tuple[int, ...]]
+    """That step's premise matches, in canonical order."""
+    position: int
+    """The row of ``rows`` that enforces first."""
+
+    @property
+    def label(self) -> str:
+        return f"round {self.stats.rounds} dependency {self.index}"
 
 
 def _seed(working, source_instance, target_instance) -> str:
@@ -353,6 +433,10 @@ class StandardChase:
             frozenset(atom.relation for atom in dependency.premise.atoms)
             for dependency in self.dependencies
         ]
+        #: The checkpoint of the last ``run(capture=True)``, or ``None``
+        #: when that run never enforced a ded.
+        self.checkpoint: Optional[ChaseCheckpoint] = None
+        self._capture = False
 
     def _check_premise_negation(self, dependency: Dependency) -> None:
         for negation in dependency.premise.negations:
@@ -372,6 +456,8 @@ class StandardChase:
         target_instance: Optional[Instance] = None,
         null_factory: Optional[NullFactory] = None,
         recorder=None,
+        capture: bool = False,
+        resume: Optional[ChaseCheckpoint] = None,
     ) -> ChaseResult:
         """Chase ``source_instance`` (plus optional pre-existing target).
 
@@ -383,36 +469,59 @@ class StandardChase:
         ``config.trace`` and its payload is attached to
         ``ChaseResult.trace`` — or everything no-ops on the shared null
         recorder when tracing is off.
+
+        ``capture`` leaves the run's :class:`ChaseCheckpoint` on
+        :attr:`checkpoint`.  ``resume`` continues a checkpoint instead of
+        seeding: the instances are not read, the run's nulls continue
+        the checkpoint's factory, and ``ChaseResult.stats`` include the
+        checkpoint's (the trace counts only the work done after it).
         """
+        if resume is not None and (capture or null_factory is not None):
+            raise ChaseError(
+                "a resumed run neither captures nor takes a null factory"
+            )
         start = time.perf_counter()
         rec = resolve_recorder(recorder, self.config.trace)
         owned_rec = recorder is None and rec.enabled
         plan_mark = self._plan_counters() if rec.enabled else (0, 0, 0)
-        working = ColumnarInstance()
-        kernel_mark = len(working.pool)
-        with rec.span("chase.seed") as seed_span:
-            path = _seed(working, source_instance, target_instance)
-            if rec.enabled:
-                seed_span.annotate(
-                    rows=len(working),
-                    relations=len(working.relations()),
-                    path=path,
-                )
-        factory = null_factory or NullFactory()
-        factory.advance_past(working.nulls())
-        stats = ChaseStats()
+        self.checkpoint = None
+        self._capture = capture
+        if resume is None:
+            working = ColumnarInstance()
+            kernel_mark = len(working.pool)
+            with rec.span("chase.seed") as seed_span:
+                path = _seed(working, source_instance, target_instance)
+                if rec.enabled:
+                    seed_span.annotate(
+                        rows=len(working),
+                        relations=len(working.relations()),
+                        path=path,
+                    )
+            factory = null_factory or NullFactory()
+            factory.advance_past(working.nulls())
+            stats = ChaseStats()
+            # Dependency positions that enforced at least once: the
+            # greedy ded sweep's nogoods are built from the deds among
+            # them.
+            self._enforced: Set[int] = set()
+            resumed = {}
+        else:
+            working = resume.store.copy()
+            kernel_mark = len(working.pool)
+            factory = NullFactory(resume.next_null)
+            stats = dataclasses.replace(resume.stats)
+            self._enforced = set(resume.enforced)
+            resumed = {"resumed_from": resume.label}
         status = ChaseStatus.SUCCESS
         reason = ""
-        # Dependency positions that enforced at least once: the greedy
-        # ded sweep's nogoods are built from the deds among them.
-        self._enforced: Set[int] = set()
         with rec.span(
             "chase.run",
             dependencies=len(self.dependencies),
             guards="dropped" if self._unguarded else "enforced",
+            **resumed,
         ):
             try:
-                self._chase_rounds(working, factory, stats, rec)
+                self._chase_rounds(working, factory, stats, rec, resume)
             except ChaseFailure as failure:
                 status = ChaseStatus.FAILURE
                 reason = str(failure)
@@ -421,7 +530,8 @@ class StandardChase:
                 reason = str(overrun)
         stats.elapsed_seconds = time.perf_counter() - start
         if rec.enabled:
-            self._harvest_metrics(rec, stats, working, plan_mark, kernel_mark)
+            work = stats if resume is None else stats.minus(resume.stats)
+            self._harvest_metrics(rec, work, working, plan_mark, kernel_mark)
         # The target stays encoded in ``working`` until someone reads it:
         # a failed greedy ded selection is dropped without ever decoding.
         return ChaseResult(
@@ -497,57 +607,67 @@ class StandardChase:
         factory: NullFactory,
         stats: ChaseStats,
         rec,
+        resume: Optional[ChaseCheckpoint] = None,
     ) -> None:
-        fired_triggers = _TriggerMemory(
-            None if self._unguarded else self.config.oblivious_trigger_limit
-        )
+        if resume is None:
+            # Dead-dependency pruning: the populatable fixpoint is seeded
+            # with the relations that actually hold facts *in this run's*
+            # working instance, so the dead set is exact per run (a
+            # premise over a never-populatable relation can never match,
+            # under any ded branch choice).
+            dead = frozenset(
+                dead_dependency_indices(self.dependencies, set(working.relations()))
+            )
+            stats.dependencies_pruned = len(dead)
+            state = _RoundState(
+                dead,
+                _TriggerMemory(
+                    None if self._unguarded else self.config.oblivious_trigger_limit
+                ),
+            )
+        else:
+            state = resume.round_state.copy()
         # Exposed for memory-growth regression tests.
-        self._trigger_memory = fired_triggers
-        # Dead-dependency pruning: the populatable fixpoint is seeded
-        # with the relations that actually hold facts *in this run's*
-        # working instance, so the dead set is exact per run (a premise
-        # over a never-populatable relation can never match, under any
-        # ded branch choice).
-        base = set(working.relations())
-        dead = frozenset(dead_dependency_indices(self.dependencies, base))
-        stats.dependencies_pruned = len(dead)
-        # The round delta: relation -> RowMask of the rows the previous
-        # round inserted (no Atom objects on the hot path), or ``None``
-        # for "evaluate everything".
-        delta: Optional[Dict[str, RowMask]] = None
+        self._trigger_memory = state.triggers
+        dead = state.dead
         while True:
-            stats.rounds += 1
-            if not self._unguarded and stats.rounds > self.config.max_rounds:
-                raise ChaseNonTermination(
-                    f"exceeded {self.config.max_rounds} chase rounds"
-                )
-            generation = working.bump_generation()
+            first = 0
+            if resume is None:
+                stats.rounds += 1
+                if not self._unguarded and stats.rounds > self.config.max_rounds:
+                    raise ChaseNonTermination(
+                        f"exceeded {self.config.max_rounds} chase rounds"
+                    )
+                state.generation = working.bump_generation()
+                state.rewrites = 0
+            else:
+                first = resume.index
+            delta = state.delta
             delta_relations = None if delta is None else set(delta)
-            rewrites_this_round = 0
             with rec.span(
                 "chase.round", round=stats.rounds, full=delta is None
             ) as round_span:
-                for index, dependency in enumerate(self.dependencies):
-                    if index in dead:
-                        stats.enumerations_skipped += 1
-                        continue
-                    # Delta rounds anchor enumeration on the new facts:
-                    # when none of them touch this premise, the join
-                    # would return zero matches — skip the call.
-                    if (
-                        delta_relations is not None
-                        and self._premise_relations[index]
-                        and not (
-                            self._premise_relations[index] & delta_relations
+                for index in range(first, len(self.dependencies)):
+                    if resume is None and (
+                        index in dead
+                        # Delta rounds anchor enumeration on the new
+                        # facts: when none of them touch this premise,
+                        # the join would return zero matches — skip it.
+                        or (
+                            delta_relations is not None
+                            and self._premise_relations[index]
+                            and not (
+                                self._premise_relations[index] & delta_relations
+                            )
                         )
                     ):
                         stats.enumerations_skipped += 1
                         continue
-                    rewrites_this_round += self._chase_dependency(
-                        index, dependency, working, factory, stats, delta,
-                        fired_triggers, rec,
+                    state.rewrites += self._chase_dependency(
+                        index, working, factory, stats, state, rec, resume
                     )
-                new_rows = working.rows_since(generation)
+                    resume = None
+                new_rows = working.rows_since(state.generation)
                 if rec.enabled:
                     round_span.annotate(new_facts=len(new_rows))
             if (
@@ -558,67 +678,77 @@ class StandardChase:
                 raise ChaseNonTermination(
                     f"exceeded {self.config.max_facts} facts"
                 )
-            if not new_rows and rewrites_this_round == 0:
+            if not new_rows and state.rewrites == 0:
                 return
             # Null rewrites change fact identity, so the delta bookkeeping
             # is unreliable: fall back to a full round.  Masks are built
             # once here and shared by every dependency's anchored probes
             # this round (span/contiguity precomputed once per relation).
-            if rewrites_this_round:
-                delta = None
+            if state.rewrites:
+                state.delta = None
             else:
-                delta = mask_rows(group_rows(new_rows))
+                state.delta = mask_rows(group_rows(new_rows))
 
     def _chase_dependency(
         self,
         index: int,
-        dependency: Dependency,
         working: ColumnarInstance,
         factory: NullFactory,
         stats: ChaseStats,
-        delta_rows: Optional[Dict[str, RowMask]],
-        fired_triggers: "_TriggerMemory",
+        state: _RoundState,
         rec,
+        resume: Optional[ChaseCheckpoint] = None,
     ) -> int:
         """Process one dependency for one round; returns #null-rewrites.
 
         Phase 1 (*enumerate*) finds every premise match, restricted to
-        the round's ``delta_rows`` (``None``: a full round).  Matches are
-        code tuples aligned to the dependency's ``premise_varlist``
+        the round's delta (``None``: a full round).  Matches are code
+        tuples aligned to the dependency's ``premise_varlist``
         (name-sorted).  Phase 2 (*enforce*) replays them sorted by the
         pool's cached per-code order keys (:func:`_row_order`) — so null
         invention and unions do not depend on the join's output order.
+        A resumed step skips phase 1 and continues the checkpoint's rows
+        from the row that enforced.
         """
+        dependency = self.dependencies[index]
         compiled = self.compiled[index]
-        with rec.span("chase.enumerate", dependency=index) as enum_span:
-            matches = compiled.premise_matches_encoded(working, delta_rows)
-            if rec.enabled:
-                enum_span.annotate(matches=len(matches))
-        if not matches:
-            return 0
-        stats.premise_matches += len(matches)
-        row_order = _row_order(working.pool)
-        varlist = compiled.premise_varlist
         decode = working.decode_term
-        if not dependency.disjuncts:  # denial
-            # A denial match is final: the premise is positive, and facts
-            # are never retracted, so the violation cannot disappear.
-            # Report the canonically-first match.
-            row = min(matches, key=row_order)
-            binding = {v: decode(code) for v, code in zip(varlist, row)}
-            raise ChaseFailure(
-                f"denial {dependency.describe()} fired at "
-                f"{_render_binding(binding)}",
-                culprit=dependency,
-            )
+        if resume is None:
+            with rec.span("chase.enumerate", dependency=index) as enum_span:
+                matches = compiled.premise_matches_encoded(working, state.delta)
+                if rec.enabled:
+                    enum_span.annotate(matches=len(matches))
+            if not matches:
+                return 0
+            stats.premise_matches += len(matches)
+            row_order = _row_order(working.pool)
+            if not dependency.disjuncts:  # denial
+                # A denial match is final: the premise is positive, and
+                # facts are never retracted, so the violation cannot
+                # disappear.  Report the canonically-first match.
+                row = min(matches, key=row_order)
+                varlist = compiled.premise_varlist
+                binding = {v: decode(code) for v, code in zip(varlist, row)}
+                raise ChaseFailure(
+                    f"denial {dependency.describe()} fired at "
+                    f"{_render_binding(binding)}",
+                    culprit=dependency,
+                )
+            rows = sorted(matches, key=row_order)
+            first = 0
+        else:
+            rows, first = resume.rows, resume.position
         chosen_index = self.branch_choice.get(index, 0)
         null_map = _NullMap(working)
         find = null_map.find
         parent = null_map._parent
         oblivious = self.config.policy == "oblivious"
+        fired_triggers = state.triggers
+        capture = self._capture and dependency.is_ded()
         rewrites = 0
-        with rec.span("chase.enforce", dependency=index, matches=len(matches)):
-            for row in sorted(matches, key=row_order):
+        with rec.span("chase.enforce", dependency=index, matches=len(rows)):
+            for position in range(first, len(rows)):
+                row = rows[position]
                 resolved = (
                     tuple(find(code) if code < 0 else code for code in row)
                     if parent
@@ -635,9 +765,22 @@ class StandardChase:
                     )
                     if trigger in fired_triggers:
                         continue
-                    fired_triggers.add(trigger)
                 elif compiled.satisfied_encoded(resolved, working):
                     continue
+                if capture:
+                    capture = self._capture = False
+                    self.checkpoint = ChaseCheckpoint(
+                        store=working.copy(),
+                        next_null=factory.next_id,
+                        stats=dataclasses.replace(stats),
+                        enforced=frozenset(self._enforced),
+                        round_state=state.copy(),
+                        index=index,
+                        rows=rows,
+                        position=position,
+                    )
+                if oblivious:
+                    fired_triggers.add(trigger)
                 self._enforce_row(
                     index, dependency, chosen_index, resolved, working,
                     factory, stats, null_map,

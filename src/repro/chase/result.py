@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
 from repro.relational.instance import Instance
@@ -53,19 +53,18 @@ class ChaseStats:
 
     def merge(self, other: "ChaseStats") -> "ChaseStats":
         return ChaseStats(
-            rounds=self.rounds + other.rounds,
-            tgd_fires=self.tgd_fires + other.tgd_fires,
-            egd_unifications=self.egd_unifications + other.egd_unifications,
-            facts_created=self.facts_created + other.facts_created,
-            nulls_created=self.nulls_created + other.nulls_created,
-            premise_matches=self.premise_matches + other.premise_matches,
-            null_rewrites=self.null_rewrites + other.null_rewrites,
-            elapsed_seconds=self.elapsed_seconds + other.elapsed_seconds,
-            dependencies_pruned=self.dependencies_pruned
-            + other.dependencies_pruned,
-            enumerations_skipped=self.enumerations_skipped
-            + other.enumerations_skipped,
+            **{name: getattr(self, name) + getattr(other, name) for name in _STAT_FIELDS}
         )
+
+    def minus(self, earlier: "ChaseStats") -> "ChaseStats":
+        """The counts accumulated since ``earlier`` (a copy of these
+        stats taken sooner in the same run)."""
+        return ChaseStats(
+            **{name: getattr(self, name) - getattr(earlier, name) for name in _STAT_FIELDS}
+        )
+
+
+_STAT_FIELDS = tuple(f.name for f in fields(ChaseStats))
 
 
 @dataclass
@@ -103,11 +102,17 @@ class ChaseResult:
     sweep answered from a nogood instead of chasing them (see
     :mod:`repro.chase.ded`)."""
 
+    scenarios_resumed: int = 0
+    """How many of the chased selections resumed from the search's
+    checkpoint instead of re-chasing the prefix every selection shares
+    (see :mod:`repro.chase.ded`)."""
+
     branch_timings: Optional[List[Dict[str, object]]] = None
     """Per derived-scenario timings of the greedy ded sweep, in
     canonical selection order up to the winner: ``index``, ``selection``,
-    ``status``, ``seconds`` and whether it was ``pruned`` (answered from
-    a nogood, not chased)."""
+    ``status``, ``seconds``, whether it was ``pruned`` (answered from a
+    nogood, not chased) and whether it was ``resumed`` (chased from the
+    search's checkpoint)."""
 
     guards: str = "enforced"
     """``enforced`` when the run kept its step budget and bounded

@@ -323,7 +323,8 @@ def _cmd_chase(args: argparse.Namespace) -> int:
     if outcome.chase.branch_selection:
         print(f"branches:  {outcome.chase.branch_selection} "
               f"(after {outcome.chase.scenarios_tried} scenarios, "
-              f"{outcome.chase.scenarios_pruned} pruned)")
+              f"{outcome.chase.scenarios_pruned} pruned, "
+              f"{outcome.chase.scenarios_resumed} resumed)")
     if outcome.verification is not None:
         print(f"verify:    {outcome.verification}")
     if args.show_target and outcome.chase.ok:

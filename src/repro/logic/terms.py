@@ -157,6 +157,11 @@ class NullFactory:
             self._next += 1
         return Null(null_id, hint)
 
+    @property
+    def next_id(self) -> int:
+        """The id the next :meth:`fresh` null gets."""
+        return self._next
+
     def advance_past(self, nulls: Iterable[Null]) -> None:
         """Make sure future ids are larger than any id in ``nulls``."""
         with self._lock:

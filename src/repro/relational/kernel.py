@@ -615,10 +615,12 @@ class ColumnarInstance:
 
         The batch counterpart of :meth:`add_encoded`, and the path every
         bulk movement rides (engine seeding via :meth:`ingest`, pickle
-        rehydration).  One dedup pass assigns row ids; the
-        column stores then fill through C-level ``array.extend`` over
-        ``map(itemgetter(i), ...)``, so the per-row interpreter cost is
-        one dict probe instead of the whole ``add_encoded`` body.
+        rehydration).  One dedup pass assigns row ids — a single
+        ``dict(zip(rows, count()))`` into an empty table, a ``setdefault``
+        loop otherwise; the column stores then fill through C-level
+        ``array.extend`` over ``map(itemgetter(i), ...)``, so the per-row
+        interpreter cost is at most one dict probe instead of the whole
+        ``add_encoded`` body.
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
@@ -629,30 +631,41 @@ class ColumnarInstance:
         if table is None or table.arity != arity:
             table = self._table(relation, arity)
         generations = table.generations
-        setdefault = table.row_ids.setdefault
         generation = self._current_generation
-        start_id = next_id = len(generations)
+        start_id = len(generations)
         fresh: List[Tuple[int, ...]] = []
-        fresh_append = fresh.append
         resurrected: List[int] = []
-        for row in rows:
-            if len(row) != arity:
-                raise SchemaError(
-                    f"mixed arities in encoded batch for {relation!r}: "
-                    f"expected {arity}, got {len(row)}"
-                )
-            row_id = setdefault(row, next_id)
-            if row_id == next_id:
-                fresh_append(row)
-                next_id += 1
-            elif row_id >= start_id:
-                # A duplicate of a row first seen in this very batch —
-                # its id exists only in ``fresh`` so far.
-                continue
-            elif generations[row_id] < 0:
-                # Resurrect a tombstoned row: same id, new generation.
-                generations[row_id] = generation
-                resurrected.append(row_id)
+        if not generations and set(map(len, rows)) == {arity}:
+            # Into an empty table (seeding) every id is assigned at C
+            # level.  A duplicate would keep its *last* id there, so a
+            # batch holding any takes the loop below, which keeps the first.
+            row_ids = dict(zip(rows, count()))
+            if len(row_ids) == len(rows):
+                table.row_ids = row_ids
+                fresh = list(rows)
+        if not fresh:
+            setdefault = table.row_ids.setdefault
+            fresh_append = fresh.append
+            next_id = start_id
+            for row in rows:
+                if len(row) != arity:
+                    raise SchemaError(
+                        f"mixed arities in encoded batch for {relation!r}: "
+                        f"expected {arity}, got {len(row)}"
+                    )
+                row_id = setdefault(row, next_id)
+                if row_id == next_id:
+                    fresh_append(row)
+                    next_id += 1
+                elif row_id >= start_id:
+                    # A duplicate of a row first seen in this very batch —
+                    # its id exists only in ``fresh`` so far.
+                    continue
+                elif generations[row_id] < 0:
+                    # Resurrect a tombstoned row: same id, new generation.
+                    generations[row_id] = generation
+                    resurrected.append(row_id)
+        next_id = start_id + len(fresh)
         added = len(fresh) + len(resurrected)
         if not added:
             return 0

@@ -120,7 +120,8 @@ def batch_summary_table(report: "BatchReport") -> Table:
         table.add("dead dependencies", summary.dead_dependencies)
     table.add(
         "scenarios pruned",
-        f"{summary.scenarios_pruned}/{summary.scenarios_tried}",
+        f"{summary.scenarios_pruned}/{summary.scenarios_tried}"
+        f" ({summary.scenarios_resumed} resumed)",
     )
     if summary.analysis_errors or summary.analysis_warnings:
         table.add(

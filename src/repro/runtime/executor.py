@@ -226,6 +226,7 @@ def _execute(
             record.rounds = outcome.chase.stats.rounds
             record.scenarios_tried = outcome.chase.scenarios_tried
             record.scenarios_pruned = outcome.chase.scenarios_pruned
+            record.scenarios_resumed = outcome.chase.scenarios_resumed
             record.nulls_created = outcome.chase.stats.nulls_created
             record.branch_timings = outcome.chase.branch_timings
             record.guards = outcome.chase.guards

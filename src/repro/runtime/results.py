@@ -54,7 +54,7 @@ class TaskRecord:
     branch_timings: Optional[List[Dict[str, object]]] = None
     """Per derived-scenario timings from the greedy ded sweep (canonical
     selection order up to the winner): ``index``, ``selection``,
-    ``status``, ``seconds``, ``pruned``."""
+    ``status``, ``seconds``, ``pruned``, ``resumed``."""
 
     cache_hit: bool = False
     build_seconds: float = 0.0
@@ -71,6 +71,9 @@ class TaskRecord:
     scenarios_pruned: int = 0
     """Of ``scenarios_tried``, the selections the greedy ded sweep
     answered from a nogood instead of chasing them."""
+    scenarios_resumed: int = 0
+    """Of the chased selections, those resumed from the search's
+    checkpoint instead of chased from scratch."""
     nulls_created: int = 0
 
     termination_class: str = ""
@@ -154,6 +157,8 @@ class BatchSummary:
     """Greedy ded sweep selections summed over the run's tasks."""
     scenarios_pruned: int = 0
     """Of ``scenarios_tried``, those answered from a nogood."""
+    scenarios_resumed: int = 0
+    """Of the chased selections, those resumed from a checkpoint."""
     proven_terminating: int = 0
     """Tasks whose scenario the static analyzer proved terminating."""
     guards_dropped: int = 0
@@ -236,6 +241,7 @@ def summarize(
         summary.dead_dependencies += record.dead_dependencies
         summary.scenarios_tried += record.scenarios_tried
         summary.scenarios_pruned += record.scenarios_pruned
+        summary.scenarios_resumed += record.scenarios_resumed
         summary.analysis_errors += record.analysis_errors
         summary.analysis_warnings += record.analysis_warnings
         summary.rewrite_seconds += record.rewrite_seconds

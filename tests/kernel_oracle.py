@@ -192,7 +192,9 @@ class OracleChase(StandardChase):
     """:class:`~repro.chase.engine.StandardChase` on a set-based working
     instance.  Construction (validation, branch choice, the termination
     proof) is the engine's; the run is this module's.  Tracing is not
-    supported: ``recorder`` and ``config.trace`` are ignored."""
+    supported: ``recorder`` and ``config.trace`` are ignored.  It takes
+    no checkpoint (``capture`` is ignored), so a greedy ded sweep on it
+    chases every selection from scratch."""
 
     def run(
         self,
@@ -200,7 +202,11 @@ class OracleChase(StandardChase):
         target_instance=None,
         null_factory: Optional[NullFactory] = None,
         recorder=None,
+        capture: bool = False,
+        resume=None,
     ) -> ChaseResult:
+        if resume is not None:
+            raise ChaseError("OracleChase takes no checkpoint to resume")
         start = time.perf_counter()
         working = Instance()
         for instance in (source_instance, target_instance):

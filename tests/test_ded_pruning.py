@@ -108,7 +108,7 @@ def _timeline(result):
 
 
 #: The keys of one ``branch_timings`` entry.
-TIMING_KEYS = {"index", "selection", "status", "seconds", "pruned"}
+TIMING_KEYS = {"index", "selection", "status", "seconds", "pruned", "resumed"}
 
 
 def assert_matches_oracle(pruned, oracle, label=""):
@@ -124,6 +124,9 @@ def assert_matches_oracle(pruned, oracle, label=""):
     assert _timeline(pruned) == _timeline(oracle), label
     marked = [t["pruned"] for t in pruned.branch_timings]
     assert sum(marked) == pruned.scenarios_pruned, label
+    resumed = [t["resumed"] for t in pruned.branch_timings]
+    assert sum(resumed) == pruned.scenarios_resumed, label
+    assert not any(map(all, zip(marked, resumed))), label
     assert all(set(t) == TIMING_KEYS for t in pruned.branch_timings), label
 
 

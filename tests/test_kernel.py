@@ -126,6 +126,53 @@ class TestExtendEncoded:
         assert bulk.live_row_ids("R") == per_row.live_row_ids("R")
         assert bulk.rows_since(0) == per_row.rows_since(0)
 
+    @staticmethod
+    def layout(inst, relation="R"):
+        """Everything a batch insert decides: row ids, column order,
+        generations and the insertion log."""
+        table = inst._tables[relation]
+        return (
+            dict(table.row_ids),
+            [list(column) for column in table.columns],
+            list(table.generations),
+            table.live_count,
+            {gen: list(log) for gen, log in inst._insertion_log.items() if log},
+        )
+
+    @pytest.mark.parametrize("duplicates", [0, 1, 7])
+    def test_seeding_an_empty_table_matches_the_per_row_loop(self, duplicates):
+        # Into an empty table a duplicate-free batch takes the C-level
+        # id assignment; a batch with duplicates must keep each row's
+        # first id, as the per-row loop does.
+        pool = TermPool()
+        per_row = ColumnarInstance(pool=pool)
+        bulk = ColumnarInstance(pool=pool)
+        nan_a, nan_b = float("nan"), float("nan")
+        rows = self.rows(per_row, 20) + [
+            per_row.encode_row((Constant(nan_a), Constant(1))),
+            per_row.encode_row((Constant(nan_b), Constant(1))),
+        ]
+        assert rows[-1] != rows[-2]  # two NaN objects, two codes
+        batch = rows + [rows[-1], rows[3], rows[-2]][:duplicates] + rows[:duplicates]
+        for row in batch:
+            per_row.add_encoded("R", row)
+        assert bulk.extend_encoded("R", batch) == len(rows)
+        assert self.layout(bulk) == self.layout(per_row)
+        assert bulk.extend_encoded("R", batch) == 0
+
+    def test_seeding_nan_value_rows_matches_per_fact_adds(self):
+        nan_a, nan_b = float("nan"), float("nan")
+        source = Instance()
+        for value in (nan_a, nan_b, nan_a, 1, 2.5, "x"):
+            source.add_row("R", value, 0)
+        per_fact = ColumnarInstance(pool=TermPool())
+        bulk = ColumnarInstance(pool=per_fact.pool)
+        for relation in source.relations():
+            for row in source.rows(relation):
+                per_fact.add(Atom(relation, tuple(map(Constant, row))))
+        bulk.add_all(source)
+        assert self.layout(bulk) == self.layout(per_fact)
+
     def test_resurrects_tombstoned_rows_in_batch(self):
         inst = ColumnarInstance(pool=TermPool())
         rows = self.rows(inst, 3)
