@@ -734,8 +734,7 @@ class StandardChase:
                     f"{_render_binding(binding)}",
                     culprit=dependency,
                 )
-            rows = sorted(matches, key=row_order)
-            first = 0
+            rows, first = matches, 0
         else:
             rows, first = resume.rows, resume.position
         chosen_index = self.branch_choice.get(index, 0)
@@ -747,6 +746,8 @@ class StandardChase:
         capture = self._capture and dependency.is_ded()
         rewrites = 0
         with rec.span("chase.enforce", dependency=index, matches=len(rows)):
+            if resume is None:
+                rows = sorted(rows, key=row_order)
             for position in range(first, len(rows)):
                 row = rows[position]
                 resolved = (
