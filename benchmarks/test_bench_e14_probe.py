@@ -5,10 +5,10 @@ binding, look up an index bucket, restrict it to the round's delta,
 check repeated-variable equalities, extend the binding from the matched
 row's columns.  PR 10 batches that per *block* of candidate row ids —
 generated per-step drivers whose inner loop is one list comprehension
-over hoisted column locals, with :class:`RowMask` bucket restriction —
-while the old row-at-a-time loop stays reachable through
-:func:`repro.relational.query.row_probe_mode` as the differential
-baseline.
+over hoisted column locals, with :class:`RowMask` bucket restriction.
+The old row-at-a-time loop is the baseline: the query module no longer
+carries it, so ``benchmarks/row_probe.py::row_blocks`` is a frozen copy
+that walks the same plan's steps.
 
 This experiment races the two paths on identical plans and data:
 
@@ -23,7 +23,7 @@ This experiment races the two paths on identical plans and data:
 * **comparison-filtered** — the second step carries an order
   comparison between two slots it binds (``b < c``, true on half the
   candidates): the block driver applies it on codes as a comprehension
-  filter, row mode calls the compiled check per row.  This is the shape
+  filter, the row loop calls the compiled check per row.  This is the shape
   of the triangle tgd's ``x < y`` / ``x < z`` filters, so it explains
   ``chase.enumerate.self_s`` on e15's join-triangles.
 
@@ -40,10 +40,11 @@ import time
 from repro.logic.atoms import Atom, Comparison, Conjunction
 from repro.logic.terms import Constant, Variable
 from repro.relational.kernel import ColumnarInstance, RowMask, TermPool
-from repro.relational.query import compile_query, row_probe_mode
+from repro.relational.query import compile_query
 from repro.reporting import Table
 
 from conftest import print_experiment_table, quick_mode, record_bench_json
+from row_probe import row_blocks
 
 #: Probes per section (rows of the anchor relation).
 PROBES = 40_000
@@ -109,15 +110,16 @@ def _comparison_query():
 REPEATS = 5
 
 
-def _timed_rows(plan, store, delta=None):
-    """Fully drain the encoded plan (block-wise) once; returns (rows,
-    seconds, probed, survivors) with the counters isolated to this
-    evaluation."""
+def _timed_rows(blocks, plan, store, delta=None):
+    """Fully drain the encoded plan (block-wise) once, through the
+    drivers (``blocks`` is ``type(plan).blocks``) or the frozen row
+    loop (``row_blocks``); returns (rows, seconds, probed, survivors)
+    with the counters isolated to this evaluation."""
     stats = store.kernel_stats
     probed0, surv0 = stats.probe_rows, stats.probe_survivors
     start = time.perf_counter()
     rows = []
-    for block in plan.blocks(store, delta=delta):
+    for block in blocks(plan, store, delta=delta):
         rows += block
     elapsed = time.perf_counter() - start
     return (
@@ -139,13 +141,12 @@ def _race(plan, store, delta=None):
     block_seconds = row_seconds = float("inf")
     for _ in range(REPEATS):
         block_rows, seconds, block_probed, block_surv = _timed_rows(
-            plan, store, delta
+            type(plan).blocks, plan, store, delta
         )
         block_seconds = min(block_seconds, seconds)
-        with row_probe_mode():
-            row_rows, seconds, row_probed, row_surv = _timed_rows(
-                plan, store, delta
-            )
+        row_rows, seconds, row_probed, row_surv = _timed_rows(
+            row_blocks, plan, store, delta
+        )
         row_seconds = min(row_seconds, seconds)
     assert block_rows == row_rows
     assert (block_probed, block_surv) == (row_probed, row_surv)

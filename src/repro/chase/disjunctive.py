@@ -37,7 +37,7 @@ from repro.chase.compiled import CompiledDependency, compile_dependencies
 from repro.chase.engine import ChaseConfig, StandardChase, _row_order
 from repro.obs.recorder import resolve_recorder
 from repro.logic.dependencies import Dependency
-from repro.logic.homomorphism import exists_homomorphism
+from repro.logic.homomorphism import Pattern, load_target
 from repro.logic.terms import NullFactory
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance
@@ -314,18 +314,25 @@ def _apply_disjunct(
 
 
 def _minimize_models(models: List[Instance]) -> List[Instance]:
-    """Drop models that another model maps into homomorphically."""
+    """Drop models that another model maps into homomorphically.
+
+    Each model is loaded into a store and compiled as a pattern once;
+    a pair check then runs one query."""
     kept: List[Instance] = []
     atom_lists = [list(m) for m in models]
+    stores = [load_target(atoms) for atoms in atom_lists]
+    patterns = [
+        Pattern(atoms, statistics=store) for atoms, store in zip(atom_lists, stores)
+    ]
     for i, model in enumerate(models):
         redundant = False
-        for j, other in enumerate(models):
+        for j in range(len(models)):
             if i == j:
                 continue
-            if exists_homomorphism(atom_lists[j], atom_lists[i]):
-                # `other` maps into `model`: model is redundant *unless*
-                # they map into each other and other is already kept/later.
-                if exists_homomorphism(atom_lists[i], atom_lists[j]):
+            if patterns[j].exists(stores[i]):
+                # Model j maps into model i: i is redundant *unless*
+                # they map into each other and j is already kept/later.
+                if patterns[i].exists(stores[j]):
                     if j < i:
                         redundant = True
                         break

@@ -41,14 +41,15 @@ def violations(
     The instance is encoded once and each dependency is checked by the
     verifier's encoded check, premise and conclusion on the same store
     (an equality's variable the premise does not bind stands for
-    itself).  Dependencies are checked in order; the scan stops after
-    the dependency that reaches ``limit``, whose premise it still reads
-    to the end.
+    itself).  Dependencies are checked in order, and the scan stops at
+    the ``limit``-th violation, in the middle of a premise if need be.
     """
     store = _encoded(instance)
     found: List[Violation] = []
     for dependency in dependencies:
-        _check(dependency, store, store, None, ("",) * 2, found, limit)
+        _check(
+            dependency, store, store, None, ("",) * 2, found, limit, read_all=False
+        )
         if len(found) >= limit:
             break
     return [(v.dependency, dict(v.binding)) for v in found]

@@ -155,6 +155,7 @@ def _check(
     reasons: Tuple[str, str],
     violations: List[Violation],
     max_violations: int,
+    read_all: bool = True,
 ) -> int:
     """Check one dependency; returns its premise-match count.
 
@@ -162,6 +163,9 @@ def _check(
     is probed on ``conclusion_side``, seeded with the premise variables
     in ``seeded`` (all of them when None).  ``reasons`` are the
     violation texts for a denial and for an unsatisfied conclusion.
+    Violations past ``max_violations`` are not recorded; with
+    ``read_all`` False the premise scan stops there too, and the count
+    covers only the rows read.
     """
     pool = premise_side.pool
     premise = compile_query(dependency.premise, (), premise_side).encoded(pool)
@@ -193,6 +197,8 @@ def _check(
                 if len(violations) < max_violations:
                     binding = tuple(zip(varlist, map(decode, row)))
                     violations.append(Violation(describe, binding, reason))
+                if not read_all and len(violations) >= max_violations:
+                    return matched
     return matched
 
 

@@ -7,26 +7,43 @@ yard-stick of data exchange: *universal* solutions are exactly the
 solutions that map homomorphically into every other solution, and the
 restricted chase checks homomorphism extension before firing a tgd.
 
-The search is backtracking over indexed facts, ordering the pending
-atoms most-constrained-first.  Candidate facts are fetched through a
-two-level index: by relation, and — for pattern atoms with *rigid*
-positions (constants or frozen terms, which must match exactly) — by a
-lazily-built hash index keyed on those positions, so rigid atoms probe a
-bucket instead of scanning the whole relation.  That is adequate for the
-dependency-sized and verification-sized problems the library solves (the
-bulk data path goes through :mod:`repro.relational.query` instead).
+A homomorphism search is a conjunctive query on the one compiled join
+(:mod:`repro.relational.query`), so there is no second join evaluator:
+
+* the target is loaded once into a
+  :class:`~repro.relational.kernel.ColumnarInstance` (:func:`load_target`);
+* the source becomes a :class:`Pattern`: one conjunction per group of
+  atoms connected by shared variables or nulls, in which every variable
+  or null is a query variable and constants stay literal.  Frozen and
+  seeded terms are *bound* variables, seeded with their images; the
+  others are fresh, and their bindings are the assignment.  Groups map
+  independently, so a search never enumerates their cross product (the
+  blow-up the backtracking search hit on chase models, whose nulls
+  mostly sit in groups of one or two facts).
+
+Tables are named by relation *and* arity on both sides, so an atom only
+ever meets facts of its own arity, and a schema-less atom list may use
+one relation at two arities.  Target atoms may hold variables (they
+intern like constants, see :data:`_POOL`), which a frozen source
+variable then has to meet.  The backtracking search this replaced is the
+differential oracle in ``tests/homomorphism_oracle.py``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import islice, product
+from typing import Dict, Iterable, List, Mapping, Optional, Union
 
-from repro.logic.atoms import Atom
+from repro.logic.atoms import Atom, Conjunction
 from repro.logic.terms import Null, Term, Variable
+from repro.relational.kernel import ColumnarInstance, TermPool
+from repro.relational.query import CompiledQuery
 
 __all__ = [
     "Assignment",
+    "Pattern",
+    "load_target",
     "find_homomorphism",
     "exists_homomorphism",
     "all_homomorphisms",
@@ -35,6 +52,7 @@ __all__ = [
 ]
 
 MappableTerm = Union[Variable, Null]
+_MAPPABLE = (Variable, Null)
 Assignment = Dict[MappableTerm, Term]
 """A homomorphism under construction: maps variables/nulls to terms."""
 
@@ -50,119 +68,174 @@ def apply_assignment(assignment: Mapping[MappableTerm, Term], atom: Atom) -> Ato
     return Atom(atom.relation, tuple(new_terms))
 
 
-class _TargetIndex:
-    """Relation- and rigidity-indexed view of the target fact set.
+class _VariablePool(TermPool):
+    """A term pool that interns variables as well as constants.
 
-    ``candidates`` returns the facts a pattern atom can possibly map onto:
-    all facts of its relation, narrowed — when the atom has rigid
-    positions — to the hash bucket matching the rigid values.  Keyed
-    indexes are built lazily per (relation, positions) shape and preserve
-    relation-list order, so the search visits surviving candidates in the
-    same order a full scan would.
+    Homomorphism targets are atom lists, not only facts: a variable in a
+    target is a value like any other, which only the same variable (a
+    frozen or seeded one) can match.  No comparison ever reads a
+    variable's code, so its value slots stay empty."""
+
+    __slots__ = ()
+
+    def _append(self, term: Term) -> None:
+        if not isinstance(term, Variable):
+            super()._append(term)
+            return
+        self._terms.append(term)
+        self._orders.append(None)
+        self.values.append(None)
+        self.is_str.append(False)
+
+
+#: The pool every homomorphism store and plan shares, so a pattern
+#: lowers once and runs against any loaded target.
+_POOL = _VariablePool()
+
+
+def _table(atom: Atom) -> str:
+    """The table an atom reads or fills: its relation at its arity."""
+    return f"{atom.relation}/{len(atom.terms)}"
+
+
+def load_target(target: Iterable[Atom]) -> ColumnarInstance:
+    """The target atoms as a store, one table per (relation, arity)."""
+    store = ColumnarInstance(pool=_POOL)
+    encode = store.encode_term
+    rows: Dict[str, list] = defaultdict(list)
+    for atom in target:
+        rows[_table(atom)].append(tuple(map(encode, atom.terms)))
+    for table, table_rows in rows.items():
+        store.extend_encoded(table, table_rows)
+    return store
+
+
+def _components(atoms: List[Atom], fixed: Mapping[Term, Term]) -> List[List[Atom]]:
+    """The atoms grouped by shared free terms (variables and nulls that
+    are neither frozen nor seeded), in source order."""
+    parent = list(range(len(atoms)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first_atom: Dict[Term, int] = {}
+    for i, atom in enumerate(atoms):
+        for term in atom.terms:
+            if isinstance(term, _MAPPABLE) and term not in fixed:
+                parent[root(i)] = root(first_atom.setdefault(term, i))
+    groups: Dict[int, List[Atom]] = {}
+    for i, atom in enumerate(atoms):
+        groups.setdefault(root(i), []).append(atom)
+    return list(groups.values())
+
+
+class _Component:
+    """One connected group of source atoms compiled as a query.
+
+    Every variable and null becomes a query variable ``h0, h1, …``; the
+    input's own variables never reach the query, so no name can
+    collide.  Frozen and seeded terms are bound variables, seeded with
+    their images; the others are fresh, and their bindings are what the
+    component contributes to an assignment."""
+
+    __slots__ = ("query", "fixed", "terms")
+
+    def __init__(
+        self,
+        atoms: List[Atom],
+        images: Mapping[Term, Term],
+        statistics: Optional[ColumnarInstance],
+    ) -> None:
+        query_variable: Dict[Term, Variable] = {}
+
+        def rename(term: Term) -> Term:
+            if not isinstance(term, _MAPPABLE):
+                return term
+            return query_variable.setdefault(term, Variable(f"h{len(query_variable)}"))
+
+        body = Conjunction(
+            [Atom(_table(atom), tuple(map(rename, atom.terms))) for atom in atoms]
+        )
+        self.fixed = {v: images[t] for t, v in query_variable.items() if t in images}
+        self.terms = [(t, v) for t, v in query_variable.items() if t not in images]
+        self.query = CompiledQuery(body, self.fixed, statistics)
+
+    def assignments(self, store: ColumnarInstance, limit: Optional[int]) -> List[Assignment]:
+        bindings = self.query.bindings(store, self.fixed)
+        return [
+            {term: binding[variable] for term, variable in self.terms}
+            for binding in islice(bindings, limit)
+        ]
+
+
+class Pattern:
+    """A source atom set compiled once to run against loaded targets.
+
+    ``seed`` pre-binds some variables/nulls and ``frozen`` lists terms
+    that must map to themselves (frozen wins over a seed).  Each group
+    of connected atoms is a :class:`_Component`; an atom without free
+    terms is a fact the target must hold.  ``statistics`` is a store
+    whose sizes order the joins (the target the pattern will run on, or
+    one shaped like it).
     """
 
-    def __init__(self, atoms: Iterable[Atom]) -> None:
-        self._by_relation: Dict[str, List[Atom]] = defaultdict(list)
-        for atom in atoms:
-            self._by_relation[atom.relation].append(atom)
-        self._keyed: Dict[
-            tuple, Dict[tuple, List[Atom]]
-        ] = {}
+    __slots__ = ("_seed", "_facts", "_components")
 
-    def candidates(
-        self, relation: str, positions: tuple, key: tuple
-    ) -> Sequence[Atom]:
-        if not positions:
-            return self._by_relation.get(relation, ())
-        index_key = (relation, positions)
-        keyed = self._keyed.get(index_key)
-        if keyed is None:
-            keyed = defaultdict(list)
-            for fact in self._by_relation.get(relation, ()):
-                if len(fact.terms) > positions[-1]:
-                    keyed[tuple(fact.terms[i] for i in positions)].append(fact)
-            self._keyed[index_key] = keyed
-        return keyed.get(key, ())
+    def __init__(
+        self,
+        source: Iterable[Atom],
+        seed: Optional[Mapping[MappableTerm, Term]] = None,
+        frozen: Iterable[Term] = (),
+        statistics: Optional[ColumnarInstance] = None,
+    ) -> None:
+        self._seed = dict(seed or {})
+        images = {**self._seed, **{term: term for term in frozen}}
+        self._facts: List[Atom] = []
+        self._components: List[_Component] = []
+        for group in _components(list(source), images):
+            atom = group[0]
+            if len(group) == 1 and all(
+                t in images or not isinstance(t, _MAPPABLE) for t in atom.terms
+            ):
+                terms = tuple(images.get(t, t) for t in atom.terms)
+                self._facts.append(Atom(_table(atom), terms))
+            else:
+                self._components.append(_Component(group, images, statistics))
 
+    def exists(self, store: ColumnarInstance) -> bool:
+        """Whether the pattern maps into a :func:`load_target` store."""
+        return all(fact in store for fact in self._facts) and all(
+            component.query.exists(store, component.fixed)
+            for component in self._components
+        )
 
-def _mappable(term: Term, frozen: FrozenSet[Term]) -> bool:
-    return isinstance(term, (Variable, Null)) and term not in frozen
+    def assignments(
+        self, store: ColumnarInstance, limit: Optional[int] = None
+    ) -> List[Assignment]:
+        """Up to ``limit`` homomorphisms into a :func:`load_target`
+        store, each holding the seed and every assigned source term.
 
-
-def _order_atoms(atoms: Sequence[Atom], frozen: FrozenSet[Term]) -> List[Atom]:
-    """Most-constrained-first ordering heuristic.
-
-    Atoms with more rigid positions (constants / frozen terms) are matched
-    first; this prunes the backtracking tree early.
-    """
-    def rigidity(atom: Atom) -> int:
-        return sum(1 for t in atom.terms if not _mappable(t, frozen))
-
-    return sorted(atoms, key=rigidity, reverse=True)
-
-
-def _try_match(
-    pattern: Atom,
-    fact: Atom,
-    assignment: Assignment,
-    frozen: FrozenSet[Term],
-) -> Optional[Assignment]:
-    """Extend ``assignment`` so the pattern atom maps onto ``fact``."""
-    if pattern.relation != fact.relation or pattern.arity != fact.arity:
-        return None
-    extension: Assignment = {}
-    for p_term, f_term in zip(pattern.terms, fact.terms):
-        if _mappable(p_term, frozen):
-            current = assignment.get(p_term, extension.get(p_term))
-            if current is None:
-                extension[p_term] = f_term
-            elif current != f_term:
-                return None
-        elif p_term != f_term:
-            return None
-    if not extension:
-        return assignment
-    merged = dict(assignment)
-    merged.update(extension)
-    return merged
-
-
-def _probe_spec(atom: Atom, frozen: FrozenSet[Term]) -> Tuple[tuple, tuple]:
-    """The rigid positions of a pattern atom and their (static) key.
-
-    Rigid terms — constants and frozen variables/nulls — must map to
-    themselves, so the key they probe with never depends on the current
-    assignment and can be computed once per search.
-    """
-    positions = tuple(
-        i for i, t in enumerate(atom.terms) if not _mappable(t, frozen)
-    )
-    key = tuple(atom.terms[i] for i in positions)
-    return positions, key
-
-
-def _search(
-    pending: List[Tuple[Atom, tuple, tuple]],
-    index: _TargetIndex,
-    assignment: Assignment,
-    frozen: FrozenSet[Term],
-    collect: Optional[List[Assignment]],
-    limit: Optional[int],
-) -> Optional[Assignment]:
-    if not pending:
-        if collect is not None:
-            collect.append(dict(assignment))
-            return None if limit is None or len(collect) < limit else assignment
-        return assignment
-    (atom, positions, key), rest = pending[0], pending[1:]
-    for fact in index.candidates(atom.relation, positions, key):
-        extended = _try_match(atom, fact, assignment, frozen)
-        if extended is None:
-            continue
-        found = _search(rest, index, extended, frozen, collect, limit)
-        if found is not None:
-            return found
-    return None
+        The first ``limit`` combinations of the components' matches
+        use at most ``limit`` matches of each, so no component is read
+        further."""
+        if not all(fact in store for fact in self._facts):
+            return []
+        choices = []
+        for component in self._components:
+            found = component.assignments(store, limit)
+            if not found:
+                return []
+            choices.append(found)
+        out: List[Assignment] = []
+        for parts in islice(product(*choices), limit):
+            assignment: Assignment = dict(self._seed)
+            for part in parts:
+                assignment.update(part)
+            out.append(assignment)
+        return out
 
 
 def find_homomorphism(
@@ -178,14 +251,9 @@ def find_homomorphism(
     universal *relative to* the source constants).  Returns ``None`` when
     no homomorphism exists.
     """
-    source_atoms = list(source)
-    frozen_set = frozenset(frozen)
-    index = _TargetIndex(target)
-    ordered = [
-        (atom, *_probe_spec(atom, frozen_set))
-        for atom in _order_atoms(source_atoms, frozen_set)
-    ]
-    return _search(ordered, index, dict(seed or {}), frozen_set, None, None)
+    store = load_target(target)
+    found = Pattern(source, seed, frozen, store).assignments(store, limit=1)
+    return found[0] if found else None
 
 
 def exists_homomorphism(
@@ -195,7 +263,8 @@ def exists_homomorphism(
     frozen: Iterable[Term] = (),
 ) -> bool:
     """Whether some homomorphism from ``source`` into ``target`` exists."""
-    return find_homomorphism(source, target, seed, frozen) is not None
+    store = load_target(target)
+    return Pattern(source, seed, frozen, store).exists(store)
 
 
 def all_homomorphisms(
@@ -205,16 +274,8 @@ def all_homomorphisms(
     frozen: Iterable[Term] = (),
 ) -> List[Assignment]:
     """All homomorphisms from ``source`` into ``target`` (up to ``limit``)."""
-    source_atoms = list(source)
-    frozen_set = frozenset(frozen)
-    index = _TargetIndex(target)
-    ordered = [
-        (atom, *_probe_spec(atom, frozen_set))
-        for atom in _order_atoms(source_atoms, frozen_set)
-    ]
-    collected: List[Assignment] = []
-    _search(ordered, index, {}, frozen_set, collected, limit)
-    return collected
+    store = load_target(target)
+    return Pattern(source, None, frozen, store).assignments(store, limit)
 
 
 def homomorphically_equivalent(

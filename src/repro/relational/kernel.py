@@ -854,6 +854,11 @@ class ColumnarInstance:
         table = self._tables.get(relation)
         return table.columns if table is not None else ()
 
+    def arity(self, relation: str) -> Optional[int]:
+        """The relation's column count; None while it has no table."""
+        table = self._tables.get(relation)
+        return table.arity if table is not None else None
+
     def row_values(self, relation: str, row_id: int) -> Tuple[int, ...]:
         return self._tables[relation].row_values(row_id)
 

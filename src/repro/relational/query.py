@@ -19,7 +19,8 @@ runs on the columnar kernel
   each step runs as a generated block-probe driver.  Nothing is
   materialized past one block, so ``evaluate(limit=N)`` and
   :func:`exists` stop early, and a seeded single-atom probe is one hash
-  lookup whatever the relation's size.
+  lookup whatever the relation's size.  A step whose atom has another
+  arity than the relation's table matches nothing.
 * comparison atoms are applied as soon as their variables are bound;
   negated conjunctions (safe, stratified after unfolding) are evaluated
   last as *not-exists* sub-queries, recursing through nested negation.
@@ -36,12 +37,19 @@ Bindings come back decoded as plain ``dict`` objects;
 restricted to those using at least one fact from a given set of new
 facts.
 
-A reference implementation (the original materialized evaluator) is kept
-for differential testing: :func:`reference_evaluator` switches the four
-public helpers to it.  It decodes each joined relation's facts in the
-store's row order and builds the step's hash index within the call.  The chase and the view
-fixpoint run encoded plans and never consult it; the corpus-equivalence
-tests run the set-based chase oracle under it.
+The drivers are the only join loop: homomorphism search
+(:mod:`repro.logic.homomorphism`) runs on them too, and the
+row-at-a-time loop they replaced survives only as a test oracle and as
+the e14 bench's frozen baseline.
+
+A reference implementation (the original materialized evaluator) is kept:
+:func:`reference_evaluator` switches the four public helpers to it.  It
+decodes each joined relation's facts in the store's row order and builds
+the step's hash index within the call.  The chase and the view fixpoint
+run encoded plans and never consult it.  It stays in this module because
+``perfbench/run.py --kernel reference`` switches to it to cross-check the
+benchmark's result digests; the corpus-equivalence tests run the
+set-based chase oracle under it.
 """
 
 from __future__ import annotations
@@ -79,7 +87,6 @@ __all__ = [
     "exists",
     "bindings_to_substitutions",
     "reference_evaluator",
-    "row_probe_mode",
 ]
 
 Binding = Dict[Variable, Term]
@@ -128,14 +135,16 @@ class _Step:
     (position, first_position) pairs for repeated occurrences of a fresh
     variable within the same atom, which need an equality check instead
     of a bind; ``comparisons`` become checkable once this step's
-    variables are bound.
+    variables are bound.  ``arity`` is the atom's: only a table of that
+    arity can match.
     """
 
-    __slots__ = ("relation", "positions", "key_terms", "binds", "checks", "comparisons")
+    __slots__ = ("relation", "arity", "positions", "key_terms", "binds", "checks", "comparisons")
 
     def __init__(
         self,
         relation: str,
+        arity: int,
         positions: Tuple[int, ...],
         key_terms: Tuple[Term, ...],
         binds: Tuple[Tuple[int, Variable], ...],
@@ -143,6 +152,7 @@ class _Step:
         comparisons: Tuple[Comparison, ...],
     ) -> None:
         self.relation = relation
+        self.arity = arity
         self.positions = positions
         self.key_terms = key_terms
         self.binds = binds
@@ -157,13 +167,14 @@ class _EncodedStep:
     variables, a pre-interned code for literals.  ``binds`` write column
     values into slots; ``checks`` compare two columns of the probed row;
     ``comparisons`` are :class:`CodeComparison` tests on codes, which
-    the driver applies as comprehension filters (row mode calls their
-    ``check``).  ``driver`` is the generated block-probe function for
-    this step's exact shape (see :func:`_compile_block_join`).
+    the driver applies as comprehension filters.  ``driver`` is the
+    generated block-probe function for this step's exact shape (see
+    :func:`_compile_block_join`).
     """
 
     __slots__ = (
         "relation",
+        "arity",
         "positions",
         "key_parts",
         "binds",
@@ -174,6 +185,7 @@ class _EncodedStep:
 
     def __init__(self, step: _Step, slot_of, pool: TermPool, width: int) -> None:
         self.relation = step.relation
+        self.arity = step.arity
         self.positions = step.positions
         self.key_parts = tuple(
             (True, slot_of[t]) if isinstance(t, Variable) else (False, pool.encode(t))
@@ -227,11 +239,13 @@ def _compile_block_join(
     :meth:`RowMask.restrict` (bucket identity / bisect slice) instead
     of a per-row membership scan.  Output blocks flush at ``_PROBE_BLOCK``
     rows, so lazy ``exists()``/limit consumers never materialize more
-    than one block past their stopping point.
+    than one block past their stopping point.  ``probe_rows`` counts a
+    bucket as its chunks are examined, so a consumer that stops early
+    is charged only for the chunks it consumed.
 
-    Measured ~2–3× the row-at-a-time loop (kept as
-    ``_EncodedPlan._join_rows`` behind :func:`row_probe_mode`) across
-    fan-outs of 4–64, and wider still under delta restriction.
+    Measured ~2–3× the row-at-a-time loop it replaced (a frozen copy is
+    the e14 bench's baseline) across fan-outs of 4–64, and wider still
+    under delta restriction.
     """
     bound_slot_columns = {slot: position for position, slot in binds}
     key_expr = (
@@ -291,7 +305,6 @@ def _compile_block_join(
         "                _rows = _restrict(_rows)",
         "                if not _rows:",
         "                    continue",
-        "            _stats.probe_rows += len(_rows)",
     ]
     lines += [
         f"            _v{slot} = _values[{slot}]" for slot in hoisted_slots
@@ -299,12 +312,14 @@ def _compile_block_join(
     lines += [
         "            _n = len(_rows)",
         f"            if _n <= {_PROBE_BLOCK}:",
+        "                _stats.probe_rows += _n",
         f"                _out += [{row_elems} for _r in _rows{filters}]",
         "            else:",
         "                _i = 0",
         "                while _i < _n:",
         f"                    _chunk = _rows[_i:_i + {_PROBE_BLOCK}]",
         f"                    _i += {_PROBE_BLOCK}",
+        "                    _stats.probe_rows += len(_chunk)",
         f"                    _out += [{row_elems} "
         f"for _r in _chunk{filters}]",
         f"                    if len(_out) >= {_PROBE_BLOCK}:",
@@ -455,23 +470,6 @@ class _EncodedPlan:
         for check in self.seed_comparisons:
             if not check(values):
                 return
-        if _ROW_PROBE_MODE:
-            stream: Iterator[List[int]] = iter((values,))
-            for step_index, step in enumerate(self.steps):
-                stream = self._join_rows(
-                    stream, step, store, delta if step_index == 0 else None
-                )
-            # Chunk the row pipeline into blocks so row mode keeps the
-            # same block-granular laziness as the drivers.
-            block: List[Tuple[int, ...]] = []
-            for row in self._finalize_rows(stream, store):
-                block.append(row)
-                if len(block) >= _PROBE_BLOCK:
-                    yield block
-                    block = []
-            if block:
-                yield block
-            return
         # Seed the pipeline with the row as a tuple: the drivers only
         # read their input rows, and downstream (negation probes,
         # consumers) then sees tuples uniformly — even on zero-step
@@ -495,71 +493,20 @@ class _EncodedPlan:
         Streams between steps carry *blocks* of slot-array rows, so the
         per-step generator hand-off costs one resume per block.
         """
-        columns = store.columns(step.relation)
-        if not columns:
-            # No table for this relation yet — the index is empty, so
-            # the join yields nothing (the driver hoists column locals
-            # up front and must not index a zero-column table).
+        if store.arity(step.relation) != step.arity:
+            # No table for this relation yet, or one of another arity:
+            # nothing matches (and the driver, which hoists column
+            # locals up front, must not index a missing column).
             return iter(())
         return step.driver(
             blocks,
             store.encoded_index(step.relation, step.positions).get,
-            columns,
+            store.columns(step.relation),
             delta,
             store.kernel_stats,
             self.pool.values,
             self.pool.is_str,
         )
-
-    def _join_rows(
-        self,
-        stream: Iterator[List[int]],
-        step: _EncodedStep,
-        store,
-        delta: Optional[RowMask],
-    ) -> Iterator[List[int]]:
-        """Row-at-a-time probe loop (pre-vectorization semantics).
-
-        Kept verbatim as the differential baseline for the block
-        drivers: the e14 bench races the two, and the block/row
-        differential suite asserts identical streams and counters.
-        """
-        index = store.encoded_index(step.relation, step.positions)
-        lookup = index.get
-        columns = store.columns(step.relation)
-        key_parts = step.key_parts
-        binds = step.binds
-        checks = step.checks
-        comparisons = [comparison.check for comparison in step.comparisons]
-        stats = store.kernel_stats
-        for values in stream:
-            key = tuple(values[v] if s else v for s, v in key_parts)
-            rows = lookup(key)
-            if not rows:
-                continue
-            if delta is not None:
-                rows = [r for r in rows if r in delta]
-                if not rows:
-                    continue
-            stats.probe_rows += len(rows)
-            for row_id in rows:
-                ok = True
-                for position, bound_at in checks:
-                    if columns[position][row_id] != columns[bound_at][row_id]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                extended = values[:]
-                for position, slot in binds:
-                    extended[slot] = columns[position][row_id]
-                for check in comparisons:
-                    if not check(extended):
-                        ok = False
-                        break
-                if ok:
-                    stats.probe_survivors += 1
-                    yield extended
 
     def _finalize(
         self, blocks: Iterator[List[Tuple[int, ...]]], store
@@ -598,27 +545,6 @@ class _EncodedPlan:
             if kept:
                 yield kept
 
-    def _finalize_rows(
-        self, stream: Iterator[List[int]], store
-    ) -> Iterator[Tuple[int, ...]]:
-        """Row-pipeline finalize (pre-vectorization semantics, used
-        under :func:`row_probe_mode`)."""
-        unscheduled = self.query.unscheduled
-        negations = self.negations
-        for values in stream:
-            if unscheduled:
-                raise UnsafeDependencyError(
-                    f"comparisons {list(unscheduled)} have unbound "
-                    f"variables in {self.query.body}"
-                )
-            ok = True
-            for inner, fill in negations:
-                if inner.exists_filled(store, fill, values):
-                    ok = False
-                    break
-            if ok:
-                yield tuple(values)
-
     def exists_filled(self, store, fill, outer_values) -> bool:
         """Not-exists probe seeded from an outer slot array via ``fill``
         ((inner slot, outer index) pairs)."""
@@ -639,15 +565,10 @@ class _EncodedPlan:
                 return False
         if self._single_probe:
             step = self.steps[0]
+            if store.arity(step.relation) != step.arity:
+                return False
             key = tuple(values[v] if s else v for s, v in step.key_parts)
             return key in store.encoded_index(step.relation, step.positions)
-        if _ROW_PROBE_MODE:
-            stream: Iterator[List[int]] = iter((values,))
-            for step in self.steps:
-                stream = self._join_rows(stream, step, store, None)
-            for _ in self._finalize_rows(stream, store):
-                return True
-            return False
         blocks: Iterator[List[Tuple[int, ...]]] = iter(([tuple(values)],))
         for step in self.steps:
             blocks = self._join(blocks, step, store, None)
@@ -714,7 +635,11 @@ class CompiledQuery:
                     for p, t in enumerate(atom.terms)
                     if not isinstance(t, Variable) or t in bound_now
                 )
-                if instance is None:
+                if instance is None or instance.arity(atom.relation) != len(
+                    atom.terms
+                ):
+                    # No statistics, or a table this atom cannot match
+                    # (missing or of another arity: an empty step).
                     return (0.0, -len(positions))
                 size = instance.size(atom.relation)
                 if positions:
@@ -764,6 +689,7 @@ class CompiledQuery:
             steps.append(
                 _Step(
                     atom.relation,
+                    len(atom.terms),
                     tuple(positions),
                     tuple(key_terms),
                     tuple(binds),
@@ -888,7 +814,9 @@ _REFERENCE_MODE = False
 class reference_evaluator:
     """Context manager switching :func:`evaluate`, :func:`evaluate_iter`,
     :func:`evaluate_delta` and :func:`exists` to the materialized
-    reference evaluator (differential-testing support)."""
+    reference evaluator.  It lives here, not under ``tests/``, because
+    ``perfbench/run.py --kernel reference`` uses it to cross-check the
+    benchmark's result digests."""
 
     def __enter__(self) -> None:
         global _REFERENCE_MODE
@@ -898,28 +826,6 @@ class reference_evaluator:
     def __exit__(self, *_exc) -> None:
         global _REFERENCE_MODE
         _REFERENCE_MODE = self._previous
-
-
-_ROW_PROBE_MODE = False
-
-
-class row_probe_mode:
-    """Context manager switching encoded joins to the row-at-a-time
-    probe loop (:meth:`_EncodedPlan._join_rows`).
-
-    The block drivers' differential baseline: the e14 bench times both
-    sides under it, and the probe differential suite asserts the two
-    paths produce identical rows and counters.
-    """
-
-    def __enter__(self) -> None:
-        global _ROW_PROBE_MODE
-        self._previous = _ROW_PROBE_MODE
-        _ROW_PROBE_MODE = True
-
-    def __exit__(self, *_exc) -> None:
-        global _ROW_PROBE_MODE
-        _ROW_PROBE_MODE = self._previous
 
 
 def _store(instance: Store) -> ColumnarInstance:
@@ -1033,15 +939,18 @@ def bindings_to_substitutions(bindings: Iterable[Binding]) -> List[Substitution]
 def _facts_matching(
     instance: Store,
     relation: str,
+    arity: int,
     positions: List[int],
     keys: Set[Tuple[Term, ...]],
 ) -> Iterator[Tuple[Tuple[Term, ...], Atom]]:
-    """``(key, fact)`` for each of the relation's facts whose terms at
-    ``positions`` form one of ``keys``, in the store's row order (so the
-    reference's output order does not depend on hashing).  Rows are
-    matched as stored — a store's codes, an ``Instance``'s raw values —
-    and only a matching row is decoded into a fact."""
+    """``(key, fact)`` for each of the relation's arity-``arity`` facts
+    whose terms at ``positions`` form one of ``keys``, in the store's row
+    order (so the reference's output order does not depend on hashing).
+    Rows are matched as stored — a store's codes, an ``Instance``'s raw
+    values — and only a matching row is decoded into a fact."""
     if isinstance(instance, ColumnarInstance):
+        if instance.arity(relation) != arity:
+            return
         encode = instance.pool.try_encode
         wanted = {tuple(map(encode, key)): key for key in keys}
         columns = instance.columns(relation)
@@ -1053,6 +962,8 @@ def _facts_matching(
         raw = lambda term: term.value if isinstance(term, Constant) else term
         wanted = {tuple(map(raw, key)): key for key in keys}
         for row in instance.rows(relation):
+            if len(row) != arity:
+                continue
             key = wanted.get(tuple(row[p] for p in positions))
             if key is not None:
                 yield key, row_fact(relation, row)
@@ -1083,7 +994,7 @@ def _join_step_reference(
     # The step's hash index, built within the call over the keys probed.
     index: Dict[Tuple[Term, ...], List[Atom]] = {}
     for key, fact in _facts_matching(
-        instance, atom.relation, bound_positions, set(keys)
+        instance, atom.relation, atom.arity, bound_positions, set(keys)
     ):
         index.setdefault(key, []).append(fact)
     out: List[Binding] = []

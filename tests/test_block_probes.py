@@ -6,9 +6,10 @@ join step's generated driver looks up an index bucket per input row,
 restricts it through a :class:`RowMask` (bucket identity or bisect
 slice instead of per-row membership), checks repeated-variable
 equalities as comprehension filters over column locals, and flushes
-result tuples in blocks.  The old row-at-a-time loop stays reachable
-through :func:`row_probe_mode` as the differential baseline; these
-tests pin the pieces the e14 bench races.
+result tuples in blocks.  The old row-at-a-time loop is the
+differential baseline: ``tests/row_oracle.py`` holds it, and its
+:func:`row_probe_mode` runs every encoded plan on it.  These tests pin
+the pieces the e14 bench races.
 """
 
 import pytest
@@ -16,11 +17,9 @@ import pytest
 from repro.logic.atoms import Atom, Comparison, Conjunction, NegatedConjunction
 from repro.logic.terms import Constant, Variable
 from repro.relational.kernel import ColumnarInstance, RowMask, TermPool
-from repro.relational.query import (
-    _PROBE_BLOCK,
-    compile_query,
-    row_probe_mode,
-)
+from repro.relational.query import _PROBE_BLOCK, compile_query
+
+from row_oracle import row_probe_mode
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 

@@ -40,10 +40,10 @@ from repro.relational.query import (
     compile_query,
     evaluate,
     reference_evaluator,
-    row_probe_mode,
 )
 
 from kernel_oracle import OracleChase, disjunct_satisfied
+from row_oracle import row_probe_mode
 
 x, y, z, w = (Variable(n) for n in "xyzw")
 

@@ -6,6 +6,7 @@ from repro.errors import UnsafeDependencyError
 from repro.logic.atoms import Atom, Comparison, Conjunction, NegatedConjunction
 from repro.logic.terms import Constant, Null, Variable
 from repro.relational.instance import Instance
+from repro.relational.kernel import ColumnarInstance
 from repro.relational.query import evaluate, evaluate_delta, exists
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -69,6 +70,44 @@ class TestJoins:
         body = Conjunction(atoms=(Atom("L", (x, y)), Atom("L", (z, c("a")))))
         rows = evaluate(body, graph)
         assert len(rows) == 3 * 2
+
+
+class TestArity:
+    """An atom only matches a table of its own arity; every other step
+    matches nothing, on the join and on the single-probe path."""
+
+    @pytest.fixture()
+    def pair(self):
+        store = ColumnarInstance()
+        store.add(Atom("R", (c(1), c(2))))
+        return store
+
+    def test_shorter_atom_matches_nothing(self, pair):
+        assert evaluate(Conjunction(atoms=(Atom("R", (x,)),)), pair) == []
+        assert not exists(Conjunction(atoms=(Atom("R", (x,)),)), pair)
+
+    def test_longer_atom_matches_nothing(self, pair):
+        longer = Conjunction(atoms=(Atom("R", (x, y, z)),))
+        assert not exists(longer, pair)
+        assert evaluate(longer, pair) == []
+        # A key position past the table's columns neither plans nor probes.
+        keyed = Conjunction(atoms=(Atom("R", (x, y, c(5))),))
+        assert evaluate(keyed, pair) == []
+        assert not exists(keyed, pair, seed={x: c(1)})
+
+    def test_mismatched_step_inside_a_join(self, pair):
+        pair.add(Atom("S", (c(2),)))
+        body = Conjunction(atoms=(Atom("S", (y,)), Atom("R", (x, y, z))))
+        assert evaluate(body, pair) == []
+        assert not exists(body, pair)
+        matching = Conjunction(atoms=(Atom("S", (y,)), Atom("R", (x, y))))
+        assert evaluate(matching, pair) == [{x: c(1), y: c(2)}]
+
+    def test_matching_arity_still_matches(self, pair):
+        assert evaluate(Conjunction(atoms=(Atom("R", (x, y)),)), pair) == [
+            {x: c(1), y: c(2)}
+        ]
+        assert exists(Conjunction(atoms=(Atom("R", (c(1), y)),)), pair)
 
 
 class TestComparisons:

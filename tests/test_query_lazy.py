@@ -11,8 +11,11 @@ early shows as a survivor count bounded by one output block.
 
 import pytest
 
+from repro.chase.universal import satisfies, violations
+from repro.core.verify import _check
 from repro.errors import UnsafeDependencyError
 from repro.logic.atoms import Atom, Comparison, Conjunction
+from repro.logic.dependencies import tgd
 from repro.logic.terms import Constant, Variable
 from repro.relational.instance import Instance
 from repro.relational.kernel import ColumnarInstance
@@ -130,6 +133,44 @@ class TestEvaluateLimit:
         key = lambda b: sorted((v.name, str(t)) for v, t in b.items())
         assert sorted(map(key, fast)) == sorted(map(key, slow))
         assert len(evaluate(body, instance, limit=3)) == 3
+
+
+class TestViolationsStopAtCap:
+    """``satisfies``/``violations`` stop reading a premise at the cap;
+    the verifier's check still reads it to the end."""
+
+    N = 10_000
+
+    def _violated(self):
+        store = ColumnarInstance()
+        store.extend_encoded(
+            "P", [(store.encode_term(Constant(i)),) for i in range(self.N)]
+        )
+        dependency = tgd(
+            Conjunction(atoms=(Atom("P", (x,)),)), [Atom("Q", (x,))], name="copy"
+        )
+        return store, dependency
+
+    def test_satisfies_examines_at_most_one_block(self):
+        store, dependency = self._violated()
+        _reset(store)
+        assert not satisfies([dependency], store)
+        assert 0 < _work(store)["probe_rows"] <= _PROBE_BLOCK
+
+    def test_violations_stop_at_the_limit(self):
+        store, dependency = self._violated()
+        _reset(store)
+        found = violations([dependency], store, limit=3)
+        assert [binding[x] for _, binding in found] == [Constant(i) for i in range(3)]
+        assert _work(store)["probe_rows"] <= _PROBE_BLOCK
+
+    def test_verifier_check_reads_the_whole_premise(self):
+        store, dependency = self._violated()
+        _reset(store)
+        found = []
+        matched = _check(dependency, store, store, None, ("", ""), found, 1)
+        assert matched == self.N and len(found) == 1
+        assert _work(store)["probe_rows"] == self.N
 
 
 class TestCompiledQueryEdgeCases:
