@@ -29,7 +29,8 @@ fuzz:
 	HYPOTHESIS_PROFILE=deep $(PYTHON) -m pytest -q \
 		tests/test_properties.py tests/test_property_parallel.py \
 		tests/test_dsl_roundtrip.py tests/test_dsl_fuzz.py \
-		tests/test_homomorphism.py
+		tests/test_homomorphism.py tests/test_intersection_steps.py \
+		tests/test_kernel_mutations.py
 
 # The shipped DSL artifact is generated, never hand-edited: regenerate it
 # from scenarios/running_example.py whenever the example or the

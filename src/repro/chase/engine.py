@@ -483,7 +483,7 @@ class StandardChase:
         start = time.perf_counter()
         rec = resolve_recorder(recorder, self.config.trace)
         owned_rec = recorder is None and rec.enabled
-        plan_mark = self._plan_counters() if rec.enabled else (0, 0, 0)
+        plan_mark = self._plan_counters() if rec.enabled else (0, 0, 0, 0)
         self.checkpoint = None
         self._capture = capture
         if resume is None:
@@ -549,22 +549,24 @@ class StandardChase:
             rec if rec.enabled and not owned_rec else None,
         )
 
-    def _plan_counters(self) -> Tuple[int, int, int]:
-        """Summed plan-cache counters across this engine's dependencies."""
-        compiles = recompiles = served = 0
+    def _plan_counters(self) -> Tuple[int, int, int, int]:
+        """Summed plan-cache counters across this engine's dependencies:
+        compiles, recompiles, served, intersection steps planned."""
+        compiles = recompiles = served = intersections = 0
         for compiled in self.compiled:
             cache = compiled.plan_cache
             compiles += cache.compiles
             recompiles += cache.recompiles
             served += cache.served
-        return compiles, recompiles, served
+            intersections += cache.intersections
+        return compiles, recompiles, served, intersections
 
     def _harvest_metrics(
         self,
         rec,
         stats: ChaseStats,
         working: ColumnarInstance,
-        plan_mark: Tuple[int, int, int],
+        plan_mark: Tuple[int, int, int, int],
         kernel_mark: int,
     ) -> None:
         """Fold this run's statistics into the recorder.
@@ -586,10 +588,11 @@ class StandardChase:
         rec.count("chase.null_rewrites", stats.null_rewrites)
         rec.count("chase.dependencies_pruned", stats.dependencies_pruned)
         rec.count("chase.enumerations_skipped", stats.enumerations_skipped)
-        compiles, recompiles, served = self._plan_counters()
+        compiles, recompiles, served, intersections = self._plan_counters()
         rec.count("plan.compiles", compiles - plan_mark[0])
         rec.count("plan.recompiles", recompiles - plan_mark[1])
         rec.count("plan.served", served - plan_mark[2])
+        rec.count("plan.intersections", intersections - plan_mark[3])
         rec.count("instance.index_builds", working.index_builds)
         kernel_stats = working.kernel_stats
         rec.count("kernel.interned_terms", len(working.pool) - kernel_mark)

@@ -113,7 +113,7 @@ class PlanCache:
       which pure size tracking cannot (ROADMAP "Plan statistics").
     """
 
-    __slots__ = ("_plans", "compiles", "recompiles", "served")
+    __slots__ = ("_plans", "compiles", "recompiles", "served", "intersections")
 
     #: Below this many facts any plan is fine; avoids churn on tiny data.
     RECOMPILE_FLOOR = 8
@@ -130,10 +130,12 @@ class PlanCache:
         #: Plans built from scratch / rebuilt under the recompile policy /
         #: served from cache — the ``plan.*`` metrics the flight recorder
         #: harvests (a recompile counts in both ``compiles`` and
-        #: ``recompiles``).
+        #: ``recompiles``); ``intersections`` sums the intersection
+        #: steps of the plans built.
         self.compiles = 0
         self.recompiles = 0
         self.served = 0
+        self.intersections = 0
 
     def plan(
         self,
@@ -156,22 +158,23 @@ class PlanCache:
             self.recompiles += 1
         self.compiles += 1
         plan = CompiledQuery(body, bound, instance, first_atom)
+        self.intersections += plan.intersections
         self._plans[key] = (plan, current, self._snapshot(plan, instance))
         return plan
 
     def _snapshot(
         self, plan: CompiledQuery, instance: ColumnarInstance
     ) -> Dict[Tuple[str, Tuple[int, ...]], float]:
-        """Bucket estimates of every index probe the plan performs."""
+        """Bucket estimates of every index and posting probe the plan
+        performs."""
         out: Dict[Tuple[str, Tuple[int, ...]], float] = {}
         for step in plan.steps:
-            if not step.positions:
-                continue
-            keys = instance.key_count(step.relation, step.positions)
-            if keys:
-                out[(step.relation, step.positions)] = (
-                    instance.size(step.relation) / keys
-                )
+            for relation, positions in step.probes:
+                if not positions:
+                    continue
+                keys = instance.key_count(relation, positions)
+                if keys:
+                    out[(relation, positions)] = instance.size(relation) / keys
         return out
 
     def _drifted(

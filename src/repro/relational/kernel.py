@@ -22,8 +22,9 @@ and the compiled query plans run on:
     encoded hash indexes, and O(rows) bulk null replacement.  It speaks
     the Atom-level :class:`Instance` surface (decode at the edges),
     plus the encoded fast path the compiled query plans and the chase
-    engine ride: ``add_encoded`` / ``encoded_index`` / ``columns`` /
-    ``rows_since``.
+    engine ride: ``add_encoded`` / ``encoded_index`` / ``posting`` /
+    ``columns`` / ``rows_since``.  A posting is the set-valued form of
+    an encoded index that the query plans' intersection steps read.
 
 The class is deliberately *not* an ``Instance`` subclass: the two are
 independent stores behind one duck-typed surface, and
@@ -199,6 +200,9 @@ class CodeComparison:
     :meth:`expression` renders the test for the generated block drivers
     (which apply it as a comprehension filter over column locals);
     :attr:`check` is the same expression as a function of one row.
+    Literal codes are rendered as names bound outside the source, so
+    both the check code and the drivers are cached by shape, not by
+    constant.
     """
 
     __slots__ = ("op", "left", "right", "check")
@@ -209,12 +213,19 @@ class CodeComparison:
         self.op: str = comparison.op
         self.left = self._operand(comparison.left, slot_of, pool)
         self.right = self._operand(comparison.right, slot_of, pool)
-        source = f"lambda _row: {self.expression('_row[{}]'.format)}"
+        namespace: Dict[str, object] = {"_vals": pool.values, "_isstr": pool.is_str}
+
+        def literal(code: int) -> str:
+            name = f"_l{len(namespace) - 2}"
+            namespace[name] = code
+            return name
+
+        source = f"lambda _row: {self.expression('_row[{}]'.format, literal)}"
         code = _CHECK_CODE.get(source)
         if code is None:
             code = compile(source, "<comparison>", "eval")
             _CHECK_CODE[source] = code
-        self.check = eval(code, {"_vals": pool.values, "_isstr": pool.is_str})  # noqa: S307
+        self.check = eval(code, namespace)  # noqa: S307
 
     @staticmethod
     def _operand(term: Term, slot_of, pool: TermPool) -> Tuple[bool, int]:
@@ -222,12 +233,15 @@ class CodeComparison:
             return True, slot_of[term]
         return False, pool.encode(term)
 
-    def expression(self, slot_expr) -> str:
+    def expression(self, slot_expr, literal_expr=str) -> str:
         """The test as Python source over codes; ``slot_expr(i)`` renders
-        slot ``i``.  Order tests read the globals ``_vals`` and ``_isstr``
-        (the pool's :attr:`~TermPool.values` / :attr:`~TermPool.is_str`)."""
+        slot ``i`` and ``literal_expr(code)`` a literal code: by default
+        inline, else as the name it is bound to (called once per literal
+        operand, left first).  Order tests read the globals ``_vals`` and
+        ``_isstr`` (the pool's :attr:`~TermPool.values` /
+        :attr:`~TermPool.is_str`)."""
         a, b = (
-            slot_expr(value) if is_slot else str(value)
+            slot_expr(value) if is_slot else literal_expr(value)
             for is_slot, value in (self.left, self.right)
         )
         if self.op == "=":
@@ -321,11 +335,13 @@ class _KernelStats:
     """Mutable per-instance kernel counters (flight-recorder harvest).
 
     ``probe_rows`` counts candidate rows a join probe touched (index
-    bucket survivors of the delta restriction); ``probe_survivors``
-    counts the rows that passed the step's equality checks and
-    comparison filters and were actually materialized downstream.  The
-    two diverge on self-joins and filtered probes — splitting them is
-    what lets ``grom profile`` show probe selectivity honestly.
+    bucket survivors of the delta restriction; for an intersection
+    step, the length of the smallest posting set it read);
+    ``probe_survivors`` counts the rows that passed the step's equality
+    checks and comparison filters and were actually materialized
+    downstream.  The two diverge on self-joins and filtered probes —
+    splitting them is what lets ``grom profile`` show probe selectivity
+    honestly.
     ``decoded_rows`` counts rows turned back into ``Atom`` objects — the
     boundary decodes (:meth:`ColumnarInstance.to_instance`, iteration,
     pickling) an encoded pipeline should pay once, for its output.
@@ -388,6 +404,36 @@ def _live_rows(table: _Table) -> Iterator:
     return _live_keys(table, tuple(range(table.arity)))
 
 
+def _live_values(table: _Table, position: int) -> Iterable[int]:
+    """One column's codes over the live rows, in row-id order."""
+    column = table.columns[position]
+    if table.live_count == len(table.generations):
+        return column
+    return compress(column, map((0).__le__, table.generations))
+
+
+def _row_keys(rows: Sequence[Tuple[int, ...]], positions: Tuple[int, ...]) -> Iterator:
+    """The code tuple at ``positions`` of each row (``()`` for none)."""
+    if not positions:
+        return repeat((), len(rows))
+    return zip(*[map(itemgetter(i), rows) for i in positions])
+
+
+def _fill_posting(
+    posting: Dict[Tuple[int, ...], Set[int]],
+    keys: Iterable[Tuple[int, ...]],
+    codes: Iterable[int],
+) -> None:
+    """Add each (key, code) pair to a posting."""
+    get = posting.get
+    for key, code in zip(keys, codes):
+        members = get(key)
+        if members is None:
+            posting[key] = {code}
+        else:
+            members.add(code)
+
+
 def _live_row_ids(table: _Table) -> Iterable[int]:
     """Every live row's id, in order."""
     generations = table.generations
@@ -425,6 +471,11 @@ class ColumnarInstance:
         self._index_versions: Dict[_IndexKey, int] = {}
         self._live_index_keys: Dict[str, List[_IndexKey]] = {}
         self._key_count_cache: Dict[_IndexKey, Tuple[int, int]] = {}
+        # Postings: (relation, key positions) -> key -> {code at the one
+        # remaining position}; versioned and live-tracked like indexes.
+        self._postings: Dict[_IndexKey, Dict[Tuple[int, ...], Set[int]]] = {}
+        self._posting_versions: Dict[_IndexKey, int] = {}
+        self._live_posting_keys: Dict[str, List[Tuple[_IndexKey, int]]] = {}
         self._index_lock = threading.Lock()
         #: Null id -> hint for this instance's nulls (hints are per-run
         #: presentation state, so they live here and not in the pool).
@@ -605,6 +656,18 @@ class ColumnarInstance:
                     # bisect-slice restriction depends on it.
                     insort(bucket, row_id)
                 self._index_versions[key] = version
+        postings = self._live_posting_keys.get(relation)
+        if postings:
+            version = self._relation_versions[relation]
+            for key, value_position in postings:
+                posting = self._postings[key]
+                posting_key = tuple(row[i] for i in key[1])
+                codes = posting.get(posting_key)
+                if codes is None:
+                    posting[posting_key] = {row[value_position]}
+                else:
+                    codes.add(row[value_position])
+                self._posting_versions[key] = version
         self.kernel_stats.encoded_appends += 1
         return True
 
@@ -703,6 +766,17 @@ class ColumnarInstance:
                         # keep the bucket sorted for RowMask slicing.
                         insort(bucket, row_id)
                 self._index_versions[key] = version
+        postings = self._live_posting_keys.get(relation)
+        if postings:
+            version = self._relation_versions[relation]
+            rows = fresh + [table.row_values(row_id) for row_id in resurrected]
+            for key, value_position in postings:
+                _fill_posting(
+                    self._postings[key],
+                    _row_keys(rows, key[1]),
+                    map(itemgetter(value_position), rows),
+                )
+                self._posting_versions[key] = version
         self.kernel_stats.encoded_appends += added
         return added
 
@@ -830,6 +904,9 @@ class ColumnarInstance:
         for key in self._live_index_keys.pop(relation, ()):
             self._indexes.pop(key, None)
             self._index_versions.pop(key, None)
+        for key, _value_position in self._live_posting_keys.pop(relation, ()):
+            self._postings.pop(key, None)
+            self._posting_versions.pop(key, None)
 
     def bump_generation(self) -> int:
         self._current_generation += 1
@@ -991,12 +1068,51 @@ class ColumnarInstance:
                 live.append(key)
             return built
 
+    def posting(
+        self, relation: str, positions: Sequence[int]
+    ) -> Mapping[Tuple[int, ...], Set[int]]:
+        """Set-valued index: code tuples at ``positions`` -> the set of
+        codes at the relation's one other position.
+
+        ``positions`` must name every position but one.  Each live row
+        then gives exactly one (key, code) pair, so the sets represent
+        the relation exactly; an intersection step binds a variable
+        from the C-level ``&`` of several of them.  Cached, rebuilt on
+        staleness, maintained incrementally by :meth:`add_encoded` and
+        :meth:`extend_encoded` once live, and dropped with the indexes.
+        """
+        key: _IndexKey = (relation, tuple(positions))
+        if self._posting_versions.get(key) == self._relation_versions[relation]:
+            return self._postings[key]
+        with self._index_lock:
+            version = self._relation_versions[relation]
+            if self._posting_versions.get(key) == version:
+                return self._postings[key]
+            built: Dict[Tuple[int, ...], Set[int]] = {}
+            table = self._tables.get(relation)
+            if table is not None:
+                (value_position,) = set(range(table.arity)) - set(key[1])
+                _fill_posting(
+                    built,
+                    _live_keys(table, key[1]),
+                    _live_values(table, value_position),
+                )
+                live = self._live_posting_keys.setdefault(relation, [])
+                if (key, value_position) not in live:
+                    live.append((key, value_position))
+            self.index_builds += 1
+            self._postings[key] = built
+            self._posting_versions[key] = version
+            return built
+
     def key_count(self, relation: str, positions: Sequence[int]) -> int:
         """Distinct code-tuples at ``positions`` (planner selectivity)."""
         key: _IndexKey = (relation, tuple(positions))
         version = self._relation_versions[relation]
         if self._index_versions.get(key) == version:
             return len(self._indexes[key])
+        if self._posting_versions.get(key) == version:
+            return len(self._postings[key])
         cached = self._key_count_cache.get(key)
         if cached is not None and cached[0] == version:
             return cached[1]
@@ -1014,6 +1130,8 @@ class ColumnarInstance:
         version = self._relation_versions[relation]
         if self._index_versions.get(key) == version:
             return len(self._indexes[key])
+        if self._posting_versions.get(key) == version:
+            return len(self._postings[key])
         cached = self._key_count_cache.get(key)
         if cached is not None and cached[0] == version:
             return cached[1]

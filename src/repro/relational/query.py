@@ -8,15 +8,29 @@ runs on the columnar kernel
 
 * :func:`compile_query` turns a conjunction (plus the statically-known
   set of seed-bound variables) into a :class:`CompiledQuery` — a join
-  order (greedy most-bound-first, smallest estimated bucket first), the
-  hash-index key positions of every step, the bind/check schedule for
-  fresh variables, and the point at which each comparison becomes
-  checkable.  Compiled queries are cached, so repeated evaluation of the
-  same body never re-plans.
+  order (greedy, smallest estimated bucket first, rescoring only the
+  atoms a pick touches), the index key positions of every step, the
+  bind/check schedule for fresh variables, and the point at which each
+  comparison becomes checkable.  Compiled queries are cached, so
+  repeated evaluation of the same body never re-plans.
+* A step is one of two kinds.  A *row-id step* probes one atom: its
+  key looks up a bucket of row ids in
+  :meth:`~repro.relational.kernel.ColumnarInstance.encoded_index`, whose
+  columns bind the atom's fresh variables.  An *intersection step*
+  binds one fresh variable that is the only unbound term of two or more
+  atoms, occurring once in each: each atom's key looks up a set of
+  codes in its *posting*
+  (:meth:`~repro.relational.kernel.ColumnarInstance.posting`, the codes
+  at every position but the variable's mapped to the codes at that
+  one), and the C-level intersection of those sets, in ascending code
+  order, is the variable's values; the atoms need no further check.
+  The planner takes an intersection whenever one is available (cyclic
+  premises such as the triangle ``E(x, y), E(y, z), E(z, x)`` then skip
+  the wedges a binary join builds), except as step 0 of a
+  delta-anchored plan, whose delta restricts row ids.
 * :meth:`CompiledQuery.encoded` lowers the plan onto a term pool: join
-  keys become code tuples probing
-  :meth:`~repro.relational.kernel.ColumnarInstance.encoded_index`, and
-  each step runs as a generated block-probe driver.  Nothing is
+  keys become code tuples, and each step runs as a generated
+  block-probe driver (:func:`_compile_block_join`).  Nothing is
   materialized past one block, so ``evaluate(limit=N)`` and
   :func:`exists` stop early, and a seeded single-atom probe is one hash
   lookup whatever the relation's size.  A step whose atom has another
@@ -54,6 +68,7 @@ set-based chase oracle under it.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import islice
 from typing import (
     Dict,
@@ -61,6 +76,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -127,7 +143,7 @@ def _check_comparison(comparison: Comparison, binding: Binding) -> bool:
 
 
 class _Step:
-    """One compiled join step: probe a hash index, extend the binding.
+    """One compiled row-id join step: probe a hash index, extend the binding.
 
     ``key_terms`` are the terms at the statically-bound positions (the
     hash-index key); ``binds`` are (position, variable) pairs for the
@@ -159,16 +175,70 @@ class _Step:
         self.checks = checks
         self.comparisons = comparisons
 
+    @property
+    def probes(self) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+        """The (relation, key positions) this step looks up."""
+        return ((self.relation, self.positions),)
+
+    @property
+    def fresh(self) -> Tuple[Variable, ...]:
+        """The variables this step binds."""
+        return tuple(v for _p, v in self.binds)
+
+
+class _IntersectStep:
+    """One compiled intersection step: bind ``variable`` from the
+    intersection of several atoms' postings.
+
+    ``variable`` is the only unbound term of each atom in ``parts`` and
+    occurs once in each.  A part is (relation, arity, positions,
+    key_terms): ``positions`` are every position but the variable's
+    (the posting key), ``key_terms`` the terms there.  The atoms need no
+    further probe or check; ``comparisons`` become checkable once the
+    variable is bound.
+    """
+
+    __slots__ = ("variable", "parts", "comparisons")
+
+    def __init__(
+        self,
+        variable: Variable,
+        parts: Tuple[Tuple[str, int, Tuple[int, ...], Tuple[Term, ...]], ...],
+        comparisons: Tuple[Comparison, ...],
+    ) -> None:
+        self.variable = variable
+        self.parts = parts
+        self.comparisons = comparisons
+
+    @property
+    def probes(self) -> Tuple[Tuple[str, Tuple[int, ...]], ...]:
+        """The (relation, posting key positions) this step looks up."""
+        return tuple((relation, positions) for relation, _a, positions, _k in self.parts)
+
+    @property
+    def fresh(self) -> Tuple[Variable, ...]:
+        """The variable this step binds."""
+        return (self.variable,)
+
+
+def _key_parts(key_terms: Tuple[Term, ...], slot_of, pool: TermPool):
+    """(is_slot, value) pairs: a slot for a bound variable, a code for a literal."""
+    return tuple(
+        (True, slot_of[t]) if isinstance(t, Variable) else (False, pool.encode(t))
+        for t in key_terms
+    )
+
 
 class _EncodedStep:
-    """A join step lowered onto the columnar kernel.
+    """A row-id join step lowered onto the columnar kernel.
 
     ``key_parts`` are (is_slot, value) pairs: a slot read for bound
     variables, a pre-interned code for literals.  ``binds`` write column
     values into slots; ``checks`` compare two columns of the probed row;
     ``comparisons`` are :class:`CodeComparison` tests on codes, which
     the driver applies as comprehension filters.  ``driver`` is the
-    generated block-probe function for this step's exact shape (see
+    generated block-probe function for this step's shape and
+    ``literals`` the literal codes it reads (see
     :func:`_compile_block_join`).
     """
 
@@ -181,27 +251,92 @@ class _EncodedStep:
         "checks",
         "comparisons",
         "driver",
+        "literals",
     )
 
     def __init__(self, step: _Step, slot_of, pool: TermPool, width: int) -> None:
         self.relation = step.relation
         self.arity = step.arity
         self.positions = step.positions
-        self.key_parts = tuple(
-            (True, slot_of[t]) if isinstance(t, Variable) else (False, pool.encode(t))
-            for t in step.key_terms
-        )
+        self.key_parts = _key_parts(step.key_terms, slot_of, pool)
         self.binds = tuple((p, slot_of[v]) for p, v in step.binds)
         self.checks = step.checks
         self.comparisons = tuple(
             CodeComparison(c, slot_of, pool) for c in step.comparisons
         )
-        self.driver = _compile_block_join(
+        self.driver, self.literals = _compile_block_join(
             width,
-            self.key_parts,
+            (self.key_parts,),
             self.binds,
             self.checks,
             self.comparisons,
+        )
+
+    def join(self, blocks, store, delta: Optional[RowMask]):
+        """Run the driver over a block stream."""
+        if store.arity(self.relation) != self.arity:
+            # No table for this relation yet, or one of another arity:
+            # nothing matches (and the driver, which hoists column
+            # locals up front, must not index a missing column).
+            return iter(())
+        pool = store.pool
+        return self.driver(
+            blocks,
+            store.encoded_index(self.relation, self.positions).get,
+            store.columns(self.relation),
+            delta,
+            store.kernel_stats,
+            pool.values,
+            pool.is_str,
+            self.literals,
+        )
+
+
+class _EncodedIntersectStep:
+    """An intersection step lowered onto the columnar kernel.
+
+    ``slot`` is the bound variable's slot; ``parts`` are (relation,
+    arity, positions, key_parts) per atom, probing
+    :meth:`ColumnarInstance.posting`; ``comparisons``, ``driver`` and
+    ``literals`` are as on :class:`_EncodedStep`.
+    """
+
+    __slots__ = ("slot", "parts", "comparisons", "driver", "literals")
+
+    def __init__(self, step: _IntersectStep, slot_of, pool: TermPool, width: int) -> None:
+        self.slot = slot_of[step.variable]
+        self.parts = tuple(
+            (relation, arity, positions, _key_parts(key_terms, slot_of, pool))
+            for relation, arity, positions, key_terms in step.parts
+        )
+        self.comparisons = tuple(
+            CodeComparison(c, slot_of, pool) for c in step.comparisons
+        )
+        self.driver, self.literals = _compile_block_join(
+            width,
+            tuple(key_parts for *_part, key_parts in self.parts),
+            ((None, self.slot),),
+            (),
+            self.comparisons,
+        )
+
+    def join(self, blocks, store, delta: Optional[RowMask]):
+        """Run the driver over a block stream (``delta`` is always None:
+        a delta restricts row ids, and this step reads none)."""
+        for relation, arity, _positions, _key_parts in self.parts:
+            if store.arity(relation) != arity:
+                return iter(())
+        pool = store.pool
+        return self.driver(
+            blocks,
+            tuple(
+                store.posting(relation, positions).get
+                for relation, _arity, positions, _key_parts in self.parts
+            ),
+            store.kernel_stats,
+            pool.values,
+            pool.is_str,
+            self.literals,
         )
 
 
@@ -211,19 +346,37 @@ class _EncodedStep:
 #: past their stopping point.
 _PROBE_BLOCK = 512
 
-#: Generated drivers keyed by source text — steps across queries share
-#: shapes (same width / bind / check layout), so compiles amortize.
-_DRIVER_CACHE: Dict[str, object] = {}
+#: Generated drivers keyed by step shape — width, key slots, bind /
+#: check layout, comparison operators and operand slots.  Literal codes
+#: are not part of the shape (they arrive as the driver's ``_lits``
+#: argument), so the cache holds one driver per shape however many
+#: constants the queries use, and a lowering that hits it renders no
+#: source.
+_DRIVER_CACHE: Dict[tuple, object] = {}
 
 
 def _compile_block_join(
     width: int,
-    key_parts: Tuple[Tuple[bool, int], ...],
-    binds: Tuple[Tuple[int, int], ...],
+    keys: Tuple[Tuple[Tuple[bool, int], ...], ...],
+    binds: Tuple[Tuple[Optional[int], int], ...],
     checks: Tuple[Tuple[int, int], ...],
     comparisons: Tuple[CodeComparison, ...],
-) -> object:
+) -> Tuple[object, Tuple[int, ...]]:
     """Generate the block-probe driver for one join-step shape.
+
+    Returns the driver and the literal codes to pass it as ``_lits``.
+    ``keys`` holds one key (a tuple of ``(is_slot, value)`` parts) per
+    index the step reads.  A *row-id step* has one key: the driver
+    looks up a bucket of row ids in
+    :meth:`~repro.relational.kernel.ColumnarInstance.encoded_index` and
+    ``binds`` are (column position, slot) pairs.  An *intersection step*
+    has one key per atom and one bind, ``(None, slot)``: the driver
+    looks up each atom's set of codes in
+    :meth:`~repro.relational.kernel.ColumnarInstance.posting`, and
+    ``sorted(a & b ...)`` — a C-level set intersection, emitted in
+    ascending code order so the output depends only on the store's
+    contents — gives the slot's values.  The atoms need no further
+    check.
 
     The driver is ordinary Python compiled from a per-shape source
     string, and both its input and its output streams carry *blocks*
@@ -231,33 +384,91 @@ def _compile_block_join(
     steps costs one resume per ~:data:`_PROBE_BLOCK` rows instead of
     one per row.  The hot inner loop is a single list comprehension
     whose element is a *tuple display* over hoisted column locals — a
-    bucket of candidate rows turns into output row tuples in one
-    bytecode pass, no per-row function calls, no per-row slot stores.
-    Checks and comparisons become comprehension filters over column
-    and slot locals, so a rejected row never becomes a tuple; delta
-    restriction happens once per bucket through
-    :meth:`RowMask.restrict` (bucket identity / bisect slice) instead
-    of a per-row membership scan.  Output blocks flush at ``_PROBE_BLOCK``
-    rows, so lazy ``exists()``/limit consumers never materialize more
-    than one block past their stopping point.  ``probe_rows`` counts a
-    bucket as its chunks are examined, so a consumer that stops early
-    is charged only for the chunks it consumed.
+    bucket of candidate rows (or an intersection's codes) turns into
+    output row tuples in one bytecode pass, no per-row function calls,
+    no per-row slot stores.  Checks and comparisons become
+    comprehension filters over column and slot locals, so a rejected
+    row never becomes a tuple; delta restriction happens once per
+    bucket through :meth:`RowMask.restrict` (bucket identity / bisect
+    slice) instead of a per-row membership scan.  Literal key parts and
+    comparison operands are names bound from ``_lits``, so the source —
+    and the cache entry — depends only on the shape.  Output blocks
+    flush at ``_PROBE_BLOCK`` rows, so lazy ``exists()``/limit consumers
+    never materialize more than one block past their stopping point.
 
-    Measured ~2–3× the row-at-a-time loop it replaced (a frozen copy is
-    the e14 bench's baseline) across fan-outs of 4–64, and wider still
-    under delta restriction.
+    Counters: a row-id step adds to ``probe_rows`` each bucket's rows
+    as its chunks are examined, so a consumer that stops early is
+    charged only for the chunks it consumed; an intersection step adds
+    the length of the smallest posting it read (what the ``&`` scans).
+    Both add to ``probe_survivors`` the rows they emit.
+
+    Row-id drivers measured ~2–3× the row-at-a-time loop they replaced
+    (a frozen copy is the e14 bench's baseline) across fan-outs of
+    4–64, and wider still under delta restriction.
     """
-    bound_slot_columns = {slot: position for position, slot in binds}
-    key_expr = (
+    # Literal codes in the order the source names them: key parts,
+    # then each comparison's left and right operand.
+    literals = tuple(
+        [value for key_parts in keys for is_slot, value in key_parts if not is_slot]
+        + [
+            value
+            for c in comparisons
+            for is_slot, value in (c.left, c.right)
+            if not is_slot
+        ]
+    )
+    # The shape the source depends on: slots, not literal values (only
+    # a literal's sign changes an order comparison's source).
+    shape = (
+        width,
+        tuple(tuple(value if is_slot else None for is_slot, value in kp) for kp in keys),
+        binds,
+        checks,
+        tuple(
+            (c.op,) + tuple(
+                (is_slot, value if is_slot else value < 0)
+                for is_slot, value in (c.left, c.right)
+            )
+            for c in comparisons
+        ),
+    )
+    driver = _DRIVER_CACHE.get(shape)
+    if driver is None:
+        driver = _DRIVER_CACHE[shape] = _generate_driver(
+            width, keys, binds, checks, comparisons, literals
+        )
+    return driver, literals
+
+
+def _generate_driver(
+    width: int,
+    keys: Tuple[Tuple[Tuple[bool, int], ...], ...],
+    binds: Tuple[Tuple[Optional[int], int], ...],
+    checks: Tuple[Tuple[int, int], ...],
+    comparisons: Tuple[CodeComparison, ...],
+    expected_literals: Tuple[int, ...],
+) -> object:
+    """Render and compile the driver source for one step shape (see
+    :func:`_compile_block_join`)."""
+    literals: List[int] = []
+
+    def literal(code: int) -> str:
+        literals.append(code)
+        return f"_k{len(literals) - 1}"
+
+    key_exprs = [
         "("
         + "".join(
-            (f"_values[{value}], " if is_slot else f"{value}, ")
+            (f"_values[{value}], " if is_slot else f"{literal(value)}, ")
             for is_slot, value in key_parts
         )
         + ")"
-    )
+        for key_parts in keys
+    ]
+    intersect = any(position is None for position, _slot in binds)
+    bound_slot_columns = {slot: position for position, slot in binds}
     columns_used = sorted(
-        {position for position, _slot in binds}
+        {position for position, _slot in binds if position is not None}
         | {position for pair in checks for position in pair}
     )
     hoisted_slots = [
@@ -265,10 +476,12 @@ def _compile_block_join(
     ]
 
     def slot_expr(slot: int) -> str:
-        """A slot of the candidate row: its column read when this step
+        """A slot of the output row: the candidate row's column read (a
+        row-id step) or the intersection's code ``_r`` when this step
         binds it, else the input row's value hoisted into a local."""
         if slot in bound_slot_columns:
-            return f"_c{bound_slot_columns[slot]}[_r]"
+            position = bound_slot_columns[slot]
+            return "_r" if position is None else f"_c{position}[_r]"
         return f"_v{slot}"
 
     # Rows are *tuple* displays: nothing downstream mutates a built row
@@ -278,48 +491,96 @@ def _compile_block_join(
     filters = "".join(
         f" if _c{position}[_r] == _c{bound_at}[_r]"
         for position, bound_at in checks
-    ) + "".join(f" if {c.expression(slot_expr)}" for c in comparisons)
+    ) + "".join(f" if {c.expression(slot_expr, literal)}" for c in comparisons)
 
     def flush(indent: str) -> List[str]:
-        """Account a full output block and hand it downstream."""
-        return [
-            f"{indent}if _out:",
-            f"{indent}    _stats.probe_survivors += len(_out)",
-            f"{indent}    yield _out",
-            f"{indent}    _out = []",
-        ]
+        """Account a full output block and hand it downstream.  An
+        intersection driver counts ``probe_rows`` in a local and moves
+        it to the stats here, before each yield, so a consumer that
+        stops early has been charged for what it read."""
+        moved = (
+            [f"{indent}    _stats.probe_rows += _probed", f"{indent}    _probed = 0"]
+            if intersect
+            else []
+        )
+        return (
+            [f"{indent}if _out:"]
+            + moved
+            + [
+                f"{indent}    _stats.probe_survivors += len(_out)",
+                f"{indent}    yield _out",
+                f"{indent}    _out = []",
+            ]
+        )
 
     lines = [
-        "def _drive(_stream, _lookup, _columns, _mask, _stats, _vals, _isstr):",
+        "def _drive(_stream, _lookup, _columns, _mask, _stats, _vals, _isstr, _lits):"
+        if not intersect
+        else "def _drive(_stream, _lookups, _stats, _vals, _isstr, _lits):",
     ]
+    if literals:
+        lines.append("    " + "".join(f"_k{i}, " for i in range(len(literals))) + "= _lits")
     lines += [f"    _c{p} = _columns[{p}]" for p in columns_used]
+    if intersect:
+        lines.append(
+            "    " + "".join(f"_g{i}, " for i in range(len(keys))) + "= _lookups"
+        )
+    else:
+        lines.append("    _restrict = None if _mask is None else _mask.restrict")
+    if intersect:
+        lines.append("    _probed = 0")
     lines += [
-        "    _restrict = None if _mask is None else _mask.restrict",
         "    _out = []",
         "    for _block in _stream:",
         "        for _values in _block:",
-        f"            _rows = _lookup({key_expr})",
-        "            if not _rows:",
-        "                continue",
-        "            if _restrict is not None:",
-        "                _rows = _restrict(_rows)",
-        "                if not _rows:",
-        "                    continue",
     ]
+    if intersect:
+        for i, key_expr in enumerate(key_exprs):
+            lines += [
+                f"            _s{i} = _g{i}({key_expr})",
+                f"            if not _s{i}:",
+                "                continue",
+            ]
+        sets = [f"_s{i}" for i in range(len(keys))]
+        # Most intersections of a selective join are empty: skip the
+        # sort and the hoists for them.
+        lines += [
+            f"            _probed += min({', '.join(f'len({s})' for s in sets)})",
+            f"            _rows = {' & '.join(sets)}",
+            "            if not _rows:",
+            "                continue",
+            "            _rows = sorted(_rows)",
+        ]
+    else:
+        lines += [
+            f"            _rows = _lookup({key_exprs[0]})",
+            "            if not _rows:",
+            "                continue",
+            "            if _restrict is not None:",
+            "                _rows = _restrict(_rows)",
+            "                if not _rows:",
+            "                    continue",
+        ]
     lines += [
         f"            _v{slot} = _values[{slot}]" for slot in hoisted_slots
     ]
     lines += [
         "            _n = len(_rows)",
         f"            if _n <= {_PROBE_BLOCK}:",
-        "                _stats.probe_rows += _n",
+    ]
+    if not intersect:
+        lines.append("                _stats.probe_rows += _n")
+    lines += [
         f"                _out += [{row_elems} for _r in _rows{filters}]",
         "            else:",
         "                _i = 0",
         "                while _i < _n:",
         f"                    _chunk = _rows[_i:_i + {_PROBE_BLOCK}]",
         f"                    _i += {_PROBE_BLOCK}",
-        "                    _stats.probe_rows += len(_chunk)",
+    ]
+    if not intersect:
+        lines.append("                    _stats.probe_rows += len(_chunk)")
+    lines += [
         f"                    _out += [{row_elems} "
         f"for _r in _chunk{filters}]",
         f"                    if len(_out) >= {_PROBE_BLOCK}:",
@@ -333,14 +594,14 @@ def _compile_block_join(
         "    if _out:",
     ]
     lines += flush("        ")
-    source = "\n".join(lines)
-    driver = _DRIVER_CACHE.get(source)
-    if driver is None:
-        namespace: Dict[str, object] = {}
-        exec(compile(source, "<block-join>", "exec"), namespace)  # noqa: S102
-        driver = namespace["_drive"]
-        _DRIVER_CACHE[source] = driver
-    return driver
+    if intersect:
+        lines.append("    _stats.probe_rows += _probed")
+    # The caller passes ``expected_literals`` as ``_lits``: the names
+    # rendered here must bind them in the same order.
+    assert tuple(literals) == expected_literals
+    namespace: Dict[str, object] = {}
+    exec(compile("\n".join(lines), "<block-join>", "exec"), namespace)  # noqa: S102
+    return namespace["_drive"]
 
 
 class _EncodedPlan:
@@ -383,7 +644,9 @@ class _EncodedPlan:
             for c in query.seed_comparisons
         )
         self.steps = tuple(
-            _EncodedStep(step, self.slot_of, pool, self.width)
+            (_EncodedStep if isinstance(step, _Step) else _EncodedIntersectStep)(
+                step, self.slot_of, pool, self.width
+            )
             for step in query.steps
         )
         # Each negation evaluates as not-exists of an encoded sub-plan
@@ -404,6 +667,7 @@ class _EncodedPlan:
         steps = query.steps
         self._single_probe = (
             len(steps) == 1
+            and isinstance(steps[0], _Step)
             and not query.negations
             and not query.unscheduled
             and not steps[0].checks
@@ -457,9 +721,15 @@ class _EncodedPlan:
         row ids — a :class:`RowMask` or any row-id collection (wrapped
         here, so hot callers should pre-build one mask per pass).
         Consumers that mutate the store while iterating must
-        materialize first (the chase does).
+        materialize first (the chase does).  A delta needs a plan whose
+        first step is a row-id step: compile with ``first_atom``.
         """
         if delta is not None:
+            if self.steps and not isinstance(self.steps[0], _EncodedStep):
+                raise ValueError(
+                    "a delta restricts row ids, but this plan starts with an "
+                    "intersection step; compile it with first_atom"
+                )
             if not delta:
                 return
             if not isinstance(delta, RowMask):
@@ -475,38 +745,11 @@ class _EncodedPlan:
         # consumers) then sees tuples uniformly — even on zero-step
         # plans where the seed block reaches _finalize untouched.
         blocks: Iterator[List[Tuple[int, ...]]] = iter(([tuple(values)],))
+        # Streams between steps carry *blocks* of slot-array rows, so the
+        # per-step generator hand-off costs one resume per block.
         for step_index, step in enumerate(self.steps):
-            blocks = self._join(
-                blocks, step, store, delta if step_index == 0 else None
-            )
+            blocks = step.join(blocks, store, delta if step_index == 0 else None)
         yield from self._finalize(blocks, store)
-
-    def _join(
-        self,
-        blocks: Iterator[List[Tuple[int, ...]]],
-        step: _EncodedStep,
-        store,
-        delta: Optional[RowMask],
-    ) -> Iterator[List[Tuple[int, ...]]]:
-        """One block-pipeline join step via the step's generated driver.
-
-        Streams between steps carry *blocks* of slot-array rows, so the
-        per-step generator hand-off costs one resume per block.
-        """
-        if store.arity(step.relation) != step.arity:
-            # No table for this relation yet, or one of another arity:
-            # nothing matches (and the driver, which hoists column
-            # locals up front, must not index a missing column).
-            return iter(())
-        return step.driver(
-            blocks,
-            store.encoded_index(step.relation, step.positions).get,
-            store.columns(step.relation),
-            delta,
-            store.kernel_stats,
-            self.pool.values,
-            self.pool.is_str,
-        )
 
     def _finalize(
         self, blocks: Iterator[List[Tuple[int, ...]]], store
@@ -571,20 +814,230 @@ class _EncodedPlan:
             return key in store.encoded_index(step.relation, step.positions)
         blocks: Iterator[List[Tuple[int, ...]]] = iter(([tuple(values)],))
         for step in self.steps:
-            blocks = self._join(blocks, step, store, None)
+            blocks = step.join(blocks, store, None)
         for block in self._finalize(blocks, store):
             if block:
                 return True
         return False
 
 
+#: One entry of a join order: an atom index (a row-id step) or an
+#: intersection — the variable it binds and the atom indexes it reads.
+_OrderEntry = Union[int, Tuple[Variable, Tuple[int, ...]]]
+
+
+def _atom_score(
+    atom: Atom, positions: Tuple[int, ...], instance: Optional[ColumnarInstance]
+) -> Tuple[float, int]:
+    """The greedy planner's cost of probing ``atom`` next on its bound
+    ``positions``: the estimated bucket size, then more bound positions
+    first."""
+    if instance is None or instance.arity(atom.relation) != len(atom.terms):
+        # No statistics, or a table this atom cannot match (missing or
+        # of another arity: an empty step).
+        return (0.0, -len(positions))
+    size = instance.size(atom.relation)
+    if positions:
+        # Estimated bucket size of a probe on these positions: relation
+        # size over distinct keys.  A near-key probe (T_Product on pid:
+        # ~1) beats a low-cardinality one (T_Store on (store, location):
+        # ~n/stores) even though the latter binds more positions.
+        keys = instance.key_count(atom.relation, positions)
+        return (size / keys if keys else 0.0, -len(positions))
+    return (float(size), -len(positions))
+
+
+def _greedy_order(
+    atoms: Sequence[Atom],
+    bound: Iterable[Variable],
+    instance: Optional[ColumnarInstance],
+    first_atom: Optional[int] = None,
+) -> List[_OrderEntry]:
+    """The join order: ``first_atom`` (a delta anchor) first if given,
+    then greedily either an intersection or the cheapest atom.
+
+    An intersection is taken whenever one is available: a fresh
+    variable that is the only unbound term of two or more remaining
+    atoms, occurring once in each (with several, the one whose lowest
+    atom index is lowest).  Otherwise the pick is the atom with the
+    lowest :func:`_atom_score` under the variables bound so far, the
+    lower atom index on a tie.  A pick changes the score only of atoms
+    sharing a variable it binds, so only those are rescored: scores sit
+    in a heap with stale entries skipped, and a body of ``n`` atoms
+    costs O(n log n) heap operations and at most one ``key_count`` per
+    atom and occurrence of a variable.  Variables are numbered once, so
+    the bookkeeping hashes ints, not terms.
+    """
+    rest = [a for a in range(len(atoms)) if a != first_atom]
+    if len(rest) <= 1:
+        # No choice to make, and an intersection needs two atoms.
+        return ([] if first_atom is None else [first_atom]) + rest
+    ids: Dict[Variable, int] = {}
+    # Per atom, each term's variable number, or -1 for a constant.
+    occurrences = [
+        [ids.setdefault(t, len(ids)) if isinstance(t, Variable) else -1 for t in atom.terms]
+        for atom in atoms
+    ]
+    variables = list(ids)
+    is_bound = [False] * len(variables)
+    for v in bound:
+        if v in ids:
+            is_bound[ids[v]] = True
+    order: List[_OrderEntry] = []
+    remaining = set(range(len(atoms)))
+    if first_atom is not None:
+        remaining.remove(first_atom)
+        order.append(first_atom)
+        for i in occurrences[first_atom]:
+            if i >= 0:
+                is_bound[i] = True
+    # Per remaining atom, its unbound variables and their occurrences;
+    # per variable, the remaining atoms holding it.
+    unbound: Dict[int, Dict[int, int]] = {}
+    holders: List[List[int]] = [[] for _ in variables]
+    for a in remaining:
+        counts: Dict[int, int] = {}
+        for i in occurrences[a]:
+            if i >= 0 and not is_bound[i]:
+                counts[i] = counts.get(i, 0) + 1
+        unbound[a] = counts
+        for i in counts:
+            holders[i].append(a)
+    # Variable -> remaining atoms in which it is the sole unbound term,
+    # occurring once; ``ready`` holds the variables with two or more.
+    sole: Dict[int, Set[int]] = {}
+    ready: Set[int] = set()
+    scores: Dict[int, Tuple[float, int]] = {}
+    heap: List[Tuple[float, int, int]] = []
+
+    def refresh(a: int) -> None:
+        counts = unbound[a]
+        if len(counts) == 1:
+            ((i, occurring),) = counts.items()
+            if occurring == 1:
+                members = sole.setdefault(i, set())
+                members.add(a)
+                if len(members) >= 2:
+                    ready.add(i)
+        if len(remaining) > 1:
+            positions = tuple(
+                p for p, i in enumerate(occurrences[a]) if i < 0 or is_bound[i]
+            )
+            score = scores[a] = _atom_score(atoms[a], positions, instance)
+            heappush(heap, (score[0], score[1], a))
+
+    def bind(fresh: Iterable[int]) -> None:
+        touched: Set[int] = set()
+        for i in fresh:
+            if is_bound[i]:
+                continue
+            is_bound[i] = True
+            sole.pop(i, None)
+            ready.discard(i)
+            for a in holders[i]:
+                if a in remaining:
+                    del unbound[a][i]
+                    touched.add(a)
+        for a in touched:
+            refresh(a)
+
+    for a in remaining:
+        refresh(a)
+    while remaining:
+        if ready:
+            i = min(ready, key=lambda i: min(sole[i]))
+            members = tuple(sorted(sole[i]))
+            remaining.difference_update(members)
+            order.append((variables[i], members))
+            bind((i,))
+            continue
+        if len(remaining) == 1:
+            # Nothing to choose between: no score needed.
+            order.append(remaining.pop())
+            break
+        estimate, positions, best = heappop(heap)
+        if best not in remaining or scores[best] != (estimate, positions):
+            continue
+        remaining.remove(best)
+        order.append(best)
+        bind([i for i in occurrences[best] if i >= 0])
+    return order
+
+
+def _lay_out(
+    atoms: Sequence[Atom],
+    bound: Iterable[Variable],
+    order: Sequence[_OrderEntry],
+    pending: Sequence[Comparison],
+) -> Tuple[List[Union[_Step, _IntersectStep]], List[Comparison]]:
+    """Each step's statics for a fixed order: key positions, binds,
+    checks, and the comparisons that become checkable at it.  Returns
+    the steps and the comparisons no step could schedule."""
+    bound_now: Set[Variable] = set(bound)
+    pending = list(pending)
+    steps: List[Union[_Step, _IntersectStep]] = []
+    for entry in order:
+        if isinstance(entry, int):
+            atom = atoms[entry]
+            positions: List[int] = []
+            key_terms: List[Term] = []
+            binds: List[Tuple[int, Variable]] = []
+            checks: List[Tuple[int, int]] = []
+            first_position: Dict[Variable, int] = {}
+            for i, t in enumerate(atom.terms):
+                if not isinstance(t, Variable) or t in bound_now:
+                    positions.append(i)
+                    key_terms.append(t)
+                elif t in first_position:
+                    checks.append((i, first_position[t]))
+                else:
+                    first_position[t] = i
+                    binds.append((i, t))
+            bound_now |= first_position.keys()
+        else:
+            variable, members = entry
+            parts = []
+            for index in members:
+                terms = atoms[index].terms
+                key = [i for i, t in enumerate(terms) if t != variable]
+                parts.append(
+                    (
+                        atoms[index].relation,
+                        len(terms),
+                        tuple(key),
+                        tuple(terms[i] for i in key),
+                    )
+                )
+            bound_now.add(variable)
+        ready = tuple(c for c in pending if _comparison_ready(c, bound_now))
+        pending = [c for c in pending if c not in ready]
+        if isinstance(entry, int):
+            steps.append(
+                _Step(
+                    atom.relation,
+                    len(atom.terms),
+                    tuple(positions),
+                    tuple(key_terms),
+                    tuple(binds),
+                    tuple(checks),
+                    ready,
+                )
+            )
+        else:
+            steps.append(_IntersectStep(variable, tuple(parts), ready))
+    return steps, pending
+
+
 class CompiledQuery:
     """A conjunction compiled against a set of statically-bound variables.
 
     The compile captures everything that does not depend on the data:
-    the join order, each step's index-key positions, the fresh-variable
-    bind/check schedule, and the comparison schedule.  Evaluating is then
-    a chain of index probes with no per-call planning.
+    the join order (:func:`_greedy_order`), each step's index-key
+    positions, the fresh-variable bind/check schedule, and the
+    comparison schedule (:func:`_lay_out`).  A step is a row-id step
+    (:class:`_Step`) or an intersection step (:class:`_IntersectStep`).
+    Evaluating is then a chain of index probes with no per-call
+    planning.
 
     Plans are data-independent for correctness; relation sizes are only a
     tie-break heuristic captured at compile time, so one compiled query
@@ -614,98 +1067,30 @@ class CompiledQuery:
         self.bound = frozenset(bound)
         self.relations = frozenset(a.relation for a in body.atoms)
 
-        atoms = body.atoms
-        bound_now: Set[Variable] = set(self.bound)
-        pending = list(body.comparisons)
         self.seed_comparisons = tuple(
-            c for c in pending if _comparison_ready(c, bound_now)
+            c for c in body.comparisons if _comparison_ready(c, self.bound)
         )
-        pending = [c for c in pending if c not in self.seed_comparisons]
-
-        remaining = list(range(len(atoms)))
-        order: List[int] = []
-        if first_atom is not None:
-            remaining.remove(first_atom)
-            order.append(first_atom)
-        while remaining:
-            def score(i: int) -> Tuple[float, int]:
-                atom = atoms[i]
-                positions = tuple(
-                    p
-                    for p, t in enumerate(atom.terms)
-                    if not isinstance(t, Variable) or t in bound_now
-                )
-                if instance is None or instance.arity(atom.relation) != len(
-                    atom.terms
-                ):
-                    # No statistics, or a table this atom cannot match
-                    # (missing or of another arity: an empty step).
-                    return (0.0, -len(positions))
-                size = instance.size(atom.relation)
-                if positions:
-                    # Estimated bucket size of a probe on these positions:
-                    # relation size over distinct keys.  A near-key probe
-                    # (T_Product on pid: ~1) beats a low-cardinality one
-                    # (T_Store on (store, location): ~n/stores) even
-                    # though the latter binds more positions.
-                    keys = instance.key_count(atom.relation, positions)
-                    estimate = size / keys if keys else 0.0
-                else:
-                    estimate = float(size)
-                return (estimate, -len(positions))
-
-            # Greedy: the order is scored incrementally, so variables bound
-            # by earlier picks count as bound for later ones.  (Scoring
-            # must happen before the pick mutates ``bound_now``, hence the
-            # two-phase loop.)
-            best = min(remaining, key=score)
-            remaining.remove(best)
-            order.append(best)
-            for variable in atoms[best].variables():
-                bound_now.add(variable)
-
-        # Second pass: with the order fixed, lay out each step's statics.
-        bound_now = set(self.bound)
-        steps: List[_Step] = []
-        for atom_index in order:
-            atom = atoms[atom_index]
-            positions: List[int] = []
-            key_terms: List[Term] = []
-            binds: List[Tuple[int, Variable]] = []
-            checks: List[Tuple[int, int]] = []
-            first_position: Dict[Variable, int] = {}
-            for i, t in enumerate(atom.terms):
-                if not isinstance(t, Variable) or t in bound_now:
-                    positions.append(i)
-                    key_terms.append(t)
-                elif t in first_position:
-                    checks.append((i, first_position[t]))
-                else:
-                    first_position[t] = i
-                    binds.append((i, t))
-            bound_now |= first_position.keys()
-            ready = tuple(c for c in pending if _comparison_ready(c, bound_now))
-            pending = [c for c in pending if c not in ready]
-            steps.append(
-                _Step(
-                    atom.relation,
-                    len(atom.terms),
-                    tuple(positions),
-                    tuple(key_terms),
-                    tuple(binds),
-                    tuple(checks),
-                    ready,
-                )
-            )
+        order = _greedy_order(body.atoms, self.bound, instance, first_atom)
+        steps, pending = _lay_out(
+            body.atoms,
+            self.bound,
+            order,
+            [c for c in body.comparisons if c not in self.seed_comparisons],
+        )
         self.steps = tuple(steps)
         self.unscheduled = tuple(pending)
         self.negations = body.negations
         # Variables the plan treats as fresh (bound by a join step).  A
         # runtime seed may not bind any of these: the plan would silently
         # overwrite the seed value instead of equality-checking it.
-        self._fresh = frozenset(v for step in steps for _p, v in step.binds)
+        self._fresh = frozenset(v for step in steps for v in step.fresh)
         # Lazily-lowered columnar twin of this plan (pool-specific).
         self._encoded: Optional[_EncodedPlan] = None
+
+    @property
+    def intersections(self) -> int:
+        """How many of the plan's steps are intersection steps."""
+        return sum(isinstance(step, _IntersectStep) for step in self.steps)
 
     def encoded(self, pool: TermPool) -> _EncodedPlan:
         """This plan lowered onto ``pool`` (cached; rebuilt only if a
@@ -737,7 +1122,7 @@ class CompiledQuery:
         delta_rows: Optional[Set[int]] = None
         if delta is not None:
             delta_rows = set()
-            if self.steps:
+            if self.steps and isinstance(self.steps[0], _Step):
                 first_relation = self.steps[0].relation
                 row_id_of = store.row_id_of
                 for fact in delta:

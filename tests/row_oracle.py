@@ -4,9 +4,10 @@ Before the generated block drivers, every join step of an encoded plan
 ran the loop below: look up the step's index bucket for one input row,
 restrict it to the delta, check repeated-variable equalities column by
 column, copy the row's slots, bind, call each comparison's ``check``,
-and yield.  It walks ``plan.steps`` exactly as the drivers do, so both
-must produce the same rows and, over a full drain, the same
-``probe_rows``/``probe_survivors`` counters.
+and yield.  An intersection step walks the smallest posting in code
+order and tests each code against the others.  It walks ``plan.steps``
+exactly as the drivers do, so both must produce the same rows and, over
+a full drain, the same ``probe_rows``/``probe_survivors`` counters.
 
 :func:`row_blocks` and :func:`row_exists` stand in for
 ``_EncodedPlan.blocks`` and ``_EncodedPlan.exists_values``;
@@ -21,13 +22,50 @@ from unittest import mock
 
 from repro.errors import UnsafeDependencyError
 from repro.relational.kernel import RowMask
-from repro.relational.query import _PROBE_BLOCK, _EncodedPlan
+from repro.relational.query import _PROBE_BLOCK, _EncodedIntersectStep, _EncodedPlan
 
 __all__ = ["row_blocks", "row_exists", "row_probe_mode"]
 
 
+def _intersect_rows(stream, step, store) -> Iterator[List[int]]:
+    """One intersection step, one input row and one code at a time: walk
+    the smallest posting in ascending code order and keep the codes
+    every other posting holds.  ``probe_rows`` counts the smallest
+    posting, ``probe_survivors`` the rows yielded, as in the drivers."""
+    for relation, arity, _positions, _key_parts in step.parts:
+        if store.arity(relation) != arity:
+            return
+    lookups = [
+        (store.posting(relation, positions).get, key_parts)
+        for relation, _arity, positions, key_parts in step.parts
+    ]
+    comparisons = [comparison.check for comparison in step.comparisons]
+    stats = store.kernel_stats
+    for values in stream:
+        postings = []
+        for lookup, key_parts in lookups:
+            codes = lookup(tuple(values[v] if s else v for s, v in key_parts))
+            if not codes:
+                break
+            postings.append(codes)
+        else:
+            smallest = min(postings, key=len)
+            stats.probe_rows += len(smallest)
+            for code in sorted(smallest):
+                if not all(code in codes for codes in postings):
+                    continue
+                extended = values[:]
+                extended[step.slot] = code
+                if all(check(extended) for check in comparisons):
+                    stats.probe_survivors += 1
+                    yield extended
+
+
 def _join_rows(stream, step, store, delta) -> Iterator[List[int]]:
     """One join step, one input row and one candidate row at a time."""
+    if isinstance(step, _EncodedIntersectStep):
+        yield from _intersect_rows(stream, step, store)
+        return
     if store.arity(step.relation) != step.arity:
         return
     lookup = store.encoded_index(step.relation, step.positions).get
@@ -100,6 +138,8 @@ def row_blocks(plan, store, seed_values=(), delta=None) -> Iterator[List[Tuple[i
     """``plan.blocks(store, seed_values, delta)`` on the row loop, its
     rows chunked into blocks of the drivers' size."""
     if delta is not None:
+        if plan.steps and isinstance(plan.steps[0], _EncodedIntersectStep):
+            raise ValueError("a delta restricts row ids; anchor the plan")
         if not delta:
             return
         if not isinstance(delta, RowMask):

@@ -210,6 +210,56 @@ class TestExtendEncoded:
             inst.extend_encoded("R", [(1, 2), (1, 2, 3)])
 
 
+class TestPostings:
+    """Set-valued indexes: key codes -> codes at the remaining position."""
+
+    def _store(self):
+        store = ColumnarInstance(pool=TermPool())
+        store.add(atom("E", 1, 2))
+        store.add(atom("E", 1, 3))
+        store.add(atom("E", 2, 3))
+        return store
+
+    def _codes(self, store, *values):
+        return {store.pool.encode(Constant(v)) for v in values}
+
+    def test_keys_map_to_the_codes_at_the_other_position(self):
+        store = self._store()
+        one, three = (store.pool.encode(Constant(v)) for v in (1, 3))
+        out = store.posting("E", (0,))
+        into = store.posting("E", (1,))
+        assert out[(one,)] == self._codes(store, 2, 3)
+        assert into[(three,)] == self._codes(store, 1, 2)
+        # The posting answers the planner's distinct-key statistics.
+        assert store.cached_key_count("E", (0,)) == 2
+
+    def test_live_posting_follows_appends_and_resurrections(self):
+        store = self._store()
+        out = store.posting("E", (0,))
+        one = store.pool.encode(Constant(1))
+        store.add(atom("E", 1, 4))
+        store.extend_encoded("E", [store.encode_row(atom("E", 1, 5).terms)] * 2)
+        assert store.posting("E", (0,)) is out
+        assert out[(one,)] == self._codes(store, 2, 3, 4, 5)
+        store.remove(atom("E", 1, 2))  # drops the posting
+        rebuilt = store.posting("E", (0,))
+        assert rebuilt is not out and rebuilt[(one,)] == self._codes(store, 3, 4, 5)
+        store.add(atom("E", 1, 2))  # resurrects the tombstoned row
+        assert rebuilt[(one,)] == self._codes(store, 2, 3, 4, 5)
+
+    def test_null_maps_drop_postings_and_copies_share_none(self):
+        store = self._store()
+        store.add(Atom("E", (Constant(1), Null(0))))
+        out = store.posting("E", (0,))
+        clone = store.copy()
+        clone.add(atom("E", 1, 9))
+        one = store.pool.encode(Constant(1))
+        assert clone.posting("E", (0,)) is not out
+        assert -1 in out[(one,)] and store.pool.encode(Constant(9)) not in out[(one,)]
+        store.apply_null_map_encoded({-1: store.pool.encode(Constant(7))})
+        assert store.posting("E", (0,))[(one,)] == self._codes(store, 2, 3, 7)
+
+
 class TestPickleAndCopy:
     def test_pickle_round_trip_reinterns_decoded_rows(self):
         inst = ColumnarInstance(pool=TermPool())

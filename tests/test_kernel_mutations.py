@@ -150,3 +150,122 @@ def test_index_buckets_stay_sorted_through_resurrection(ops):
             index = columnar.encoded_index(relation, positions)
             for bucket in index.values():
                 assert list(bucket) == sorted(bucket)
+
+
+# ---------------------------------------------------------------------------
+# Postings: incrementally maintained sets equal a from-scratch rebuild
+# ---------------------------------------------------------------------------
+
+# Values include nulls so null maps have something to rewrite.
+posting_values = st.sampled_from([0, 1, 2, 3, -1, -2])
+posting_rows = st.tuples(st.sampled_from(RELATIONS), posting_values, posting_values)
+
+posting_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), posting_rows),
+        st.tuples(st.just("remove"), posting_rows),
+        st.tuples(st.just("extend"), st.lists(posting_rows, max_size=6)),
+        st.tuples(
+            st.just("null_map"),
+            st.dictionaries(st.sampled_from([-1, -2]), posting_values, max_size=2),
+        ),
+        st.tuples(st.just("copy"), posting_rows),
+        st.tuples(st.just("bump"), st.just(None)),
+    ),
+    max_size=30,
+)
+
+
+def _code(store, value):
+    """A test value as a code: nulls are negative, constants intern."""
+    return value if value < 0 else store.pool.encode(Constant(value))
+
+
+def _brute_posting(store, relation, positions):
+    (value_position,) = set(range(store.arity(relation))) - set(positions)
+    posting = {}
+    for row_id in store.live_row_ids(relation):
+        row = store.row_values(relation, row_id)
+        key = tuple(row[p] for p in positions)
+        posting.setdefault(key, set()).add(row[value_position])
+    return posting
+
+
+def _check_postings(store):
+    """Every posting equals its rebuild; reading them keeps them live."""
+    for relation in RELATIONS:
+        if store.arity(relation) is None:
+            continue
+        for positions in [(0,), (1,)]:
+            assert store.posting(relation, positions) == _brute_posting(
+                store, relation, positions
+            )
+
+
+def _snapshot(store):
+    return {
+        (relation, positions): {
+            key: set(codes)
+            for key, codes in store.posting(relation, positions).items()
+        }
+        for relation in RELATIONS
+        if store.arity(relation) is not None
+        for positions in [(0,), (1,)]
+    }
+
+
+# Add, tombstone (drops the postings), rebuild, then resurrect the row
+# incrementally, by add_encoded and by a duplicate-carrying extend.
+POSTING_RESURRECTION = [
+    ("add", ("R", 0, 1)),
+    ("add", ("R", 0, 2)),
+    ("remove", ("R", 0, 1)),
+    ("add", ("R", 0, 1)),
+    ("remove", ("R", 0, 2)),
+    ("extend", [("R", 0, 2), ("R", 0, 2), ("R", 3, 1), ("S", 1, 1)]),
+    ("null_map", {-1: 2}),
+    ("copy", ("S", 2, 2)),
+]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=posting_operations)
+@example(ops=POSTING_RESURRECTION)
+@example(ops=[("add", ("R", -1, 0)), ("add", ("R", 2, 0)), ("null_map", {-1: 2})])
+def test_postings_equal_a_rebuild_after_every_mutation(ops):
+    store = ColumnarInstance(pool=TermPool())
+    for op, payload in ops:
+        if op == "add":
+            relation, a, b = payload
+            store.add_encoded(relation, (_code(store, a), _code(store, b)))
+        elif op == "remove":
+            relation, a, b = payload
+            decode = store.decode_term
+            store.remove(
+                Atom(relation, (decode(_code(store, a)), decode(_code(store, b))))
+            )
+        elif op == "extend":
+            by_relation = {}
+            for relation, a, b in payload:
+                by_relation.setdefault(relation, []).append(
+                    (_code(store, a), _code(store, b))
+                )
+            for relation, rows in by_relation.items():
+                store.extend_encoded(relation, rows)
+        elif op == "null_map":
+            store.apply_null_map_encoded(
+                {null: _code(store, value) for null, value in payload.items()}
+            )
+        elif op == "copy":
+            # The copy shares no posting with the original: mutating it
+            # leaves the original's postings as they were.
+            before = _snapshot(store)
+            clone = store.copy()
+            relation, a, b = payload
+            clone.add_encoded(relation, (_code(store, a), _code(store, b)))
+            _check_postings(clone)
+            assert _snapshot(store) == before
+            store = clone
+        else:
+            store.bump_generation()
+        _check_postings(store)

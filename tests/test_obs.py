@@ -14,6 +14,9 @@ import json
 import pytest
 
 from repro.chase.engine import ChaseConfig, StandardChase
+from repro.logic.atoms import Atom, Comparison, Conjunction
+from repro.logic.dependencies import tgd
+from repro.logic.terms import Variable
 from repro.obs.jsonl import (
     TRACE_FORMAT_VERSION,
     TraceFormatError,
@@ -419,6 +422,44 @@ class TestTraceDeterminism:
 # ---------------------------------------------------------------------------
 # The chase.seed span: which path loaded the working store
 # ---------------------------------------------------------------------------
+
+
+class TestPlanIntersections:
+    """``plan.intersections`` counts the intersection steps of the plans
+    a run compiled, so the planner's choice shows in the trace."""
+
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+
+    def _run(self, premise):
+        dependency = tgd(premise, (Atom("Out", (self.x, self.y)),), name="d")
+        source = Instance()
+        for a, b in [(1, 2), (2, 3), (3, 1), (2, 4), (4, 1)]:
+            source.add_row("E", a, b)
+        engine = StandardChase(
+            [dependency], ("E",), ChaseConfig(trace=TraceConfig(enabled=True))
+        )
+        result = engine.run(source)
+        return result, result.trace["metrics"]["counters"]
+
+    def test_triangle_plans_an_intersection(self):
+        x, y, z = self.x, self.y, self.z
+        result, counters = self._run(
+            Conjunction(
+                atoms=(Atom("E", (x, y)), Atom("E", (y, z)), Atom("E", (z, x))),
+                comparisons=(Comparison("<", x, y),),
+            )
+        )
+        assert counters["plan.intersections"] >= 1
+        # (1, 2, 3), (2, 3, 1), (1, 2, 4) and (2, 4, 1): x < y halves six.
+        assert result.stats.premise_matches == 4
+
+    def test_chain_plans_none(self):
+        x, y, z = self.x, self.y, self.z
+        result, counters = self._run(
+            Conjunction(atoms=(Atom("E", (x, y)), Atom("E", (y, z))))
+        )
+        assert counters["plan.intersections"] == 0
+        assert result.stats.premise_matches == 6
 
 
 def _seed_spans(payload):
